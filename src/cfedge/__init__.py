@@ -8,6 +8,7 @@ The package is split along the pipeline:
 - ``comm``: uplink and downlink decoding probabilities
 - ``offload``: queueing spectra and computation success probabilities
 - ``secp``: combined communication + computation success, radius search
+- ``search``: grid + golden-section maximization and bisection
 - ``energy``: energy model and constrained minimisation
 - ``sim``: Monte Carlo and discrete-event reference implementations
 - ``presets``: named parameter sets for the bundled experiments
@@ -40,7 +41,6 @@ from .offload import (
     arrival_rates,
     min_dispatch_prob,
     min_queue_pmf,
-    optimal_theta,
     queue_spectrum,
     scp,
     scp_cs,
@@ -87,7 +87,6 @@ __all__ = [
     "min_dispatch_prob",
     "min_queue_pmf",
     "minimize_energy",
-    "optimal_theta",
     "pathloss",
     "per_ap_success",
     "queue_spectrum",

@@ -40,7 +40,6 @@ from .secp import secp as _secp_point
 from .errors import InfeasibilityError, NumericalError, StabilityError
 from .model import (ComputeConfig, NetworkConfig, mean_connected_aps,
                     stability_report)
-from .offload import MecCdfCache
 from .presets import get_preset
 
 SCHEMA_VERSION = 1
@@ -49,9 +48,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
-
-KINDS = ("scmp_vs_R", "scp_surface", "secp_surface", "r_threshold",
-         "energy_vs_xi", "validate")
 
 COLUMNS = {
     "scmp_vs_R": ["R_km", "p_oul", "p_odl_lo", "p_odl_hi", "p_odl_point",
@@ -67,6 +63,7 @@ COLUMNS = {
     "validate": ["check", "value_analytic", "value_oracle", "delta", "tol",
                  "status"],
 }
+KINDS = tuple(COLUMNS)
 
 
 class SpecError(ValueError):
@@ -99,6 +96,13 @@ class ExperimentSpec:
         if kind != "scmp_vs_R" and not data.get("compute"):
             raise SpecError(f"kind {kind} needs a 'compute' section")
         sim_section = data.get("sim", {})
+        if not isinstance(sim_section, dict):
+            raise SpecError("'sim' must be an object")
+        try:
+            replications = int(sim_section.get("replications", 1000))
+            seed = int(sim_section.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"bad sim section: {exc}") from None
         label = str(data.get("label", kind))
         safe = "".join(c if c.isalnum() or c in "-_." else "-" for c in label)
         return cls(
@@ -108,8 +112,8 @@ class ExperimentSpec:
             compute=dict(data.get("compute", {})),
             energy=dict(data.get("energy", {})),
             sweep=dict(sweep),
-            replications=int(sim_section.get("replications", 1000)),
-            seed=int(sim_section.get("seed", 0)),
+            replications=replications,
+            seed=seed,
         )
 
     def resolved(self) -> dict:
@@ -125,33 +129,36 @@ class ExperimentSpec:
         }
 
 
+# Non-empty sweep grids each kind needs; the searches also need bounds.
+_SWEEP_GRIDS = {
+    "scmp_vs_R": ("radii_km",),
+    "scp_surface": ("radii_km", "theta_grid"),
+    "secp_surface": ("radii_km", "theta_grid"),
+    "r_threshold": ("rows", "areas_km2"),
+    "energy_vs_xi": ("xi_grid",),
+    "validate": ("radii_km",),
+}
+
+
 def _check_sweep(kind: str, sweep: dict) -> None:
-    def need_grid(key):
+    for key in _SWEEP_GRIDS[kind]:
         grid = sweep.get(key)
         if not isinstance(grid, (list, tuple)) or len(grid) == 0:
             raise SpecError(f"kind {kind} needs a non-empty sweep.{key}")
-
-    def need_bounds():
+    if kind in ("r_threshold", "energy_vs_xi"):
         bounds = sweep.get("r_bounds_km")
         if (not isinstance(bounds, (list, tuple)) or len(bounds) != 2
                 or not 0 < bounds[0] < bounds[1]):
             raise SpecError("sweep.r_bounds_km must be [lo, hi] with "
                             "0 < lo < hi")
 
-    if kind == "scmp_vs_R":
-        need_grid("radii_km")
-    elif kind in ("scp_surface", "secp_surface"):
-        need_grid("radii_km")
-        need_grid("theta_grid")
-    elif kind == "r_threshold":
-        need_grid("rows")
-        need_grid("areas_km2")
-        need_bounds()
-    elif kind == "energy_vs_xi":
-        need_grid("xi_grid")
-        need_bounds()
-    elif kind == "validate":
-        need_grid("radii_km")
+
+def _config(cls, section: str, merged: dict):
+    # a missing, unknown or out-of-range field is a spec error
+    try:
+        return cls(**merged)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"bad {section} section: {exc}") from None
 
 
 def _network_for(spec: ExperimentSpec, **overrides) -> NetworkConfig:
@@ -161,10 +168,7 @@ def _network_for(spec: ExperimentSpec, **overrides) -> NetworkConfig:
         if db_key in merged:
             merged[f"sir_threshold_{side}"] = 10.0 ** (merged.pop(db_key) / 10.0)
     merged.update(overrides)
-    try:
-        return NetworkConfig(**merged)
-    except TypeError as exc:
-        raise SpecError(f"bad network section: {exc}") from None
+    return _config(NetworkConfig, "network", merged)
 
 
 def _compute_for(spec: ExperimentSpec, **overrides) -> ComputeConfig:
@@ -173,10 +177,7 @@ def _compute_for(spec: ExperimentSpec, **overrides) -> ComputeConfig:
     for key in ("type_probs", "mu_c", "mu_m"):
         if key in merged:
             merged[key] = tuple(merged[key])
-    try:
-        return ComputeConfig(**merged)
-    except TypeError as exc:
-        raise SpecError(f"bad compute section: {exc}") from None
+    return _config(ComputeConfig, "compute", merged)
 
 
 def _energy_for(spec: ExperimentSpec) -> energy_mod.EnergyConfig:
@@ -184,25 +185,7 @@ def _energy_for(spec: ExperimentSpec) -> energy_mod.EnergyConfig:
     for key in ("f_cs_hz", "f_mec_hz"):
         if key in merged:
             merged[key] = tuple(merged[key])
-    try:
-        return energy_mod.EnergyConfig(**merged)
-    except TypeError as exc:
-        raise SpecError(f"bad energy section: {exc}") from None
-
-
-# Caches for the latency CDF of multi-task service sums. Keyed by the
-# values that determine them, so serial and parallel runs produce the
-# same numbers whether or not a cache is shared.
-_MEC_CACHES: dict = {}
-
-
-def _mec_cache(comp: ComputeConfig) -> MecCdfCache:
-    key = (comp.type_probs, comp.mu_m, comp.target_latency)
-    cache = _MEC_CACHES.get(key)
-    if cache is None:
-        cache = MecCdfCache(comp, comp.target_latency)
-        _MEC_CACHES[key] = cache
-    return cache
+    return _config(energy_mod.EnergyConfig, "energy", merged)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +219,11 @@ def _points(spec: ExperimentSpec) -> list:
                 {"check": "uplink_outage_independent", "R": r0}]
         return pts
     raise SpecError(f"unknown kind {spec.kind!r}")
+
+
+def _nan_row(kind: str, **known) -> dict:
+    """A row of kind with NaN in every column but the known ones."""
+    return {**dict.fromkeys(COLUMNS[kind], float("nan")), **known}
 
 
 def _eval_scmp(spec: ExperimentSpec, index: int, point: dict) -> dict:
@@ -273,15 +261,11 @@ def _eval_scp_surface(spec: ExperimentSpec, index: int, point: dict) -> dict:
         cs = offload.scp_cs(comp, rates.lambda_c)
     if report.stable_mec:
         spectrum = offload.queue_spectrum(comp, rates.lambda_m)
-        mec = offload.scp_mec(net, comp, spectrum, rates,
-                              cache=_mec_cache(comp))
+        mec = offload.scp_mec(net, comp, spectrum, rates)
     theta = comp.offload_prob
-    if theta == 0.0:
-        total = mec
-    elif theta == 1.0:
-        total = cs
-    else:
-        total = theta * cs + (1.0 - theta) * mec
+    # a path the split never takes adds nothing, even where it is unstable
+    total = (theta * cs if theta > 0.0 else 0.0) \
+        + ((1.0 - theta) * mec if theta < 1.0 else 0.0)
     return {"R_km": point["R"], "theta": theta, "scp_cs": cs,
             "scp_mec": mec, "scp": total}
 
@@ -290,12 +274,10 @@ def _eval_secp_surface(spec: ExperimentSpec, index: int, point: dict) -> dict:
     net = _network_for(spec, coverage_radius=point["R"])
     comp = _compute_for(spec, offload_prob=point["theta"])
     try:
-        result = _secp_point(net, comp, cache=_mec_cache(comp))
+        result = _secp_point(net, comp)
     except StabilityError:
         # An overloaded corner of the grid is data, not a run failure.
-        nan = float("nan")
-        return {"R_km": point["R"], "theta": point["theta"], "secp": nan,
-                "comp_term": nan, "ul_term": nan, "dl_term": nan}
+        return _nan_row("secp_surface", R_km=point["R"], theta=point["theta"])
     return {"R_km": point["R"], "theta": point["theta"], "secp": result.secp,
             "comp_term": result.comp_term, "ul_term": result.ul_term,
             "dl_term": result.dl_term}
@@ -313,12 +295,9 @@ def _eval_r_threshold(spec: ExperimentSpec, index: int, point: dict) -> dict:
            "t_s": float(point["target_latency"]),
            "area_km2": point["area"]}
     try:
-        best_r, best_theta, best_val = _find_r_threshold(
-            net, comp, bounds)
+        best_r, best_theta, best_val = _find_r_threshold(net, comp, bounds)
     except InfeasibilityError:
-        row.update({"R_th_m": float("nan"), "theta": float("nan"),
-                    "secp_max": float("nan"), "_infeasible": True})
-        return row
+        return _nan_row("r_threshold", **row, _infeasible=True)
     row.update({"R_th_m": best_r * 1000.0, "theta": best_theta,
                 "secp_max": best_val})
     return row
@@ -334,14 +313,10 @@ def _eval_energy(spec: ExperimentSpec, index: int, point: dict) -> dict:
         r_star, theta_star, breakdown = energy_mod.minimize_energy(
             net, comp, cfg, xi, r_bounds=bounds)
     except InfeasibilityError:
-        nan = float("nan")
-        return {"xi": xi, "R_star_km": nan, "theta_star": nan,
-                "E_comp_J": nan, "E_comm_J": nan, "E_total_J": nan,
-                "secp_achieved": nan, "_infeasible": True}
+        return _nan_row("energy_vs_xi", xi=xi, _infeasible=True)
     net_star = _network_for(spec, coverage_radius=r_star)
     comp_star = _compute_for(spec, offload_prob=theta_star)
-    achieved = _secp_point(net_star, comp_star,
-                             cache=_mec_cache(comp_star)).secp
+    achieved = _secp_point(net_star, comp_star).secp
     return {"xi": xi, "R_star_km": r_star, "theta_star": theta_star,
             "E_comp_J": breakdown.e_comp, "E_comm_J": breakdown.e_comm,
             "E_total_J": breakdown.e_total, "secp_achieved": achieved}
@@ -449,7 +424,7 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
                                 seed=spec.seed + index, n_mec=n, p_oul=0.0)
         rates = offload.arrival_rates(net, comp, 0.0)
         spectrum = offload.queue_spectrum(comp, rates.lambda_m)
-        ana = offload.mec_conditional_cdf(spectrum, n, _mec_cache(comp))
+        ana = offload.mec_conditional_cdf(spectrum, n, offload.mec_cache(comp))
         emp = log.sojourn_cdf(comp.target_latency, mec_only=True)
         return _vrow(check, ana, emp, abs(ana - emp), 0.03)
 
@@ -558,6 +533,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = ".",
     except NumericalError as exc:
         error = (type(exc).__name__, str(exc))
         code = EXIT_NUMERICAL
+    except SpecError as exc:
+        error = (type(exc).__name__, str(exc))
+        code = EXIT_USAGE
 
     if rows is not None:
         write_csv_rows(csv_path, COLUMNS[spec.kind], rows)

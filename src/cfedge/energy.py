@@ -14,16 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import comm
+from . import search
 # Direct submodule import: the package attribute `secp` is the function
 # of the same name once cfedge/__init__ has run.
+from .secp import THETA_GRID, _split_secp
 from .secp import _best_theta as _secp_best_theta
 from .secp import find_r_threshold as _secp_find_r_threshold
-from .secp import secp as _secp_point
 from .errors import InfeasibilityError
-from .model import ComputeConfig, NetworkConfig, mean_connected_aps, stability_report
-from .offload import MecCdfCache, arrival_rates
-from .specfun import DEFAULT_INVERSION, LaplaceInversionSettings
+from .model import ComputeConfig, NetworkConfig, mean_connected_aps
 
 # ----------------------------------------------------------------------------
 # configuration
@@ -169,8 +167,7 @@ def energy_breakdown(net: NetworkConfig, comp: ComputeConfig,
 def minimize_energy(net: NetworkConfig, comp: ComputeConfig, cfg: EnergyConfig,
                     xi: float,
                     r_bounds: tuple = (0.005, 0.3),
-                    theta_grid=None,
-                    settings: LaplaceInversionSettings = DEFAULT_INVERSION):
+                    theta_grid=THETA_GRID):
     """Minimize per-task energy subject to joint success probability >= xi.
 
     Communication energy is increasing in R and computation energy is affine
@@ -184,68 +181,34 @@ def minimize_energy(net: NetworkConfig, comp: ComputeConfig, cfg: EnergyConfig,
     r_lo, r_hi = float(r_bounds[0]), float(r_bounds[1])
     if not 0.0 < r_lo < r_hi:
         raise ValueError("need 0 < r_lo < r_hi")
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, 1.0, 21)
-    cache = MecCdfCache(comp, comp.target_latency, settings)
+    splits = {}
 
-    def max_secp(R: float):
-        cfg_net = replace(net, coverage_radius=float(R))
-        uplink = comm.uplink_mixture(cfg_net)
-        dl_success = 1.0 - comm.downlink_outage(cfg_net).point
-        try:
-            return _secp_best_theta(cfg_net, comp, theta_grid, uplink,
-                                    dl_success, settings, cache)
-        except InfeasibilityError:
-            return None, -1.0
+    def meets_floor(R: float) -> bool:
+        best = _secp_best_theta(net, comp, R, theta_grid)
+        if best is None or best[1] < xi:
+            return False
+        splits[R] = best[0]
+        return True
 
-    scan = np.linspace(r_lo, r_hi, 16)
-    scan_vals = [max_secp(R) for R in scan]
-    feas = [i for i, (_, v) in enumerate(scan_vals) if v >= xi]
-    if not feas:
+    scan = [float(R) for R in np.linspace(r_lo, r_hi, 16)]
+    first = next((i for i, R in enumerate(scan) if meets_floor(R)), None)
+    if first is None:
         best_r, best_th, best_val = _secp_find_r_threshold(
-            net, comp, (r_lo, r_hi), theta_grid, settings)
+            net, comp, (r_lo, r_hi), theta_grid)
         raise InfeasibilityError(
             f"success floor {xi} unreachable: best achievable is "
             f"{best_val:.4f} at R = {best_r * 1000:.1f} m, split = {best_th:.3f}")
-
-    first = feas[0]
-    if first == 0:
-        r_star = float(scan[0])
-        theta_hint = scan_vals[0][0]
-    else:
-        lo, hi = float(scan[first - 1]), float(scan[first])
-        theta_hint = scan_vals[first][0]
+    r_star = scan[first]
+    if first > 0:
         # run the bracket down to ~1 um: at a looser stop the feasible split
         # interval at R* is sqrt-wide and the chosen endpoint jitters enough
         # to put visible noise on the energy frontier
-        for _ in range(60):
-            if hi - lo < 1e-9:
-                break
-            mid = 0.5 * (lo + hi)
-            th_mid, v_mid = max_secp(mid)
-            if v_mid >= xi:
-                hi, theta_hint = mid, th_mid
-            else:
-                lo = mid
-        r_star = hi
+        r_star = search.bisect(meets_floor, r_star, scan[first - 1], 1e-9)
 
     net_star = replace(net, coverage_radius=r_star)
-    uplink = comm.uplink_mixture(net_star)
-    dl_success = 1.0 - comm.downlink_outage(net_star).point
-    p_oul = uplink.outage
-
-    def secp_at(theta: float):
-        cfg_c = replace(comp, offload_prob=float(theta))
-        rates = arrival_rates(net_star, cfg_c, p_oul)
-        rep = stability_report(cfg_c, rates.lambda_c, rates.lambda_m)
-        if not (rep.stable_cs and rep.stable_mec):
-            return None
-        return _secp_point(net_star, cfg_c, uplink, dl_success, settings,
-                           cache).secp
-
-    slope = theta_energy_slope(comp, cfg)
-    theta_star = _cheapest_feasible_theta(secp_at, xi, theta_hint, slope,
-                                          theta_grid)
+    theta_star = _cheapest_feasible_theta(
+        lambda theta: _split_secp(net_star, comp, theta), xi, splits[r_star],
+        theta_energy_slope(comp, cfg), theta_grid)
     comp_star = replace(comp, offload_prob=theta_star)
     return r_star, theta_star, energy_breakdown(net_star, comp_star, cfg)
 
@@ -255,46 +218,28 @@ def _cheapest_feasible_theta(secp_at, xi, theta_peak, slope, theta_grid) -> floa
     # unimodal in the split); energy is affine in the split, so the cheaper
     # feasible endpoint wins. Walk the grid outward from the peak in the
     # cheaper direction, then bisect the boundary.
-    if slope >= 0.0:
-        direction = -1.0   # smaller split is cheaper
-    else:
-        direction = 1.0
+    direction = -1.0 if slope >= 0.0 else 1.0   # -1: smaller split is cheaper
     step = abs(float(theta_grid[1]) - float(theta_grid[0])) \
         if len(theta_grid) > 1 else 0.05
-    inner = float(theta_peak)
-    val = secp_at(inner)
-    if val is None or val < xi:
+
+    def feasible(theta: float) -> bool:
+        v = secp_at(theta)
+        return v is not None and v >= xi
+
+    outer = float(theta_peak)
+    if not feasible(outer):
         # the hinted peak may sit just below the floor after radius rounding;
         # fall back to the best grid point
         cands = [(secp_at(float(th)), float(th)) for th in theta_grid]
         cands = [(v, th) for v, th in cands if v is not None and v >= xi]
         if not cands:
             raise InfeasibilityError("no feasible split at the chosen radius")
-        inner = max(cands)[1] if direction > 0 else min(cands)[1]
-    outer = inner
+        outer = max(cands)[1] if direction > 0 else min(cands)[1]
     while True:
-        probe = outer + direction * step
-        if probe < 0.0 or probe > 1.0:
-            probe = min(1.0, max(0.0, probe))
-            v = secp_at(probe)
-            if v is not None and v >= xi:
-                return probe
+        probe = min(1.0, max(0.0, outer + direction * step))
+        if not feasible(probe):
             break
-        v = secp_at(probe)
-        if v is not None and v >= xi:
-            outer = probe
-            if probe in (0.0, 1.0):
-                return probe
-        else:
-            break
-    lo, hi = outer, min(1.0, max(0.0, outer + direction * step))
-    for _ in range(30):
-        if abs(hi - lo) < 1e-5:
-            break
-        mid = 0.5 * (lo + hi)
-        v = secp_at(mid)
-        if v is not None and v >= xi:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        if probe in (0.0, 1.0):
+            return probe
+        outer = probe
+    return search.bisect(feasible, outer, probe, 1e-5)

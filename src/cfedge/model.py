@@ -115,11 +115,6 @@ class ComputeConfig:
         """Harmonic-mean service rate of the CS mixture."""
         return 1.0 / self.mean_service_time_cs
 
-    @property
-    def aggregate_mu_m(self) -> float:
-        """Harmonic-mean service rate of an edge server mixture."""
-        return 1.0 / self.mean_service_time_mec
-
 
 # ----------------------------------------------------------------------------
 # queue stability summary

@@ -11,18 +11,22 @@ CDFs come from numerical transform inversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.special as sp
 
 from . import comm
-from .errors import InfeasibilityError, NumericalError, StabilityError
+from .errors import NumericalError, StabilityError
 from .model import ComputeConfig, NetworkConfig, mean_connected_aps, stability_report
-from .specfun import (DEFAULT_INVERSION, LaplaceInversionSettings,
-                      invert_laplace_cdf, poly_roots_real)
+from .specfun import invert_laplace_cdf, poly_roots_real
 
 _POISSON_TAIL = 1e-10
 _GEO_TAIL = 1e-10
+# exp(-nu) is a normal float below this mean; above it the pmf recursion
+# would start from a subnormal (or zero) value
+_POISSON_RECURSION_MAX = 708.0
+_MEC_CACHES_MAX = 32
 
 # ----------------------------------------------------------------------------
 # arrival rates
@@ -88,19 +92,6 @@ class QueueSpectrum:
         return max(abs(r) for r in self.roots)
 
 
-def _mixture_poly(weights, rates, lam):
-    # A(z) = sum_l p_l mu_l prod_{k != l} (mu_k + lam - lam z), ascending coeffs
-    poly = np.polynomial.polynomial
-    acc = np.zeros(1)
-    for l, (p, mu) in enumerate(zip(weights, rates)):
-        term = np.array([p * mu])
-        for k, mu_k in enumerate(rates):
-            if k != l:
-                term = poly.polymul(term, np.array([mu_k + lam, -lam]))
-        acc = poly.polyadd(acc, term)
-    return acc
-
-
 def queue_spectrum(comp: ComputeConfig, lambda_m: float) -> QueueSpectrum:
     """Roots and weights of the edge-server queue-length distribution."""
     if lambda_m < 0:
@@ -148,8 +139,10 @@ def queue_spectrum(comp: ComputeConfig, lambda_m: float) -> QueueSpectrum:
             f"found {len(roots)}")
 
     # weights from matching sum_q eps_q prod_{r != q}(1 - omega_r z)
-    # against (1 - rho) A(z)/A(0) coefficient by coefficient
-    a_poly = _mixture_poly(comp.type_probs, mus, lam)
+    # against (1 - rho) A(z)/A(0) coefficient by coefficient, where
+    # A(z) = sum_l p_l mu_l prod_{k != l} (mu_k + lam - lam z) is lhs with
+    # its coefficients reversed
+    a_poly = lhs[::-1]
     target = (1.0 - rho) * a_poly / a_poly[0]
     mat = np.zeros((n, n))
     for q in range(n):
@@ -206,8 +199,7 @@ def service_transform(rates, weights):
     return transform
 
 
-def scp_cs(comp: ComputeConfig, lambda_c: float,
-           settings: LaplaceInversionSettings = DEFAULT_INVERSION) -> float:
+def scp_cs(comp: ComputeConfig, lambda_c: float) -> float:
     """P[central-server sojourn <= target latency] from the P-K transform."""
     if lambda_c < 0:
         raise ValueError("arrival rate cannot be negative")
@@ -220,16 +212,14 @@ def scp_cs(comp: ComputeConfig, lambda_c: float,
         b = base(s)
         return (1.0 - rho) * s * b / (s - lambda_c + lambda_c * b)
 
-    return invert_laplace_cdf(sojourn, comp.target_latency, settings)
+    return invert_laplace_cdf(sojourn, comp.target_latency)
 
 
 class MecCdfCache:
     """Caches CDF values of (v+1)-fold service-time sums at one latency."""
 
-    def __init__(self, comp: ComputeConfig, t: float,
-                 settings: LaplaceInversionSettings = DEFAULT_INVERSION):
+    def __init__(self, comp: ComputeConfig, t: float):
         self.t = t
-        self.settings = settings
         self._base = service_transform(comp.mu_m, comp.type_probs)
         self._values: dict[int, float] = {}
 
@@ -237,10 +227,25 @@ class MecCdfCache:
         got = self._values.get(v)
         if got is None:
             base = self._base
-            got = invert_laplace_cdf(lambda s: base(s) ** (v + 1),
-                                     self.t, self.settings)
+            got = invert_laplace_cdf(lambda s: base(s) ** (v + 1), self.t)
             self._values[v] = got
         return got
+
+
+_MEC_CACHES: dict = {}
+
+
+def mec_cache(comp: ComputeConfig) -> MecCdfCache:
+    """The process-wide MecCdfCache of comp's edge service law and latency
+    target; its values depend only on those, so sharing it changes no
+    result. Beyond _MEC_CACHES_MAX keys the oldest is dropped."""
+    key = (comp.type_probs, comp.mu_m, comp.target_latency)
+    cache = _MEC_CACHES.get(key)
+    if cache is None:
+        if len(_MEC_CACHES) >= _MEC_CACHES_MAX:
+            del _MEC_CACHES[next(iter(_MEC_CACHES))]
+        cache = _MEC_CACHES[key] = MecCdfCache(comp, comp.target_latency)
+    return cache
 
 
 def mec_conditional_cdf(spectrum: QueueSpectrum, n: int,
@@ -270,6 +275,14 @@ def poisson_weights(nu: float, tail: float = _POISSON_TAIL):
     """Poisson(nu) pmf values from n = 0 up to the tail cutoff."""
     if nu < 0:
         raise ValueError("mean cannot be negative")
+    if nu >= _POISSON_RECURSION_MAX:
+        # in log space, up to a cutoff 20 standard deviations past the mean
+        n = np.arange(int(nu + 20.0 * math.sqrt(nu)))
+        weights = np.exp(sp.xlogy(n, nu) - sp.gammaln(n + 1) - nu)
+        done = np.flatnonzero(1.0 - np.cumsum(weights) <= tail)
+        if len(done) == 0:
+            raise NumericalError("Poisson truncation failed to terminate")
+        return weights[:done[0] + 1]
     weights = [math.exp(-nu)]
     cum = weights[0]
     n = 0
@@ -284,15 +297,11 @@ def poisson_weights(nu: float, tail: float = _POISSON_TAIL):
 
 def scp_mec(net: NetworkConfig, comp: ComputeConfig,
             spectrum: QueueSpectrum | None = None,
-            rates: ArrivalRates | None = None,
-            settings: LaplaceInversionSettings = DEFAULT_INVERSION,
-            cache: MecCdfCache | None = None) -> float:
+            rates: ArrivalRates | None = None) -> float:
     """Unconditional P[edge sojourn <= target latency].
 
     Mixes the conditional CDF over the Poisson number of connected servers;
-    the no-server event contributes zero. A MecCdfCache may be passed in to
-    share service-sum CDF inversions across calls (they depend only on the
-    edge service rates and the latency target).
+    the no-server event contributes zero.
     """
     if rates is None:
         rates = arrival_rates(net, comp)
@@ -301,8 +310,7 @@ def scp_mec(net: NetworkConfig, comp: ComputeConfig,
     nu = mean_connected_aps(net)
     if nu == 0.0:
         return 0.0
-    if cache is None:
-        cache = MecCdfCache(comp, comp.target_latency, settings)
+    cache = mec_cache(comp)
     weights = poisson_weights(nu)
     total = 0.0
     for n in range(1, len(weights)):
@@ -316,75 +324,16 @@ def scp_mec(net: NetworkConfig, comp: ComputeConfig,
 
 
 def scp(net: NetworkConfig, comp: ComputeConfig,
-        p_oul: float | None = None,
-        settings: LaplaceInversionSettings = DEFAULT_INVERSION,
-        cache: MecCdfCache | None = None) -> float:
+        p_oul: float | None = None) -> float:
     """P[computation finishes within the latency target].
 
     Mixture of the central-server and edge paths weighted by the offload
     split, with arrival rates thinned by uplink success.
     """
-    if p_oul is None:
-        p_oul = comm.uplink_outage(net)
     rates = arrival_rates(net, comp, p_oul)
     stability_report(comp, rates.lambda_c, rates.lambda_m).require_stable()
     theta = comp.offload_prob
-    cs_part = scp_cs(comp, rates.lambda_c, settings) if theta > 0.0 else 0.0
-    mec_part = scp_mec(net, comp, rates=rates, settings=settings, cache=cache) \
-        if theta < 1.0 else 0.0
+    cs_part = scp_cs(comp, rates.lambda_c) if theta > 0.0 else 0.0
+    mec_part = scp_mec(net, comp, rates=rates) if theta < 1.0 else 0.0
     return theta * cs_part + (1.0 - theta) * mec_part
 
-
-def optimal_theta(net: NetworkConfig, comp: ComputeConfig,
-                  theta_grid=None,
-                  p_oul: float | None = None,
-                  settings: LaplaceInversionSettings = DEFAULT_INVERSION):
-    """Offload split maximizing the computation success probability.
-
-    Seeds golden-section search with a grid scan; splits that destabilize
-    either queue are excluded. Returns (theta, scp value).
-    """
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, 1.0, 21)
-    if p_oul is None:
-        p_oul = comm.uplink_outage(net)
-    cache = MecCdfCache(comp, comp.target_latency, settings)
-
-    def value(theta: float):
-        cfg = replace(comp, offload_prob=float(theta))
-        rates = arrival_rates(net, cfg, p_oul)
-        rep = stability_report(cfg, rates.lambda_c, rates.lambda_m)
-        if not (rep.stable_cs and rep.stable_mec):
-            return None
-        return scp(net, cfg, p_oul, settings, cache=cache)
-
-    evals = [(float(th), value(float(th))) for th in theta_grid]
-    feasible = [(th, val) for th, val in evals if val is not None]
-    if not feasible:
-        raise InfeasibilityError("no stable offload split on the given grid")
-    best_idx = max(range(len(feasible)), key=lambda i: feasible[i][1])
-    best_th, best_val = feasible[best_idx]
-    lo = feasible[best_idx - 1][0] if best_idx > 0 else best_th
-    hi = feasible[best_idx + 1][0] if best_idx + 1 < len(feasible) else best_th
-
-    # golden-section refinement inside the bracketing grid cells
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = value(c), value(d)
-    for _ in range(40):
-        if b - a < 1e-5:
-            break
-        if (fc if fc is not None else -1.0) >= (fd if fd is not None else -1.0):
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = value(d)
-    for th, val in ((c, fc), (d, fd)):
-        if val is not None and val > best_val:
-            best_th, best_val = th, val
-    return best_th, best_val

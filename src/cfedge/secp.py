@@ -13,17 +13,19 @@ probability over the offload split.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from . import comm
-from .errors import InfeasibilityError
+from . import comm, search
+from .errors import InfeasibilityError, StabilityError
 from .model import ComputeConfig, NetworkConfig, stability_report
-from .offload import (MecCdfCache, arrival_rates, mec_conditional_cdf,
+from .offload import (arrival_rates, mec_cache, mec_conditional_cdf,
                       poisson_weights, queue_spectrum, scp_cs)
-from .specfun import DEFAULT_INVERSION, LaplaceInversionSettings
+
+# offload splits scanned before the golden-section refinement
+THETA_GRID = tuple(float(th) for th in np.linspace(0.0, 1.0, 21))
 
 
 @dataclass(frozen=True)
@@ -44,39 +46,37 @@ class SecpPoint:
     dl_term: float
 
 
-def secp(net: NetworkConfig, comp: ComputeConfig,
-         uplink: comm.UplinkMixture | None = None,
-         dl_success: float | None = None,
-         settings: LaplaceInversionSettings = DEFAULT_INVERSION,
-         cache: MecCdfCache | None = None) -> SecpPoint:
+@lru_cache(maxsize=64)
+def _downlink_success(net: NetworkConfig) -> float:
+    # cached here rather than on comm.downlink_outage, so every call of
+    # the closed form itself is still a real evaluation
+    return 1.0 - comm.downlink_outage(net).point
+
+
+def secp(net: NetworkConfig, comp: ComputeConfig) -> SecpPoint:
     """Probability that upload, computation and download all succeed in time.
 
-    uplink and dl_success default to comm.uplink_mixture(net) and the
-    downlink point success; a search passes them in once per radius.
+    The uplink mixture and the downlink success are cached per network, so
+    a search at one radius computes them once.
     """
     theta = comp.offload_prob
     t = comp.target_latency
     R = net.coverage_radius
     if R <= 0.0:
         return SecpPoint(R, theta, t, 0.0, 0.0, 0.0, 1.0)
-    if uplink is None:
-        uplink = comm.uplink_mixture(net)
-    if dl_success is None:
-        dl_success = 1.0 - comm.downlink_outage(net).point
+    uplink = comm.uplink_mixture(net)
+    dl_success = _downlink_success(net)
     rates = arrival_rates(net, comp, uplink.outage)
     stability_report(comp, rates.lambda_c, rates.lambda_m).require_stable()
     spectrum = queue_spectrum(comp, rates.lambda_m)
-    if cache is None:
-        cache = MecCdfCache(comp, t, settings)
-    cs_part = scp_cs(comp, rates.lambda_c, settings) if theta > 0.0 else 0.0
+    cache = mec_cache(comp)
+    cs_part = scp_cs(comp, rates.lambda_c) if theta > 0.0 else 0.0
 
     weights = poisson_weights(uplink.mean_aps)
     # P[some AP decodes | n APs] = 1 - sum_k w_k (1 - q_k)^n
     ul_given_n = 1.0 - uplink.weights @ (
         1.0 - uplink.success[:, None]) ** np.arange(len(weights))
-    total = 0.0
-    comp_term = 0.0
-    ul_term = 0.0
+    total = comp_term = ul_term = 0.0
     for n in range(1, len(weights)):
         w = weights[n]
         if theta < 1.0:
@@ -92,56 +92,25 @@ def secp(net: NetworkConfig, comp: ComputeConfig,
                      dl_success)
 
 
-def _best_theta(net: NetworkConfig, comp: ComputeConfig, theta_grid,
-                uplink: comm.UplinkMixture, dl_success: float,
-                settings: LaplaceInversionSettings,
-                cache: MecCdfCache):
-    # inner split optimization at fixed radius, sharing the communication
-    # bundle and the service-sum CDF cache
-    p_oul = uplink.outage
+def _split_secp(net: NetworkConfig, comp: ComputeConfig, theta: float):
+    """secp at offload split theta; None where that split overloads a queue."""
+    try:
+        return secp(net, replace(comp, offload_prob=float(theta))).secp
+    except StabilityError:
+        return None
 
-    def value(theta: float):
-        cfg = replace(comp, offload_prob=float(theta))
-        rates = arrival_rates(net, cfg, p_oul)
-        rep = stability_report(cfg, rates.lambda_c, rates.lambda_m)
-        if not (rep.stable_cs and rep.stable_mec):
-            return None
-        return secp(net, cfg, uplink, dl_success, settings, cache).secp
 
-    evals = [(float(th), value(float(th))) for th in theta_grid]
-    feasible = [(th, val) for th, val in evals if val is not None]
-    if not feasible:
-        raise InfeasibilityError(
-            f"no stable offload split at R = {net.coverage_radius} km")
-    best_idx = max(range(len(feasible)), key=lambda i: feasible[i][1])
-    best_th, best_val = feasible[best_idx]
-    a = feasible[best_idx - 1][0] if best_idx > 0 else best_th
-    b = feasible[best_idx + 1][0] if best_idx + 1 < len(feasible) else best_th
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = value(c), value(d)
-    for _ in range(30):
-        if b - a < 1e-4:
-            break
-        if (fc if fc is not None else -1.0) >= (fd if fd is not None else -1.0):
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = value(d)
-    for th, val in ((c, fc), (d, fd)):
-        if val is not None and val > best_val:
-            best_th, best_val = th, val
-    return best_th, best_val
+def _best_theta(net: NetworkConfig, comp: ComputeConfig, radius: float,
+                theta_grid):
+    """(split, secp) maximizing secp at the given coverage radius, or None
+    when every split on the grid overloads a queue."""
+    net = replace(net, coverage_radius=float(radius))
+    return search.maximize(lambda theta: _split_secp(net, comp, theta),
+                           theta_grid)
 
 
 def find_r_threshold(net: NetworkConfig, comp: ComputeConfig,
-                     r_bounds: tuple,
-                     theta_grid=None,
-                     settings: LaplaceInversionSettings = DEFAULT_INVERSION):
+                     r_bounds: tuple, theta_grid=THETA_GRID):
     """Radius and split maximizing the joint success probability.
 
     Scans 8 radii across r_bounds to bracket the peak of
@@ -151,49 +120,16 @@ def find_r_threshold(net: NetworkConfig, comp: ComputeConfig,
     r_lo, r_hi = float(r_bounds[0]), float(r_bounds[1])
     if not 0.0 < r_lo < r_hi:
         raise ValueError("need 0 < r_lo < r_hi")
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, 1.0, 21)
-    cache = MecCdfCache(comp, comp.target_latency, settings)
+    splits = {}
 
-    def eval_radius(R: float):
-        cfg_net = replace(net, coverage_radius=float(R))
-        uplink = comm.uplink_mixture(cfg_net)
-        dl_success = 1.0 - comm.downlink_outage(cfg_net).point
-        try:
-            th, val = _best_theta(cfg_net, comp, theta_grid, uplink,
-                                  dl_success, settings, cache)
-        except InfeasibilityError:
-            return None, -1.0
-        return th, val
+    def value(R: float):
+        best = _best_theta(net, comp, R, theta_grid)
+        if best is not None:
+            splits[R] = best[0]
+            return best[1]
 
-    grid = np.linspace(r_lo, r_hi, 8)
-    results = [eval_radius(R) for R in grid]
-    vals = [v for _, v in results]
-    best_i = int(np.argmax(vals))
-    if vals[best_i] < 0.0:
+    best = search.maximize(value, np.linspace(r_lo, r_hi, 8))
+    if best is None:
         raise InfeasibilityError("no stable operating point in the radius range")
-    a = grid[best_i - 1] if best_i > 0 else grid[best_i]
-    b = grid[best_i + 1] if best_i + 1 < len(grid) else grid[best_i]
-    best_r = float(grid[best_i])
-    best_th, best_val = results[best_i]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    rc, fc = eval_radius(c)
-    rd, fd = eval_radius(d)
-    for _ in range(30):
-        if b - a < 1e-4:
-            break
-        if fc >= fd:
-            b, d, fd, rd = d, c, fc, rc
-            c = b - invphi * (b - a)
-            rc, fc = eval_radius(c)
-        else:
-            a, c, fc, rc = c, d, fd, rd
-            d = a + invphi * (b - a)
-            rd, fd = eval_radius(d)
-    for r_cand, th_cand, v_cand in ((c, rc, fc), (d, rd, fd)):
-        if v_cand > best_val and th_cand is not None:
-            best_r, best_th, best_val = float(r_cand), th_cand, v_cand
-    return best_r, best_th, best_val
+    best_r, best_val = best
+    return best_r, splits[best_r], best_val

@@ -1,9 +1,8 @@
 """Numeric backends used by the analytic layers.
 
-Wraps the special functions the closed forms need (Gauss hypergeometric,
-incomplete gammas), provides expectations against the Gamma(M, 1) antenna
-gain law, numerical inversion of Laplace-transformed CDFs, and real roots
-of small polynomials.
+Wraps the Gauss hypergeometric function the closed forms need, provides
+expectations against the Gamma(M, 1) antenna gain law, numerical inversion
+of Laplace-transformed CDFs, and real roots of small polynomials.
 """
 
 from __future__ import annotations
@@ -37,20 +36,6 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     if not np.isfinite(out):
         raise NumericalError(f"hyp2f1({a}, {b}, {c}, {z}) is not finite")
     return float(out)
-
-
-def upper_incomplete_gamma(s: float, x: float) -> float:
-    """Unnormalized upper incomplete gamma Gamma(s, x), s > 0, x >= 0."""
-    if s <= 0:
-        raise ValueError("upper_incomplete_gamma needs s > 0")
-    if x < 0:
-        raise ValueError("upper_incomplete_gamma needs x >= 0")
-    return float(sp.gammaincc(s, x) * sp.gamma(s))
-
-
-def lower_incomplete_gamma_regularized(s, x):
-    """Regularized lower incomplete gamma P(s, x). Vectorized in x."""
-    return sp.gammainc(s, x)
 
 
 # ----------------------------------------------------------------------------

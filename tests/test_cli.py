@@ -80,6 +80,11 @@ class TestSpecParsing:
         again = ExperimentSpec.from_mapping(spec.resolved())
         assert again == spec
 
+    def test_bad_sim_section(self):
+        with pytest.raises(SpecError, match="sim"):
+            ExperimentSpec.from_mapping(
+                _scmp_spec(sim={"replications": "many"}))
+
     def test_grid_ordering(self):
         spec = ExperimentSpec.from_mapping({
             "kind": "secp_surface",
@@ -145,13 +150,29 @@ class TestRunExperiment:
             assert lib in manifest["versions"]
 
     def test_reruns_byte_identical(self, tmp_path):
-        spec = ExperimentSpec.from_mapping(_scmp_spec())
-        run_experiment(spec, out_dir=str(tmp_path / "a"))
-        run_experiment(spec, out_dir=str(tmp_path / "b"))
-        run_experiment(spec, out_dir=str(tmp_path / "c"), workers=2)
-        a = (tmp_path / "a" / "tiny.csv").read_bytes()
-        assert a == (tmp_path / "b" / "tiny.csv").read_bytes()
-        assert a == (tmp_path / "c" / "tiny.csv").read_bytes()
+        # a second run in this process reuses the shared latency-CDF
+        # cache; the worker processes start with an empty one
+        for mapping in (_scmp_spec(), _energy_spec([0.5])):
+            spec = ExperimentSpec.from_mapping(mapping)
+            name = spec.label + ".csv"
+            run_experiment(spec, out_dir=str(tmp_path / "a"))
+            run_experiment(spec, out_dir=str(tmp_path / "b"))
+            run_experiment(spec, out_dir=str(tmp_path / "c"), workers=2)
+            a = (tmp_path / "a" / name).read_bytes()
+            assert a == (tmp_path / "b" / name).read_bytes()
+            assert a == (tmp_path / "c" / name).read_bytes()
+
+    def test_bad_network_value_is_exit_2(self, tmp_path):
+        spec = ExperimentSpec.from_mapping(
+            _scmp_spec(network={"lambda_b": 400.0, "lambda_d": 100.0,
+                                "alpha": 1.5}))
+        code = run_experiment(spec, out_dir=str(tmp_path))
+        assert code == EXIT_USAGE
+        manifest = json.loads((tmp_path / "tiny.manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["exit_code"] == EXIT_USAGE
+        assert manifest["error"]["type"] == "SpecError"
+        assert "alpha" in manifest["error"]["message"]
 
     def test_all_infeasible_is_exit_3(self, tmp_path):
         spec = ExperimentSpec.from_mapping(_energy_spec([0.97]))

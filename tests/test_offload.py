@@ -1,4 +1,4 @@
-"""Edge offload layer: queue spectrum, latency CDFs, and the offload split.
+"""Edge offload layer: queue spectrum, latency CDFs, and the offload mix.
 
 The stationary queue spectrum is checked against Taylor coefficients of
 the M/G/1 queue-length generating function computed independently in
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfedge import offload
-from cfedge.errors import InfeasibilityError, StabilityError
+from cfedge.errors import StabilityError
 from cfedge.model import ComputeConfig
 from cfedge.specfun import LaplaceInversionSettings
 
@@ -226,6 +226,12 @@ def test_poisson_weights_match_scipy():
     np.testing.assert_allclose(
         w, stats.poisson.pmf(np.arange(len(w)), 3.1), rtol=1e-12)
     assert abs(sum(w) - 1.0) < 1e-9
+    # exp(-nu) is subnormal at 730 and zero at 1257
+    for nu in (730.0, 1257.0):
+        w = offload.poisson_weights(nu)
+        np.testing.assert_allclose(
+            w, stats.poisson.pmf(np.arange(len(w)), nu), rtol=1e-9)
+        assert abs(sum(w) - 1.0) < 1e-9
 
 
 def test_scp_mixes_paths(fig_net, mix_comp):
@@ -254,22 +260,3 @@ def test_scp_pure_paths(fig_net, mix_comp):
 def test_scp_mec_no_servers(mix_comp):
     net = make_net(coverage_radius=0.0)
     assert offload.scp_mec(net, mix_comp) == 0.0
-
-
-class TestOptimalTheta:
-    def test_beats_grid(self, fig_net, mix_comp):
-        th, val = offload.optimal_theta(fig_net, mix_comp, p_oul=0.2)
-        assert 0.0 <= th <= 1.0
-        for probe in np.linspace(0.05, 0.95, 10):
-            from dataclasses import replace
-            cfg = replace(mix_comp, offload_prob=float(probe))
-            assert val >= offload.scp(fig_net, cfg, p_oul=0.2) - 1e-6
-
-    def test_infeasible_everywhere(self):
-        # both queues are a factor ~4 past stability at their respective
-        # extreme splits, so no split stabilizes the pair
-        net = make_net(lambda_d=40.0, coverage_radius=0.1)
-        comp = ComputeConfig(type_probs=(1.0,), mu_c=(10.0,), mu_m=(0.024,),
-                             offload_prob=0.5, target_latency=0.012)
-        with pytest.raises(InfeasibilityError):
-            offload.optimal_theta(net, comp, p_oul=0.0)

@@ -55,15 +55,6 @@ def test_monotone_in_latency_target(fig_net, mix_comp):
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_fixed_split_precomputed_bundle(fig_net, mix_comp):
-    # passing the communication bundle explicitly must not change the value
-    uplink = comm.uplink_mixture(fig_net)
-    dl = 1.0 - comm.downlink_outage(fig_net).point
-    a = secp(fig_net, mix_comp)
-    b = secp(fig_net, mix_comp, uplink=uplink, dl_success=dl)
-    assert a.secp == pytest.approx(b.secp, rel=1e-14)
-
-
 class TestRadiusThreshold:
     def test_small_case_quality(self, mix_comp):
         net = make_net()
