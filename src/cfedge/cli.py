@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import platform
 import sys
@@ -103,11 +104,9 @@ class ExperimentSpec:
             seed = int(sim_section.get("seed", 0))
         except (TypeError, ValueError) as exc:
             raise SpecError(f"bad sim section: {exc}") from None
-        label = str(data.get("label", kind))
-        safe = "".join(c if c.isalnum() or c in "-_." else "-" for c in label)
         return cls(
             kind=kind,
-            label=safe or kind,
+            label=_safe_label(data),
             network=dict(data.get("network", {})),
             compute=dict(data.get("compute", {})),
             energy=dict(data.get("energy", {})),
@@ -140,14 +139,32 @@ _SWEEP_GRIDS = {
 }
 
 
+def _safe_label(data: dict) -> str:
+    """The spec's label (the kind by default) as a file-name stem."""
+    kind = str(data.get("kind"))
+    label = str(data.get("label", kind))
+    return "".join(c if c.isalnum() or c in "-_." else "-"
+                   for c in label) or kind
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _check_sweep(kind: str, sweep: dict) -> None:
     for key in _SWEEP_GRIDS[kind]:
         grid = sweep.get(key)
         if not isinstance(grid, (list, tuple)) or len(grid) == 0:
             raise SpecError(f"kind {kind} needs a non-empty sweep.{key}")
+    if kind == "energy_vs_xi" and not all(
+            _is_real(xi) and 0 < xi < 1 for xi in sweep["xi_grid"]):
+        raise SpecError("sweep.xi_grid entries must be numbers strictly "
+                        "between 0 and 1")
     if kind in ("r_threshold", "energy_vs_xi"):
         bounds = sweep.get("r_bounds_km")
         if (not isinstance(bounds, (list, tuple)) or len(bounds) != 2
+                or not all(map(_is_real, bounds))
                 or not 0 < bounds[0] < bounds[1]):
             raise SpecError("sweep.r_bounds_km must be [lo, hi] with "
                             "0 < lo < hi")
@@ -424,7 +441,8 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
                                 seed=spec.seed + index, n_mec=n, p_oul=0.0)
         rates = offload.arrival_rates(net, comp, 0.0)
         spectrum = offload.queue_spectrum(comp, rates.lambda_m)
-        ana = offload.mec_conditional_cdf(spectrum, n, offload.mec_cache(comp))
+        ana = float(offload.mec_conditional_cdf(
+            spectrum, n, offload.mec_cache(comp))[n])
         emp = log.sojourn_cdf(comp.target_latency, mec_only=True)
         return _vrow(check, ana, emp, abs(ana - emp), 0.03)
 
@@ -540,36 +558,63 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = ".",
     if rows is not None:
         write_csv_rows(csv_path, COLUMNS[spec.kind], rows)
 
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": spec.kind,
-        "label": spec.label,
-        "status": "ok" if error is None else "failed",
-        "error": None if error is None else {"type": error[0],
-                                             "message": error[1]},
-        "exit_code": code,
-        "spec": spec.resolved(),
-        "seed": spec.seed,
-        "replications": spec.replications,
-        "started_utc": started.isoformat(),
-        "wall_time_s": time.monotonic() - t0,
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "cfedge": __version__,
-        },
-        "output_csv": os.path.basename(csv_path) if rows is not None else None,
-        "rows_written": len(rows) if rows is not None else 0,
-    }
+    manifest = _manifest(spec.kind, spec.label, spec.resolved(), error, code,
+                         started)
+    manifest.update(seed=spec.seed, replications=spec.replications,
+                    wall_time_s=time.monotonic() - t0)
+    if rows is not None:
+        manifest.update(output_csv=os.path.basename(csv_path),
+                        rows_written=len(rows))
     if spec.kind == "validate" and rows is not None:
         manifest["checks_failed"] = sum(r["status"] == "fail" for r in rows)
     write_manifest(manifest_path, manifest)
     return code
 
 
-def _load_spec(path: str | None, preset: str | None,
-               seed: int | None, reps: int | None) -> ExperimentSpec:
+def _manifest(kind, label: str, spec: dict, error, code: int,
+              started: datetime) -> dict:
+    """Manifest of a run that wrote no CSV; run_experiment fills in the
+    rest. error is None or (type name, message)."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "label": label,
+        "status": "ok" if error is None else "failed",
+        "error": None if error is None else {"type": error[0],
+                                             "message": error[1]},
+        "exit_code": code,
+        "spec": spec,
+        "seed": None,
+        "replications": None,
+        "started_utc": started.isoformat(),
+        "wall_time_s": 0.0,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cfedge": __version__,
+        },
+        "output_csv": None,
+        "rows_written": 0,
+    }
+
+
+def _write_spec_error_manifest(out_dir: str, mapping: dict,
+                               exc: SpecError) -> None:
+    """Failed manifest for a spec that does not validate, with the spec
+    echoed as given."""
+    os.makedirs(out_dir, exist_ok=True)
+    label = _safe_label(mapping)
+    write_manifest(os.path.join(out_dir, label + ".manifest.json"),
+                   _manifest(mapping.get("kind"), label, mapping,
+                             (type(exc).__name__, str(exc)), EXIT_USAGE,
+                             datetime.now(timezone.utc)))
+
+
+def _merge_spec(path: str | None, preset: str | None,
+                seed: int | None, reps: int | None) -> dict:
+    """The spec mapping: the preset, overridden key by key by the file,
+    then by --seed and --reps."""
     merged: dict = {}
     if preset is not None:
         try:
@@ -599,7 +644,7 @@ def _load_spec(path: str | None, preset: str | None,
     if reps is not None:
         sim_section["replications"] = reps
     merged["sim"] = sim_section
-    return ExperimentSpec.from_mapping(merged)
+    return merged
 
 
 def main(argv: list | None = None) -> int:
@@ -624,10 +669,15 @@ def main(argv: list | None = None) -> int:
                      help="process count for grid evaluation")
 
     args = parser.parse_args(argv)
+    mapping = None
     try:
-        spec = _load_spec(args.spec_file, args.preset, args.seed, args.reps)
+        mapping = _merge_spec(args.spec_file, args.preset, args.seed,
+                              args.reps)
+        spec = ExperimentSpec.from_mapping(mapping)
     except SpecError as exc:
         print(f"cfedge: {exc}", file=sys.stderr)
+        if mapping is not None:
+            _write_spec_error_manifest(args.out, mapping, exc)
         return EXIT_USAGE
     code = run_experiment(spec, out_dir=args.out, workers=args.workers)
     status = "ok" if code == EXIT_OK else f"failed (exit {code})"

@@ -248,27 +248,45 @@ def mec_cache(comp: ComputeConfig) -> MecCdfCache:
     return cache
 
 
-def mec_conditional_cdf(spectrum: QueueSpectrum, n: int,
-                        cache: MecCdfCache) -> float:
-    """P[edge sojourn <= t | n connected servers], summed over min queue length."""
+def _tail_powers(tail: float, count: int) -> np.ndarray:
+    # tail ** n for n = 1..count with Python's float power (libm pow),
+    # which np.power does not match bit for bit
+    return np.array([tail ** n for n in range(1, count + 1)])
+
+
+def mec_conditional_cdf(spectrum: QueueSpectrum, n_max: int,
+                        cache: MecCdfCache) -> np.ndarray:
+    """P[edge sojourn <= t | n connected servers] for n = 0..n_max, indexed
+    by n, each summed over the minimum queue length v; n = 0 gives 0.
+
+    The sum for n stops after the first v with P[N >= v+1]^n < _GEO_TAIL,
+    or once the geometric tail bound or the service-sum CDF is negligible.
+    The first cut-off comes no later as n grows, so the n still summing
+    are always 1..active; every tail and CDF value is read once.
+    """
+    total = np.zeros(n_max + 1)
     max_root = spectrum.max_root
-    total = 0.0
+    active = n_max
+    powers = _tail_powers(spectrum.tail(0), active)
     v = 0
-    while True:
-        tail_next = spectrum.tail(v + 1) ** n
-        total += (spectrum.tail(v) ** n - tail_next) * cache.cdf(v)
+    while active > 0:
+        cdf = cache.cdf(v)
+        powers_next = _tail_powers(spectrum.tail(v + 1), active)
+        total[1:active + 1] += (powers - powers_next) * cdf
         v += 1
-        if tail_next < _GEO_TAIL:
-            break
+        active = int(np.count_nonzero(powers_next >= _GEO_TAIL))
         if max_root > 0.0 and max_root ** (v + 1) / (1.0 - max_root) < _GEO_TAIL:
             break
-        if cache.cdf(v - 1) < 1e-13 and v > 4:
+        if cdf < 1e-13 and v > 4:
             # CDF of the service sum is decreasing in v; the remaining terms
             # contribute less than the current CDF value
             break
-        if v > 100000:
+        if active > 0 and v > 100000:
             raise NumericalError("queue-length truncation failed to terminate")
-    return min(1.0, max(0.0, total))
+        powers = powers_next[:active]
+    # min(1, max(0, x)) elementwise, as Python's min and max evaluate it
+    total = np.where(total > 0.0, total, 0.0)
+    return np.where(total < 1.0, total, 1.0)
 
 
 def poisson_weights(nu: float, tail: float = _POISSON_TAIL):
@@ -295,6 +313,15 @@ def poisson_weights(nu: float, tail: float = _POISSON_TAIL):
     return np.array(weights)
 
 
+def running_sum(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ..., added left to right; np.sum adds
+    pairwise and builtin sum may compensate, so neither gives these bits."""
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total
+
+
 def scp_mec(net: NetworkConfig, comp: ComputeConfig,
             spectrum: QueueSpectrum | None = None,
             rates: ArrivalRates | None = None) -> float:
@@ -310,12 +337,10 @@ def scp_mec(net: NetworkConfig, comp: ComputeConfig,
     nu = mean_connected_aps(net)
     if nu == 0.0:
         return 0.0
-    cache = mec_cache(comp)
     weights = poisson_weights(nu)
-    total = 0.0
-    for n in range(1, len(weights)):
-        total += weights[n] * mec_conditional_cdf(spectrum, n, cache)
-    return min(1.0, max(0.0, total))
+    terms = weights * mec_conditional_cdf(spectrum, len(weights) - 1,
+                                          mec_cache(comp))
+    return min(1.0, max(0.0, running_sum(terms)))
 
 
 # ----------------------------------------------------------------------------

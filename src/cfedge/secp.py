@@ -22,7 +22,7 @@ from . import comm, search
 from .errors import InfeasibilityError, StabilityError
 from .model import ComputeConfig, NetworkConfig, stability_report
 from .offload import (arrival_rates, mec_cache, mec_conditional_cdf,
-                      poisson_weights, queue_spectrum, scp_cs)
+                      poisson_weights, queue_spectrum, running_sum, scp_cs)
 
 # offload splits scanned before the golden-section refinement
 THETA_GRID = tuple(float(th) for th in np.linspace(0.0, 1.0, 21))
@@ -53,43 +53,51 @@ def _downlink_success(net: NetworkConfig) -> float:
     return 1.0 - comm.downlink_outage(net).point
 
 
+@lru_cache(maxsize=64)
+def _uplink_terms(net: NetworkConfig):
+    """Poisson weights of the connected-AP count n and P[some AP decodes |
+    n APs], both indexed by n = 0..n_max, and the Poisson-aggregated uplink
+    term over n >= 1. They depend on the network only, so a search computes
+    them once per radius."""
+    uplink = comm.uplink_mixture(net)
+    weights = poisson_weights(uplink.mean_aps)
+    # P[some AP decodes | n APs] = 1 - sum_k w_k (1 - q_k)^n
+    ul_given_n = 1.0 - uplink.weights @ (
+        1.0 - uplink.success[:, None]) ** np.arange(len(weights))
+    weights.setflags(write=False)
+    ul_given_n.setflags(write=False)
+    return weights, ul_given_n, running_sum(weights[1:] * ul_given_n[1:])
+
+
 def secp(net: NetworkConfig, comp: ComputeConfig) -> SecpPoint:
     """Probability that upload, computation and download all succeed in time.
 
-    The uplink mixture and the downlink success are cached per network, so
-    a search at one radius computes them once.
+    The uplink terms and the downlink success are cached per network, so
+    a search at one radius computes them once; the sums over n run
+    elementwise, in the order of a loop over n = 1..n_max.
     """
     theta = comp.offload_prob
     t = comp.target_latency
     R = net.coverage_radius
     if R <= 0.0:
         return SecpPoint(R, theta, t, 0.0, 0.0, 0.0, 1.0)
-    uplink = comm.uplink_mixture(net)
+    weights, ul_given_n, ul_term = _uplink_terms(net)
     dl_success = _downlink_success(net)
-    rates = arrival_rates(net, comp, uplink.outage)
+    rates = arrival_rates(net, comp, comm.uplink_mixture(net).outage)
     stability_report(comp, rates.lambda_c, rates.lambda_m).require_stable()
-    spectrum = queue_spectrum(comp, rates.lambda_m)
-    cache = mec_cache(comp)
     cs_part = scp_cs(comp, rates.lambda_c) if theta > 0.0 else 0.0
-
-    weights = poisson_weights(uplink.mean_aps)
-    # P[some AP decodes | n APs] = 1 - sum_k w_k (1 - q_k)^n
-    ul_given_n = 1.0 - uplink.weights @ (
-        1.0 - uplink.success[:, None]) ** np.arange(len(weights))
-    total = comp_term = ul_term = 0.0
-    for n in range(1, len(weights)):
-        w = weights[n]
-        if theta < 1.0:
-            mec_part = mec_conditional_cdf(spectrum, n, cache)
-        else:
-            mec_part = 0.0
-        comp_n = theta * cs_part + (1.0 - theta) * mec_part
-        ul_n = ul_given_n[n]
-        total += w * comp_n * ul_n
-        comp_term += w * comp_n
-        ul_term += w * ul_n
-    return SecpPoint(R, theta, t, total * dl_success, comp_term, ul_term,
-                     dl_success)
+    n_max = len(weights) - 1
+    if theta < 1.0:
+        mec_n = mec_conditional_cdf(queue_spectrum(comp, rates.lambda_m),
+                                    n_max, mec_cache(comp))
+    else:
+        mec_n = np.zeros(n_max + 1)
+    # per n >= 1: computation success, then its products with the weights
+    comp_n = theta * cs_part + (1.0 - theta) * mec_n[1:]
+    w_comp = weights[1:] * comp_n
+    return SecpPoint(R, theta, t,
+                     running_sum(w_comp * ul_given_n[1:]) * dl_success,
+                     running_sum(w_comp), ul_term, dl_success)
 
 
 def _split_secp(net: NetworkConfig, comp: ComputeConfig, theta: float):

@@ -104,6 +104,15 @@ class LaplaceInversionSettings:
 DEFAULT_INVERSION = LaplaceInversionSettings()
 
 
+@lru_cache(maxsize=8)
+def _euler_weights(m_avg: int) -> np.ndarray:
+    # binomial averaging weights C(m_avg, j) / 2^m_avg
+    w = np.array([math.comb(m_avg, j) for j in range(m_avg + 1)], dtype=float)
+    w /= 2.0 ** m_avg
+    w.setflags(write=False)
+    return w
+
+
 def _euler_values(transform, t, terms, m_avg=11, a_parm=18.4):
     # Abate-Whitt Euler summation with binomial averaging of the last
     # m_avg+1 partial sums. a_parm ~ 18.4 keeps the aliasing error of a
@@ -114,8 +123,7 @@ def _euler_values(transform, t, terms, m_avg=11, a_parm=18.4):
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     signs[0] = 0.5
     partial = np.cumsum(signs * vals.real)
-    w = np.array([math.comb(m_avg, j) for j in range(m_avg + 1)], dtype=float)
-    w /= 2.0 ** m_avg
+    w = _euler_weights(m_avg)
     scale = math.exp(a_parm / 2.0) / t
     est = scale * float(w @ partial[terms:terms + m_avg + 1])
     prev = scale * float(w @ partial[terms - 1:terms + m_avg])

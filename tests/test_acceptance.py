@@ -110,10 +110,10 @@ def test_criterion_4_single_type_pipeline_closed_form():
             spectrum = offload.queue_spectrum(comp, rho * mu)
             for nu in (0.5, 1.0, 2.0, 4.0, 8.0):
                 weights = offload.poisson_weights(nu)
-                pipeline = sum(
-                    weights[n] * offload.mec_conditional_cdf(spectrum, n,
-                                                             cache)
-                    for n in range(1, len(weights)))
+                cdfs = offload.mec_conditional_cdf(spectrum,
+                                                   len(weights) - 1, cache)
+                pipeline = sum(weights[n] * cdfs[n]
+                               for n in range(1, len(weights)))
                 ns = np.arange(1, len(weights) + 50)
                 closed = float(np.sum(
                     stats.poisson.pmf(ns, nu)
@@ -145,9 +145,9 @@ def test_criterion_5_queueing_oracle():
     first = snapshot[log4.analysis_mask(), 0]
     tv4 = cli._tv_distance(np.bincount(first) / len(first), spec4)
 
-    ana_mec = offload.mec_conditional_cdf(spec4, n_group,
-                                          offload.MecCdfCache(
-                                              comp4, comp4.target_latency))
+    ana_mec = offload.mec_conditional_cdf(
+        spec4, n_group,
+        offload.MecCdfCache(comp4, comp4.target_latency))[n_group]
     emp_mec = log4.sojourn_cdf(comp4.target_latency, mec_only=True)
 
     lam_c = 50.0

@@ -7,7 +7,7 @@ import pytest
 
 from cfedge import cli, comm
 from cfedge.cli import (COLUMNS, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
-                        EXIT_USAGE, ExperimentSpec, SpecError, _load_spec,
+                        EXIT_USAGE, ExperimentSpec, SpecError, _merge_spec,
                         _network_for, _points, run_experiment)
 from cfedge.errors import NumericalError
 from cfedge.model import mean_connected_aps
@@ -63,6 +63,18 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="r_bounds_km"):
             ExperimentSpec.from_mapping(spec)
 
+    def test_non_numeric_bounds(self):
+        spec = _energy_spec([0.5])
+        spec["sweep"]["r_bounds_km"] = ["a", "b"]
+        with pytest.raises(SpecError, match="r_bounds_km"):
+            ExperimentSpec.from_mapping(spec)
+
+    @pytest.mark.parametrize("xi", [1.5, 0.0, 1.0, -0.2, "0.5", None,
+                                    float("nan")])
+    def test_bad_xi_grid(self, xi):
+        with pytest.raises(SpecError, match="xi_grid"):
+            ExperimentSpec.from_mapping(_energy_spec([0.5, xi]))
+
     def test_label_sanitized(self):
         spec = ExperimentSpec.from_mapping(
             _scmp_spec(label="my exp/1: final"))
@@ -99,17 +111,18 @@ class TestSpecParsing:
 class TestLoadSpec:
     def test_neither_given(self):
         with pytest.raises(SpecError, match="spec file"):
-            _load_spec(None, None, None, None)
+            _merge_spec(None, None, None, None)
 
     def test_unknown_preset(self):
         with pytest.raises(SpecError, match="unknown preset"):
-            _load_spec(None, "nope", None, None)
+            _merge_spec(None, "nope", None, None)
 
     def test_file_overrides_preset(self, tmp_path):
         p = tmp_path / "override.json"
         p.write_text(json.dumps({"sweep": {"radii_km": [0.05]},
                                  "sim": {"replications": 50}}))
-        spec = _load_spec(str(p), "scmp-sweep", None, None)
+        spec = ExperimentSpec.from_mapping(
+            _merge_spec(str(p), "scmp-sweep", None, None))
         assert spec.sweep["radii_km"] == [0.05]
         assert spec.replications == 50
         # untouched preset keys survive the merge
@@ -118,7 +131,7 @@ class TestLoadSpec:
     def test_cli_flags_override_file(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_text(json.dumps(_scmp_spec()))
-        spec = _load_spec(str(p), None, 99, 7)
+        spec = ExperimentSpec.from_mapping(_merge_spec(str(p), None, 99, 7))
         assert spec.seed == 99
         assert spec.replications == 7
 
@@ -126,7 +139,7 @@ class TestLoadSpec:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         with pytest.raises(SpecError, match="valid JSON"):
-            _load_spec(str(p), None, None, None)
+            _merge_spec(str(p), None, None, None)
 
 
 class TestRunExperiment:
@@ -256,6 +269,19 @@ class TestMain:
     def test_unknown_preset(self, capsys):
         assert cli.main(["run", "--preset", "nope"]) == EXIT_USAGE
         assert "unknown preset" in capsys.readouterr().err
+
+    def test_bad_xi_grid_is_exit_2_with_manifest(self, tmp_path, capsys):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(_energy_spec([1.5])))
+        code = cli.main(["run", str(p), "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "xi_grid" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "e.manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["exit_code"] == EXIT_USAGE
+        assert manifest["error"]["type"] == "SpecError"
+        assert manifest["spec"]["sweep"]["xi_grid"] == [1.5]
+        assert not (tmp_path / "e.csv").exists()
 
     def test_ok_path(self, tmp_path, capsys):
         p = tmp_path / "s.json"

@@ -207,17 +207,61 @@ class TestMecLatency:
         lam = 0.3 * mu
         spec = offload.queue_spectrum(comp, lam)
         cache = offload.MecCdfCache(comp, comp.target_latency)
-        got = offload.mec_conditional_cdf(spec, n, cache)
+        got = offload.mec_conditional_cdf(spec, n, cache)[n]
         want = -math.expm1(-mu * (1.0 - 0.3 ** n) * comp.target_latency)
         assert got == pytest.approx(want, abs=1e-7)
 
     def test_more_servers_help(self, mix_comp):
         spec = offload.queue_spectrum(mix_comp, 40.0)
         cache = offload.MecCdfCache(mix_comp, mix_comp.target_latency)
-        vals = [offload.mec_conditional_cdf(spec, n, cache)
+        vals = [offload.mec_conditional_cdf(spec, n, cache)[n]
                 for n in (1, 2, 4, 8)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+    @staticmethod
+    def _per_n_reference(spectrum, n, cache):
+        # the scalar per-n truncated sum that the vector form replaces
+        max_root = spectrum.max_root
+        total = 0.0
+        v = 0
+        while True:
+            tail_next = spectrum.tail(v + 1) ** n
+            total += (spectrum.tail(v) ** n - tail_next) * cache.cdf(v)
+            v += 1
+            if tail_next < 1e-10:
+                break
+            if max_root > 0.0 and \
+                    max_root ** (v + 1) / (1.0 - max_root) < 1e-10:
+                break
+            if cache.cdf(v - 1) < 1e-13 and v > 4:
+                break
+        return min(1.0, max(0.0, total))
+
+    @pytest.mark.parametrize("n_max", [1, 2, 30, 60])
+    def test_vector_form_equals_per_n_sum(self, mix_comp, single_comp,
+                                          n_max):
+        cases = []
+        for comp in (single_comp, mix_comp):
+            cap = 1.0 / comp.mean_service_time_mec
+            for load in (0.05, 0.3, 0.6, 0.9, 0.98):
+                cases.append((comp, offload.queue_spectrum(comp, load * cap)))
+            cases.append((comp, offload.queue_spectrum(comp, 0.0)))
+        rho_tiny = offload.queue_spectrum(mix_comp, 1e-7 * MU_M[0])
+        assert 0.0 < rho_tiny.rho_m < 1e-6
+        cases.append((mix_comp, rho_tiny))
+        for latency in (0.012, 0.2):
+            for comp, spec in cases:
+                comp = ComputeConfig(type_probs=comp.type_probs,
+                                     mu_c=comp.mu_c, mu_m=comp.mu_m,
+                                     target_latency=latency)
+                cache = offload.MecCdfCache(comp, latency)
+                got = offload.mec_conditional_cdf(spec, n_max, cache)
+                assert got.shape == (n_max + 1,)
+                assert got[0] == 0.0
+                for n in range(1, n_max + 1):
+                    assert got[n] == self._per_n_reference(spec, n, cache), \
+                        (spec, latency, n)
 
 
 def test_poisson_weights_match_scipy():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfedge import comm
+from cfedge import comm, offload
 from cfedge.errors import InfeasibilityError
 from cfedge.model import ComputeConfig
 from cfedge.secp import find_r_threshold, secp
@@ -38,6 +38,34 @@ def test_downlink_term_is_point_success(fig_net, mix_comp):
     pt = secp(fig_net, mix_comp)
     assert pt.dl_term == pytest.approx(
         1.0 - comm.downlink_outage(fig_net).point, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.35, 1.0])
+@pytest.mark.parametrize("radius", [0.03, 0.12])
+def test_sums_equal_per_n_loop(mix_comp, radius, theta):
+    # the elementwise sums over n add in the order of a loop over n
+    net = make_net(coverage_radius=radius)
+    comp = replace(mix_comp, offload_prob=theta)
+    pt = secp(net, comp)
+    uplink = comm.uplink_mixture(net)
+    weights = offload.poisson_weights(uplink.mean_aps)
+    rates = offload.arrival_rates(net, comp, uplink.outage)
+    spectrum = offload.queue_spectrum(comp, rates.lambda_m)
+    mec = offload.mec_conditional_cdf(spectrum, len(weights) - 1,
+                                      offload.mec_cache(comp))
+    cs_part = offload.scp_cs(comp, rates.lambda_c) if theta > 0.0 else 0.0
+    ul_given_n = 1.0 - uplink.weights @ (
+        1.0 - uplink.success[:, None]) ** np.arange(len(weights))
+    total = comp_term = ul_term = 0.0
+    for n in range(1, len(weights)):
+        comp_n = theta * cs_part + (1.0 - theta) * (
+            mec[n] if theta < 1.0 else 0.0)
+        ul_n = ul_given_n[n]
+        total += weights[n] * comp_n * ul_n
+        comp_term += weights[n] * comp_n
+        ul_term += weights[n] * ul_n
+    assert (pt.secp, pt.comp_term, pt.ul_term) == (
+        total * pt.dl_term, comp_term, ul_term)
 
 
 def test_association_inequality(mix_comp):
