@@ -104,6 +104,8 @@ class ExperimentSpec:
             seed = int(sim_section.get("seed", 0))
         except (TypeError, ValueError) as exc:
             raise SpecError(f"bad sim section: {exc}") from None
+        if replications < 1:
+            raise SpecError("sim.replications must be at least 1")
         return cls(
             kind=kind,
             label=_safe_label(data),
@@ -157,6 +159,8 @@ def _check_sweep(kind: str, sweep: dict) -> None:
         grid = sweep.get(key)
         if not isinstance(grid, (list, tuple)) or len(grid) == 0:
             raise SpecError(f"kind {kind} needs a non-empty sweep.{key}")
+        if key != "rows" and not all(map(_is_real, grid)):
+            raise SpecError(f"sweep.{key} entries must be numbers")
     if kind == "energy_vs_xi" and not all(
             _is_real(xi) and 0 < xi < 1 for xi in sweep["xi_grid"]):
         raise SpecError("sweep.xi_grid entries must be numbers strictly "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.special as sp
@@ -19,7 +20,8 @@ import scipy.special as sp
 from . import comm
 from .errors import NumericalError, StabilityError
 from .model import ComputeConfig, NetworkConfig, mean_connected_aps, stability_report
-from .specfun import invert_laplace_cdf, poly_roots_real
+from .specfun import (DEFAULT_INVERSION, _euler_nodes, invert_laplace_cdf,
+                      poly_roots_real)
 
 _POISSON_TAIL = 1e-10
 _GEO_TAIL = 1e-10
@@ -199,6 +201,16 @@ def service_transform(rates, weights):
     return transform
 
 
+@lru_cache(maxsize=64)
+def _cs_service_values(mu_c: tuple, type_probs: tuple, t: float) -> np.ndarray:
+    # the CS service transform at the Euler nodes invert_laplace_cdf reads
+    # at t; it does not depend on the arrival rate
+    b = service_transform(mu_c, type_probs)(
+        _euler_nodes(t, DEFAULT_INVERSION.terms)[0])
+    b.setflags(write=False)
+    return b
+
+
 def scp_cs(comp: ComputeConfig, lambda_c: float) -> float:
     """P[central-server sojourn <= target latency] from the P-K transform."""
     if lambda_c < 0:
@@ -206,10 +218,10 @@ def scp_cs(comp: ComputeConfig, lambda_c: float) -> float:
     rho = lambda_c * comp.mean_service_time_cs
     if rho >= 1.0:
         raise StabilityError(f"central server unstable: rho_c = {rho:.4f} >= 1")
-    base = service_transform(comp.mu_c, comp.type_probs)
+    b = _cs_service_values(comp.mu_c, comp.type_probs, comp.target_latency)
 
     def sojourn(s):
-        b = base(s)
+        # s is the node array b was computed at
         return (1.0 - rho) * s * b / (s - lambda_c + lambda_c * b)
 
     return invert_laplace_cdf(sojourn, comp.target_latency)
@@ -248,12 +260,6 @@ def mec_cache(comp: ComputeConfig) -> MecCdfCache:
     return cache
 
 
-def _tail_powers(tail: float, count: int) -> np.ndarray:
-    # tail ** n for n = 1..count with Python's float power (libm pow),
-    # which np.power does not match bit for bit
-    return np.array([tail ** n for n in range(1, count + 1)])
-
-
 def mec_conditional_cdf(spectrum: QueueSpectrum, n_max: int,
                         cache: MecCdfCache) -> np.ndarray:
     """P[edge sojourn <= t | n connected servers] for n = 0..n_max, indexed
@@ -267,14 +273,20 @@ def mec_conditional_cdf(spectrum: QueueSpectrum, n_max: int,
     total = np.zeros(n_max + 1)
     max_root = spectrum.max_root
     active = n_max
-    powers = _tail_powers(spectrum.tail(0), active)
+    tail = spectrum.tail(0)
+    powers = np.array([tail ** n for n in range(1, active + 1)])
     v = 0
     while active > 0:
         cdf = cache.cdf(v)
-        powers_next = _tail_powers(spectrum.tail(v + 1), active)
+        tail = spectrum.tail(v + 1)
+        # Python's float power (libm pow), which np.power does not match
+        # bit for bit; tail ** n falls with n, so those >= _GEO_TAIL lead
+        listed = [tail ** n for n in range(1, active + 1)]
+        powers_next = np.array(listed)
         total[1:active + 1] += (powers - powers_next) * cdf
         v += 1
-        active = int(np.count_nonzero(powers_next >= _GEO_TAIL))
+        while active > 0 and listed[active - 1] < _GEO_TAIL:
+            active -= 1
         if max_root > 0.0 and max_root ** (v + 1) / (1.0 - max_root) < _GEO_TAIL:
             break
         if cdf < 1e-13 and v > 4:
@@ -284,9 +296,9 @@ def mec_conditional_cdf(spectrum: QueueSpectrum, n_max: int,
         if active > 0 and v > 100000:
             raise NumericalError("queue-length truncation failed to terminate")
         powers = powers_next[:active]
-    # min(1, max(0, x)) elementwise, as Python's min and max evaluate it
-    total = np.where(total > 0.0, total, 0.0)
-    return np.where(total < 1.0, total, 1.0)
+    # min(1, max(0, x)) as Python evaluates it: no term is -0.0 or NaN
+    np.maximum(total, 0.0, out=total)
+    return np.minimum(total, 1.0, out=total)
 
 
 def poisson_weights(nu: float, tail: float = _POISSON_TAIL):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import comm, search
 from .errors import InfeasibilityError, StabilityError
-from .model import ComputeConfig, NetworkConfig, stability_report
+from .model import ComputeConfig, NetworkConfig
 from .offload import (arrival_rates, mec_cache, mec_conditional_cdf,
                       poisson_weights, queue_spectrum, running_sum, scp_cs)
 
@@ -83,8 +83,8 @@ def secp(net: NetworkConfig, comp: ComputeConfig) -> SecpPoint:
         return SecpPoint(R, theta, t, 0.0, 0.0, 0.0, 1.0)
     weights, ul_given_n, ul_term = _uplink_terms(net)
     dl_success = _downlink_success(net)
+    # scp_cs and queue_spectrum raise StabilityError on an overloaded queue
     rates = arrival_rates(net, comp, comm.uplink_mixture(net).outage)
-    stability_report(comp, rates.lambda_c, rates.lambda_m).require_stable()
     cs_part = scp_cs(comp, rates.lambda_c) if theta > 0.0 else 0.0
     n_max = len(weights) - 1
     if theta < 1.0:
@@ -101,9 +101,15 @@ def secp(net: NetworkConfig, comp: ComputeConfig) -> SecpPoint:
 
 
 def _split_secp(net: NetworkConfig, comp: ComputeConfig, theta: float):
-    """secp at offload split theta; None where that split overloads a queue."""
+    """secp at offload split theta; None where that split overloads a queue.
+    Only theta is checked: comp's other fields passed ComputeConfig's."""
+    theta = float(theta)
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("offload_prob must lie in [0, 1]")
+    split = object.__new__(ComputeConfig)
+    split.__dict__.update(vars(comp), offload_prob=theta)
     try:
-        return secp(net, replace(comp, offload_prob=float(theta))).secp
+        return secp(net, split).secp
     except StabilityError:
         return None
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,6 +318,14 @@ class EventLog:
 _MAX_QUEUE = 1_000_000
 
 
+def _type_sampler(rng: np.random.Generator, probs):
+    """A draw of a task type index: the value and stream use of
+    rng.choice(len(probs), p=probs), with the CDF computed once."""
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return lambda: int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
                   seed: int, n_mec: int | None = None,
                   p_oul: float | None = None) -> EventLog:
@@ -347,7 +356,7 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
     lam_group = rates.lambda_m * n_mec
     lam_total = lam_cs + lam_group
     p_cs = lam_cs / lam_total if lam_total > 0 else 0.0
-    probs = np.asarray(comp.type_probs)
+    draw_type = _type_sampler(rng, comp.type_probs)
 
     arrival_t: list[float] = []
     server_ids: list[int] = []
@@ -362,7 +371,7 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
 
     n_servers = 1 + n_mec
     in_system = [0] * n_servers
-    queues: list[list[int]] = [[] for _ in range(n_servers)]
+    queues = [deque() for _ in range(n_servers)]
     heap: list[tuple] = []
     seq = 0
 
@@ -398,7 +407,7 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
             server_ids.append(server)
             seen.append(in_system[server])
             snapshots.append(list(in_system[1:]))
-            types.append(int(rng.choice(len(probs), p=probs)))
+            types.append(draw_type())
             sojourns.append(math.nan)
             if in_system[server] == 0:
                 start_service(server, task, now)
@@ -415,7 +424,7 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
             sojourns[task] = now - arrival_t[task]
             in_system[server] -= 1
             if queues[server]:
-                start_service(server, queues[server].pop(0), now)
+                start_service(server, queues[server].popleft(), now)
 
     return EventLog(
         arrival_s=np.asarray(arrival_t),

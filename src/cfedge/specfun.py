@@ -104,29 +104,36 @@ class LaplaceInversionSettings:
 DEFAULT_INVERSION = LaplaceInversionSettings()
 
 
-@lru_cache(maxsize=8)
-def _euler_weights(m_avg: int) -> np.ndarray:
-    # binomial averaging weights C(m_avg, j) / 2^m_avg
-    w = np.array([math.comb(m_avg, j) for j in range(m_avg + 1)], dtype=float)
-    w /= 2.0 ** m_avg
-    w.setflags(write=False)
-    return w
+# Abate-Whitt Euler summation: binomial averaging of the last _EULER_AVG + 1
+# partial sums; _EULER_A ~ 18.4 keeps the aliasing error of a bounded
+# function near 1e-8
+_EULER_AVG = 11
+_EULER_A = 18.4
 
 
-def _euler_values(transform, t, terms, m_avg=11, a_parm=18.4):
-    # Abate-Whitt Euler summation with binomial averaging of the last
-    # m_avg+1 partial sums. a_parm ~ 18.4 keeps the aliasing error of a
-    # bounded function near 1e-8.
-    k = np.arange(terms + m_avg + 1)
-    s = a_parm / (2.0 * t) + 1j * math.pi * k / t
-    vals = np.asarray(transform(s))
+@lru_cache(maxsize=64)
+def _euler_nodes(t, terms):
+    """Nodes s_k = _EULER_A/(2t) + i pi k/t of the Euler summation at t, the
+    signs of their terms (the first halved) and the averaging weights
+    C(_EULER_AVG, j) / 2^_EULER_AVG. Read-only and shared by every
+    inversion at t, so a transform may cache its values at these nodes."""
+    k = np.arange(terms + _EULER_AVG + 1)
+    s = _EULER_A / (2.0 * t) + 1j * math.pi * k / t
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     signs[0] = 0.5
-    partial = np.cumsum(signs * vals.real)
-    w = _euler_weights(m_avg)
-    scale = math.exp(a_parm / 2.0) / t
-    est = scale * float(w @ partial[terms:terms + m_avg + 1])
-    prev = scale * float(w @ partial[terms - 1:terms + m_avg])
+    w = np.array([math.comb(_EULER_AVG, j) for j in range(_EULER_AVG + 1)])
+    w = w / 2.0 ** _EULER_AVG
+    for a in (s, signs, w):
+        a.setflags(write=False)
+    return s, signs, w
+
+
+def _euler_values(transform, t, terms):
+    s, signs, w = _euler_nodes(t, terms)
+    partial = np.cumsum(signs * np.asarray(transform(s)).real)
+    scale = math.exp(_EULER_A / 2.0) / t
+    est = scale * float(w @ partial[terms:terms + _EULER_AVG + 1])
+    prev = scale * float(w @ partial[terms - 1:terms + _EULER_AVG])
     return est, abs(est - prev)
 
 

@@ -97,6 +97,29 @@ class TestSpecParsing:
             ExperimentSpec.from_mapping(
                 _scmp_spec(sim={"replications": "many"}))
 
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_replications_below_one(self, reps):
+        with pytest.raises(SpecError, match="replications"):
+            ExperimentSpec.from_mapping(
+                _scmp_spec(sim={"replications": reps}))
+
+    @pytest.mark.parametrize("key", ["radii_km", "theta_grid"])
+    @pytest.mark.parametrize("bad", ["a", "0.05", None, float("inf")])
+    def test_non_numeric_surface_grid(self, key, bad):
+        sweep = {"radii_km": [0.05], "theta_grid": [0.5]}
+        sweep[key] = [sweep[key][0], bad]
+        with pytest.raises(SpecError, match=key):
+            ExperimentSpec.from_mapping(
+                {"kind": "secp_surface", "sweep": sweep,
+                 "compute": {"type_probs": [1.0], "mu_c": [MU_C[1]],
+                             "mu_m": [MU_M[1]]}})
+
+    def test_non_numeric_areas(self):
+        spec = _merge_spec(None, "r-threshold", None, None)
+        spec["sweep"]["areas_km2"] = [1.0, "a"]
+        with pytest.raises(SpecError, match="areas_km2"):
+            ExperimentSpec.from_mapping(spec)
+
     def test_grid_ordering(self):
         spec = ExperimentSpec.from_mapping({
             "kind": "secp_surface",
@@ -163,9 +186,16 @@ class TestRunExperiment:
             assert lib in manifest["versions"]
 
     def test_reruns_byte_identical(self, tmp_path):
-        # a second run in this process reuses the shared latency-CDF
-        # cache; the worker processes start with an empty one
-        for mapping in (_scmp_spec(), _energy_spec([0.5])):
+        # reruns read the process-wide caches (latency CDFs, Euler nodes,
+        # central-server service transform) that the first run filled,
+        # in this process and in the worker processes
+        surface = _merge_spec(None, "scp-surface-mix", None, None)
+        surface["sweep"] = {"radii_km": [0.04, 0.1],
+                            "theta_grid": [0.0, 0.3, 1.0]}
+        search = _merge_spec(None, "r-threshold", None, None)
+        search["sweep"] = {**search["sweep"], "areas_km2": [4.0],
+                           "rows": search["sweep"]["rows"][:2]}
+        for mapping in (_scmp_spec(), _energy_spec([0.5]), surface, search):
             spec = ExperimentSpec.from_mapping(mapping)
             name = spec.label + ".csv"
             run_experiment(spec, out_dir=str(tmp_path / "a"))
@@ -282,6 +312,27 @@ class TestMain:
         assert manifest["error"]["type"] == "SpecError"
         assert manifest["spec"]["sweep"]["xi_grid"] == [1.5]
         assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("preset, overrides, reps, needle", [
+        ("validate", {}, "0", "replications"),
+        ("scp-surface-single", {"sweep": {"radii_km": ["a"]}}, None,
+         "radii_km"),
+    ])
+    def test_bad_spec_is_exit_2_with_manifest(self, tmp_path, capsys, preset,
+                                              overrides, reps, needle):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(overrides))
+        argv = ["run", str(p), "--preset", preset, "--out", str(tmp_path)]
+        code = cli.main(argv + (["--reps", reps] if reps else []))
+        assert code == EXIT_USAGE
+        assert needle in capsys.readouterr().err
+        manifest = json.loads(
+            (tmp_path / f"{preset}.manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["exit_code"] == EXIT_USAGE
+        assert manifest["error"]["type"] == "SpecError"
+        assert needle in manifest["error"]["message"]
+        assert not (tmp_path / f"{preset}.csv").exists()
 
     def test_ok_path(self, tmp_path, capsys):
         p = tmp_path / "s.json"

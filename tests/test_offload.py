@@ -183,6 +183,42 @@ class TestScpCs:
             assert offload.scp_cs(single_comp, lam) == pytest.approx(
                 want, abs=1e-7)
 
+    @staticmethod
+    def _fresh_reference(comp, lambda_c):
+        # Euler inversion of the P-K transform with its nodes and service
+        # transform built afresh, as every call once did
+        t, terms, m_avg, a_parm = comp.target_latency, 18, 11, 18.4
+        rho = lambda_c * comp.mean_service_time_cs
+        base = offload.service_transform(comp.mu_c, comp.type_probs)
+        k = np.arange(terms + m_avg + 1)
+        s = a_parm / (2.0 * t) + 1j * math.pi * k / t
+        b = base(s)
+        vals = (1.0 - rho) * s * b / (s - lambda_c + lambda_c * b) / s
+        signs = np.where(k % 2 == 0, 1.0, -1.0)
+        signs[0] = 0.5
+        partial = np.cumsum(signs * vals.real)
+        w = np.array([math.comb(m_avg, j) for j in range(m_avg + 1)],
+                     dtype=float)
+        w /= 2.0 ** m_avg
+        est = math.exp(a_parm / 2.0) / t * float(
+            w @ partial[terms:terms + m_avg + 1])
+        return min(1.0, max(0.0, est))
+
+    def test_cached_nodes_and_service_transform_are_bit_identical(
+            self, single_comp, mix_comp):
+        # the second pass reads values cached under every other key first
+        for _ in range(2):
+            for latency in (0.004, 0.012, 0.2):
+                for base in (single_comp, mix_comp):
+                    comp = ComputeConfig(type_probs=base.type_probs,
+                                         mu_c=base.mu_c, mu_m=base.mu_m,
+                                         target_latency=latency)
+                    cap = 1.0 / comp.mean_service_time_cs
+                    for load in (0.0, 0.1, 0.5, 0.9, 0.99):
+                        lam = load * cap
+                        assert offload.scp_cs(comp, lam) == \
+                            self._fresh_reference(comp, lam), (comp, lam)
+
     def test_validation(self, single_comp):
         with pytest.raises(ValueError):
             offload.scp_cs(single_comp, -5.0)

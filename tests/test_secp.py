@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cfedge import comm, offload
-from cfedge.errors import InfeasibilityError
+from cfedge.errors import InfeasibilityError, StabilityError
 from cfedge.model import ComputeConfig
-from cfedge.secp import find_r_threshold, secp
+from cfedge.secp import THETA_GRID, _split_secp, find_r_threshold, secp
 
 from conftest import MU_C, MU_M, make_net
 
@@ -81,6 +81,35 @@ def test_monotone_in_latency_target(fig_net, mix_comp):
     vals = [secp(fig_net, replace(mix_comp, target_latency=t)).secp
             for t in (0.004, 0.008, 0.012, 0.02, 0.05)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+# slow servers: the edge queue overloads at small splits and the central
+# one at large splits on the default network
+_SLOW = ComputeConfig(type_probs=(0.6, 0.4), mu_c=(50.0, 80.0),
+                      mu_m=(0.1, 0.2), target_latency=0.012)
+
+
+def test_split_secp_equals_secp_of_replaced_config(fig_net, mix_comp):
+    for comp in (mix_comp, _SLOW):
+        got = [_split_secp(fig_net, comp, theta) for theta in THETA_GRID]
+        for theta, value in zip(THETA_GRID, got):
+            full = replace(comp, offload_prob=theta)
+            if value is None:
+                with pytest.raises(StabilityError):
+                    secp(fig_net, full)
+            else:
+                assert value == secp(fig_net, full).secp
+    assert got[0] is None and got[-1] is None
+    assert any(value is not None for value in got)
+    with pytest.raises(ValueError, match="offload_prob"):
+        _split_secp(fig_net, mix_comp, 1.5)
+
+
+@pytest.mark.parametrize("theta, queue", [(0.0, "edge"), (0.3, "edge"),
+                                          (0.8, "central"), (1.0, "central")])
+def test_overloaded_queue_raises(fig_net, theta, queue):
+    with pytest.raises(StabilityError, match=queue):
+        secp(fig_net, replace(_SLOW, offload_prob=theta))
 
 
 class TestRadiusThreshold:

@@ -103,6 +103,22 @@ class TestQueueRuns:
         assert np.array_equal(a.sojourn_s, b.sojourn_s, equal_nan=True)
         assert np.array_equal(a.server_id, b.server_id)
 
+    @pytest.mark.parametrize("probs", [(1.0,), (0.6, 0.4),
+                                       (0.2, 0.5, 0.3)])
+    def test_type_draw_matches_choice(self, probs):
+        # same values and same stream use as Generator.choice, with
+        # exponential draws between the type draws as in the simulator
+        def rng():
+            return np.random.Generator(np.random.Philox(
+                key=np.array([17, 1], dtype=np.uint64)))
+
+        ref, ours = rng(), rng()
+        draw = sim._type_sampler(ours, probs)
+        for _ in range(5000):
+            want = int(ref.choice(len(probs), p=np.asarray(probs)))
+            assert draw() == want
+            assert ours.exponential(0.01) == ref.exponential(0.01)
+
     def test_drains_and_orders(self, fig_net, mix_comp):
         log = simulate_mlcm(fig_net, mix_comp, 50.0, seed=2, n_mec=3)
         assert not np.any(np.isnan(log.sojourn_s))
