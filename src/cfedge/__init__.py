@@ -19,10 +19,8 @@ from .errors import InfeasibilityError, NumericalError, StabilityError
 from .model import (
     ComputeConfig,
     NetworkConfig,
-    StabilityReport,
     mean_connected_aps,
     pathloss,
-    stability_report,
 )
 from .comm import (
     DownlinkOutage,
@@ -40,7 +38,6 @@ from .offload import (
     QueueSpectrum,
     arrival_rates,
     min_dispatch_prob,
-    min_queue_pmf,
     queue_spectrum,
     scp,
     scp_cs,
@@ -74,7 +71,6 @@ __all__ = [
     "QueueSpectrum",
     "SecpPoint",
     "StabilityError",
-    "StabilityReport",
     "UplinkMixture",
     "arrival_rates",
     "communication_energy",
@@ -85,7 +81,6 @@ __all__ = [
     "gamma_interference_params",
     "mean_connected_aps",
     "min_dispatch_prob",
-    "min_queue_pmf",
     "minimize_energy",
     "pathloss",
     "per_ap_success",
@@ -96,7 +91,6 @@ __all__ = [
     "scp_mec",
     "secp",
     "service_rates",
-    "stability_report",
     "uplink_mixture",
     "uplink_outage",
 ]

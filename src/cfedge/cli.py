@@ -18,6 +18,7 @@ worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -39,8 +40,7 @@ from . import energy as energy_mod
 from .secp import find_r_threshold as _find_r_threshold
 from .secp import secp as _secp_point
 from .errors import InfeasibilityError, NumericalError, StabilityError
-from .model import (ComputeConfig, NetworkConfig, mean_connected_aps,
-                    stability_report)
+from .model import ComputeConfig, NetworkConfig, mean_connected_aps
 from .presets import get_preset
 
 SCHEMA_VERSION = 1
@@ -165,6 +165,26 @@ def _check_sweep(kind: str, sweep: dict) -> None:
             _is_real(xi) and 0 < xi < 1 for xi in sweep["xi_grid"]):
         raise SpecError("sweep.xi_grid entries must be numbers strictly "
                         "between 0 and 1")
+    if kind == "r_threshold" and not all(
+            isinstance(row, dict)
+            and all(_is_real(row.get(key)) for key in
+                    ("antennas_per_ap", "lambda_b", "target_latency"))
+            and row["antennas_per_ap"] == int(row["antennas_per_ap"])
+            for row in sweep["rows"]):
+        raise SpecError("sweep.rows entries must be objects with numeric "
+                        "lambda_b and target_latency and an integral "
+                        "antennas_per_ap")
+    if kind == "validate":
+        for key in ("queue", "queue_cs"):
+            section = sweep.get(key, {})
+            if not isinstance(section, dict) or not all(
+                    _is_real(value) and value > 0
+                    for value in section.values()):
+                raise SpecError(f"sweep.{key} must be an object of "
+                                "positive numbers")
+        n_mec = sweep.get("queue", {}).get("n_mec", 4)
+        if n_mec != int(n_mec):
+            raise SpecError("sweep.queue.n_mec must be a positive integer")
     if kind in ("r_threshold", "energy_vs_xi"):
         bounds = sweep.get("r_bounds_km")
         if (not isinstance(bounds, (list, tuple)) or len(bounds) != 2
@@ -276,13 +296,12 @@ def _eval_scp_surface(spec: ExperimentSpec, index: int, point: dict) -> dict:
     comp = _compute_for(spec, offload_prob=point["theta"])
     p_oul = comm.uplink_outage(net)
     rates = offload.arrival_rates(net, comp, p_oul)
-    report = stability_report(comp, rates.lambda_c, rates.lambda_m)
+    # an overloaded path is NaN in its own column
     cs = mec = float("nan")
-    if report.stable_cs:
+    with contextlib.suppress(StabilityError):
         cs = offload.scp_cs(comp, rates.lambda_c)
-    if report.stable_mec:
-        spectrum = offload.queue_spectrum(comp, rates.lambda_m)
-        mec = offload.scp_mec(net, comp, spectrum, rates)
+    with contextlib.suppress(StabilityError):
+        mec = offload.scp_mec(net, comp, rates)
     theta = comp.offload_prob
     # a path the split never takes adds nothing, even where it is unstable
     total = (theta * cs if theta > 0.0 else 0.0) \

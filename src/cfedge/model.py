@@ -8,11 +8,9 @@ CLI converts dB at the boundary).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import StabilityError
 
 # ----------------------------------------------------------------------------
 # network geometry + radio parameters
@@ -78,17 +76,12 @@ class ComputeConfig:
     mu_m: tuple              # edge-server service rates per type [1/s]
     offload_prob: float = 0.5    # probability a task goes to the CS (theta)
     target_latency: float = 0.012    # end-to-end latency target [s]
-    num_types: int = field(default=0)    # number of task types, 0 means "infer"
 
     def __post_init__(self):
         object.__setattr__(self, "type_probs", tuple(float(p) for p in self.type_probs))
         object.__setattr__(self, "mu_c", tuple(float(m) for m in self.mu_c))
         object.__setattr__(self, "mu_m", tuple(float(m) for m in self.mu_m))
         n = len(self.type_probs)
-        if self.num_types == 0:
-            object.__setattr__(self, "num_types", n)
-        if self.num_types != n:
-            raise ValueError("num_types does not match len(type_probs)")
         if len(self.mu_c) != n or len(self.mu_m) != n:
             raise ValueError("type_probs, mu_c, mu_m must have equal length")
         if n < 1:
@@ -111,38 +104,5 @@ class ComputeConfig:
         return sum(p / m for p, m in zip(self.type_probs, self.mu_m))
 
     @property
-    def aggregate_mu_c(self) -> float:
-        """Harmonic-mean service rate of the CS mixture."""
-        return 1.0 / self.mean_service_time_cs
-
-
-# ----------------------------------------------------------------------------
-# queue stability summary
-# ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    rho_c: float         # CS utilization lambda_c * E[tau_c]
-    rho_m: float         # per-edge-server utilization lambda_m * E[tau_m]
-    stable_cs: bool
-    stable_mec: bool
-
-    def __post_init__(self):
-        if self.rho_c < 0 or self.rho_m < 0:
-            raise ValueError("utilizations cannot be negative")
-        if self.stable_cs != (self.rho_c < 1.0) or self.stable_mec != (self.rho_m < 1.0):
-            raise ValueError("stability flags inconsistent with utilizations")
-
-    def require_stable(self) -> None:
-        if not self.stable_cs:
-            raise StabilityError(f"central server overloaded: rho_c = {self.rho_c:.4f} >= 1")
-        if not self.stable_mec:
-            raise StabilityError(f"edge servers overloaded: rho_m = {self.rho_m:.4f} >= 1")
-
-
-def stability_report(comp: ComputeConfig, lambda_c: float, lambda_m: float) -> StabilityReport:
-    rho_c = lambda_c * comp.mean_service_time_cs
-    rho_m = lambda_m * comp.mean_service_time_mec
-    return StabilityReport(rho_c=rho_c, rho_m=rho_m,
-                           stable_cs=rho_c < 1.0, stable_mec=rho_m < 1.0)
+    def num_types(self) -> int:
+        return len(self.type_probs)

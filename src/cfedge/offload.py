@@ -11,15 +11,16 @@ CDFs come from numerical transform inversion.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.special as sp
 
 from . import comm
 from .errors import NumericalError, StabilityError
-from .model import ComputeConfig, NetworkConfig, mean_connected_aps, stability_report
+from .model import ComputeConfig, NetworkConfig, mean_connected_aps
 from .specfun import (DEFAULT_INVERSION, _euler_nodes, invert_laplace_cdf,
                       poly_roots_real)
 
@@ -28,7 +29,6 @@ _GEO_TAIL = 1e-10
 # exp(-nu) is a normal float below this mean; above it the pmf recursion
 # would start from a subnormal (or zero) value
 _POISSON_RECURSION_MAX = 708.0
-_MEC_CACHES_MAX = 32
 
 # ----------------------------------------------------------------------------
 # arrival rates
@@ -114,24 +114,28 @@ def queue_spectrum(comp: ComputeConfig, lambda_m: float) -> QueueSpectrum:
         return QueueSpectrum(roots=(0.0,) * n,
                              weights=(1.0,) + (0.0,) * (n - 1), rho_m=rho)
 
-    poly = np.polynomial.polynomial
     lam = lambda_m
-    mus = comp.mu_m
+    # the factors (mu_q + lam) omega - lam, lowest power first
+    factors = [np.array([-lam, mu + lam]) for mu in comp.mu_m]
     # root equation: omega^2 * A-type sum = prod_q ((mu_q + lam) omega - lam);
     # omega = 1 always solves it and is deflated before root finding
     rhs = np.array([1.0])
-    for mu in mus:
-        rhs = poly.polymul(rhs, np.array([-lam, mu + lam]))
-    lhs = np.zeros(1)
-    for l, (p, mu) in enumerate(zip(comp.type_probs, mus)):
+    for f in factors:
+        rhs = np.convolve(rhs, f)
+    lhs = np.zeros(n)
+    for l, (p, mu) in enumerate(zip(comp.type_probs, comp.mu_m)):
         term = np.array([p * mu])
-        for k, mu_k in enumerate(mus):
+        for k, f in enumerate(factors):
             if k != l:
-                term = poly.polymul(term, np.array([-lam, mu_k + lam]))
-        lhs = poly.polyadd(lhs, term)
-    full = poly.polysub(rhs, poly.polymul(np.array([0.0, 0.0, 1.0]), lhs))
-    quotient, remainder = poly.polydiv(full, np.array([-1.0, 1.0]))
-    if np.max(np.abs(remainder)) > 1e-6 * np.max(np.abs(full)):
+                term = np.convolve(term, f)
+        lhs += term
+    full = np.append(rhs, 0.0)
+    full[2:] -= lhs
+    # synthetic division by omega - 1 is a running sum from the top
+    # coefficient down; the last sum is the remainder
+    sums = np.cumsum(full[::-1])[::-1]
+    quotient, remainder = sums[1:], sums[0]
+    if abs(remainder) > 1e-6 * np.max(np.abs(full)):
         raise NumericalError("structural root omega = 1 missing from queue polynomial")
     roots, _ = poly_roots_real(quotient)
     roots = roots[(roots > -1.0) & (roots < 1.0)]
@@ -151,12 +155,10 @@ def queue_spectrum(comp: ComputeConfig, lambda_m: float) -> QueueSpectrum:
         col = np.array([1.0])
         for r_i, w in enumerate(roots):
             if r_i != q:
-                col = poly.polymul(col, np.array([1.0, -w]))
-        mat[:len(col), q] = col
-    rhs_vec = np.zeros(n)
-    rhs_vec[:len(target)] = target
+                col = np.convolve(col, np.array([1.0, -w]))
+        mat[:, q] = col
     try:
-        eps = np.linalg.solve(mat, rhs_vec)
+        eps = np.linalg.solve(mat, target)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"queue weight system is singular: {exc}") from exc
 
@@ -170,18 +172,11 @@ def _validate_spectrum(spec: QueueSpectrum) -> None:
     total = spec.tail(0)
     if abs(total - 1.0) > 1e-9:
         raise NumericalError(f"queue spectrum mass {total!r} differs from 1")
-    for v in range(0, 200, 7):
-        if spec.pmf(v) < -1e-12:
-            raise NumericalError(f"queue spectrum pmf negative at v = {v}")
-
-
-def min_queue_pmf(spectrum: QueueSpectrum, n: int, v: int) -> float:
-    """P[minimum queue length among n independent servers equals v]."""
-    if n < 1:
-        raise ValueError("need at least one server")
-    if v < 0:
-        raise ValueError("queue length cannot be negative")
-    return spectrum.tail(v) ** n - spectrum.tail(v + 1) ** n
+    v = np.arange(0, 200, 7)
+    pmf = (np.array(spec.weights) * np.array(spec.roots) ** v[:, None]).sum(axis=1)
+    negative = v[pmf < -1e-12]
+    if negative.size:
+        raise NumericalError(f"queue spectrum pmf negative at v = {negative[0]}")
 
 
 # ----------------------------------------------------------------------------
@@ -228,11 +223,12 @@ def scp_cs(comp: ComputeConfig, lambda_c: float) -> float:
 
 
 class MecCdfCache:
-    """Caches CDF values of (v+1)-fold service-time sums at one latency."""
+    """Caches CDF values at latency t of (v+1)-fold sums of edge service
+    times, whose law is given by type_probs and mu_m."""
 
-    def __init__(self, comp: ComputeConfig, t: float):
+    def __init__(self, type_probs: tuple, mu_m: tuple, t: float):
         self.t = t
-        self._base = service_transform(comp.mu_m, comp.type_probs)
+        self._base = service_transform(mu_m, type_probs)
         self._values: dict[int, float] = {}
 
     def cdf(self, v: int) -> float:
@@ -244,20 +240,14 @@ class MecCdfCache:
         return got
 
 
-_MEC_CACHES: dict = {}
+_shared_mec_cache = lru_cache(maxsize=32)(MecCdfCache)
 
 
 def mec_cache(comp: ComputeConfig) -> MecCdfCache:
     """The process-wide MecCdfCache of comp's edge service law and latency
     target; its values depend only on those, so sharing it changes no
-    result. Beyond _MEC_CACHES_MAX keys the oldest is dropped."""
-    key = (comp.type_probs, comp.mu_m, comp.target_latency)
-    cache = _MEC_CACHES.get(key)
-    if cache is None:
-        if len(_MEC_CACHES) >= _MEC_CACHES_MAX:
-            del _MEC_CACHES[next(iter(_MEC_CACHES))]
-        cache = _MEC_CACHES[key] = MecCdfCache(comp, comp.target_latency)
-    return cache
+    result."""
+    return _shared_mec_cache(comp.type_probs, comp.mu_m, comp.target_latency)
 
 
 def mec_conditional_cdf(spectrum: QueueSpectrum, n_max: int,
@@ -327,15 +317,13 @@ def poisson_weights(nu: float, tail: float = _POISSON_TAIL):
 
 def running_sum(terms: np.ndarray) -> float:
     """0.0 + terms[0] + terms[1] + ..., added left to right; np.sum adds
-    pairwise and builtin sum may compensate, so neither gives these bits."""
-    total = 0.0
-    for term in terms.tolist():
-        total += term
-    return total
+    pairwise and builtin sum may compensate, so neither gives these bits.
+    np.cumsum would too, but costs more than this for the short arrays
+    the per-split sums pass."""
+    return reduce(operator.add, terms.tolist(), 0.0)
 
 
 def scp_mec(net: NetworkConfig, comp: ComputeConfig,
-            spectrum: QueueSpectrum | None = None,
             rates: ArrivalRates | None = None) -> float:
     """Unconditional P[edge sojourn <= target latency].
 
@@ -344,8 +332,7 @@ def scp_mec(net: NetworkConfig, comp: ComputeConfig,
     """
     if rates is None:
         rates = arrival_rates(net, comp)
-    if spectrum is None:
-        spectrum = queue_spectrum(comp, rates.lambda_m)
+    spectrum = queue_spectrum(comp, rates.lambda_m)
     nu = mean_connected_aps(net)
     if nu == 0.0:
         return 0.0
@@ -365,10 +352,10 @@ def scp(net: NetworkConfig, comp: ComputeConfig,
     """P[computation finishes within the latency target].
 
     Mixture of the central-server and edge paths weighted by the offload
-    split, with arrival rates thinned by uplink success.
+    split, with arrival rates thinned by uplink success. A path the split
+    takes raises StabilityError if its queue is overloaded.
     """
     rates = arrival_rates(net, comp, p_oul)
-    stability_report(comp, rates.lambda_c, rates.lambda_m).require_stable()
     theta = comp.offload_prob
     cs_part = scp_cs(comp, rates.lambda_c) if theta > 0.0 else 0.0
     mec_part = scp_mec(net, comp, rates=rates) if theta < 1.0 else 0.0

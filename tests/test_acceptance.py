@@ -105,7 +105,7 @@ def test_criterion_4_single_type_pipeline_closed_form():
         t = mu_t / mu
         comp = ComputeConfig(type_probs=(1.0,), mu_c=(COMPUTE_SINGLE["mu_c"][0],),
                              mu_m=(mu,), offload_prob=0.0, target_latency=t)
-        cache = offload.MecCdfCache(comp, t)
+        cache = offload.MecCdfCache(comp.type_probs, comp.mu_m, t)
         for rho in (0.05, 0.25, 0.45, 0.65, 0.85):
             spectrum = offload.queue_spectrum(comp, rho * mu)
             for nu in (0.5, 1.0, 2.0, 4.0, 8.0):
@@ -147,7 +147,8 @@ def test_criterion_5_queueing_oracle():
 
     ana_mec = offload.mec_conditional_cdf(
         spec4, n_group,
-        offload.MecCdfCache(comp4, comp4.target_latency))[n_group]
+        offload.MecCdfCache(comp4.type_probs, comp4.mu_m,
+                            comp4.target_latency))[n_group]
     emp_mec = log4.sojourn_cdf(comp4.target_latency, mec_only=True)
 
     lam_c = 50.0

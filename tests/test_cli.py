@@ -1,6 +1,8 @@
 """Spec validation, artifact layout, exit codes and reproducibility."""
 
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -120,6 +122,35 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="areas_km2"):
             ExperimentSpec.from_mapping(spec)
 
+    @pytest.mark.parametrize("row", [
+        {"lambda_b": 400.0, "target_latency": 0.012},
+        {"antennas_per_ap": 2.5, "lambda_b": 400.0, "target_latency": 0.012},
+        {"antennas_per_ap": 4, "lambda_b": "dense", "target_latency": 0.012},
+        {"antennas_per_ap": 4, "lambda_b": 400.0,
+         "target_latency": float("nan")},
+        5,
+    ])
+    def test_bad_r_threshold_row(self, row):
+        spec = _merge_spec(None, "r-threshold", None, None)
+        spec["sweep"]["rows"] = [spec["sweep"]["rows"][0], row]
+        with pytest.raises(SpecError, match="rows"):
+            ExperimentSpec.from_mapping(spec)
+
+    @pytest.mark.parametrize("key, section", [
+        ("queue", {"n_mec": "four"}),
+        ("queue", {"n_mec": -1}),
+        ("queue", {"n_mec": 2.5}),
+        ("queue", {"r_km": float("inf")}),
+        ("queue", 3),
+        ("queue_cs", {"duration_s": -5}),
+        ("queue_cs", {"lambda_c": 0.0}),
+    ])
+    def test_bad_queue_section(self, key, section):
+        spec = _merge_spec(None, "validate", None, None)
+        spec["sweep"][key] = section
+        with pytest.raises(SpecError, match="sweep.queue"):
+            ExperimentSpec.from_mapping(spec)
+
     def test_grid_ordering(self):
         spec = ExperimentSpec.from_mapping({
             "kind": "secp_surface",
@@ -204,6 +235,35 @@ class TestRunExperiment:
             a = (tmp_path / "a" / name).read_bytes()
             assert a == (tmp_path / "b" / name).read_bytes()
             assert a == (tmp_path / "c" / name).read_bytes()
+
+    def test_scp_surface_overloaded_paths(self, tmp_path):
+        # at R = 0.1 km the central server overloads at theta = 1 and the
+        # edge servers at theta = 0; both are stable at theta = 0.5
+        spec = ExperimentSpec.from_mapping({
+            "kind": "scp_surface", "label": "overload",
+            "network": {"lambda_b": 400.0, "lambda_d": 100.0},
+            "compute": {"type_probs": [1.0], "mu_c": [70.0], "mu_m": [0.2],
+                        "target_latency": 5.0},
+            "sweep": {"radii_km": [0.1], "theta_grid": [0.0, 0.5, 1.0]}})
+        assert run_experiment(spec, out_dir=str(tmp_path)) == EXIT_OK
+        with open(tmp_path / "overload.csv", encoding="utf-8",
+                  newline="") as fh:
+            rows = [{k: float(v) for k, v in row.items()}
+                    for row in csv.DictReader(fh)]
+        assert [r["theta"] for r in rows] == [0.0, 0.5, 1.0]
+        nan = [(math.isnan(r["scp_cs"]), math.isnan(r["scp_mec"]))
+               for r in rows]
+        assert nan == [(False, True), (False, False), (True, False)]
+        for r in rows:
+            theta = r["theta"]
+            paths = [(w, p) for w, p in ((theta, r["scp_cs"]),
+                                         (1.0 - theta, r["scp_mec"]))
+                     if w > 0.0]
+            # finite exactly where every path with weight is stable
+            assert math.isfinite(r["scp"]) == all(
+                math.isfinite(p) for _, p in paths)
+            if math.isfinite(r["scp"]):
+                assert r["scp"] == sum(w * p for w, p in paths)
 
     def test_bad_network_value_is_exit_2(self, tmp_path):
         spec = ExperimentSpec.from_mapping(
@@ -317,6 +377,13 @@ class TestMain:
         ("validate", {}, "0", "replications"),
         ("scp-surface-single", {"sweep": {"radii_km": ["a"]}}, None,
          "radii_km"),
+        ("r-threshold", {"sweep": {"rows": [
+            {"lambda_b": 400.0, "target_latency": 0.012}]}}, None, "rows"),
+        ("r-threshold", {"sweep": {"rows": [5]}}, None, "rows"),
+        ("validate", {"sweep": {"queue": {"n_mec": "four"}}}, None, "queue"),
+        ("validate", {"sweep": {"queue": {"n_mec": -1}}}, None, "queue"),
+        ("validate", {"sweep": {"queue_cs": {"duration_s": -5}}}, None,
+         "queue_cs"),
     ])
     def test_bad_spec_is_exit_2_with_manifest(self, tmp_path, capsys, preset,
                                               overrides, reps, needle):

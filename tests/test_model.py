@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cfedge.errors import StabilityError
 from cfedge.model import (ComputeConfig, NetworkConfig, mean_connected_aps,
-                          pathloss, stability_report)
+                          pathloss)
 
 from conftest import MU_C, MU_M, make_net
 
@@ -73,15 +72,17 @@ class TestComputeConfig:
     def test_mix_properties(self, mix_comp):
         mean_cs = 0.6 / MU_C[0] + 0.4 / MU_C[1]
         assert mix_comp.mean_service_time_cs == pytest.approx(mean_cs)
-        assert mix_comp.aggregate_mu_c == pytest.approx(1.0 / mean_cs)
         assert mix_comp.num_types == 2
 
     def test_num_types_inferred_and_checked(self):
+        # num_types is read from type_probs; it cannot be given or set
         comp = ComputeConfig(type_probs=(1.0,), mu_c=(10.0,), mu_m=(5.0,))
         assert comp.num_types == 1
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ComputeConfig(type_probs=(1.0,), mu_c=(10.0,), mu_m=(5.0,),
                           num_types=2)
+        with pytest.raises(AttributeError):
+            comp.num_types = 2
 
     @pytest.mark.parametrize("kwargs", [
         dict(type_probs=(0.5, 0.4), mu_c=(1.0, 2.0), mu_m=(1.0, 2.0)),
@@ -95,18 +96,3 @@ class TestComputeConfig:
         with pytest.raises(ValueError):
             ComputeConfig(**kwargs)
 
-
-def test_stability_report(mix_comp):
-    rep = stability_report(mix_comp, lambda_c=50.0, lambda_m=10.0)
-    assert rep.rho_c == pytest.approx(50.0 * mix_comp.mean_service_time_cs)
-    assert rep.rho_m == pytest.approx(10.0 * mix_comp.mean_service_time_mec)
-    assert rep.stable_cs and rep.stable_mec
-    rep.require_stable()
-
-    hot = stability_report(mix_comp, lambda_c=500.0, lambda_m=10.0)
-    assert not hot.stable_cs
-    with pytest.raises(StabilityError, match="central"):
-        hot.require_stable()
-    hot_m = stability_report(mix_comp, lambda_c=0.0, lambda_m=500.0)
-    with pytest.raises(StabilityError, match="edge"):
-        hot_m.require_stable()

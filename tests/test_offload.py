@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfedge import offload
-from cfedge.errors import StabilityError
+from cfedge.errors import NumericalError, StabilityError
 from cfedge.model import ComputeConfig
+from cfedge.presets import COMPUTE_MIX
 from cfedge.specfun import LaplaceInversionSettings
 
 from conftest import MU_C, MU_M, make_net
@@ -37,7 +38,98 @@ def _pgf_pmf(comp, lam, vmax):
     return [float(c) for c in mp.taylor(pi, 0, vmax)]
 
 
+def _polynomial_spectrum(comp, lambda_m):
+    # queue_spectrum's former numpy.polynomial construction, kept as the
+    # reference for the array form: (roots, weights, rho) or NumericalError
+    poly = np.polynomial.polynomial
+    n = comp.num_types
+    rho = lambda_m * comp.mean_service_time_mec
+    if n == 1:
+        return (rho,), (1.0 - rho,), rho
+    if rho < 1e-6:
+        return (0.0,) * n, (1.0,) + (0.0,) * (n - 1), rho
+    lam = lambda_m
+    mus = comp.mu_m
+    rhs = np.array([1.0])
+    for mu in mus:
+        rhs = poly.polymul(rhs, np.array([-lam, mu + lam]))
+    lhs = np.zeros(1)
+    for l, (p, mu) in enumerate(zip(comp.type_probs, mus)):
+        term = np.array([p * mu])
+        for k, mu_k in enumerate(mus):
+            if k != l:
+                term = poly.polymul(term, np.array([-lam, mu_k + lam]))
+        lhs = poly.polyadd(lhs, term)
+    full = poly.polysub(rhs, poly.polymul(np.array([0.0, 0.0, 1.0]), lhs))
+    quotient, remainder = poly.polydiv(full, np.array([-1.0, 1.0]))
+    if np.max(np.abs(remainder)) > 1e-6 * np.max(np.abs(full)):
+        raise NumericalError("structural root missing")
+    roots, _ = offload.poly_roots_real(quotient)
+    roots = roots[(roots > -1.0) & (roots < 1.0)]
+    if len(roots) != n:
+        raise NumericalError("root count")
+    a_poly = lhs[::-1]
+    target = (1.0 - rho) * a_poly / a_poly[0]
+    mat = np.zeros((n, n))
+    for q in range(n):
+        col = np.array([1.0])
+        for r_i, w in enumerate(roots):
+            if r_i != q:
+                col = poly.polymul(col, np.array([1.0, -w]))
+        mat[:len(col), q] = col
+    rhs_vec = np.zeros(n)
+    rhs_vec[:len(target)] = target
+    try:
+        eps = np.linalg.solve(mat, rhs_vec)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("singular weight system") from exc
+    spec = offload.QueueSpectrum(roots=tuple(float(r) for r in roots),
+                                 weights=tuple(float(e) for e in eps),
+                                 rho_m=rho)
+    if abs(spec.tail(0) - 1.0) > 1e-9 or any(
+            spec.pmf(v) < -1e-12 for v in range(0, 200, 7)):
+        raise NumericalError("invalid spectrum")
+    return spec.roots, spec.weights, rho
+
+
+def _assert_matches_polynomial_form(comp, load):
+    lam = load / comp.mean_service_time_mec
+    try:
+        want = _polynomial_spectrum(comp, lam)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            offload.queue_spectrum(comp, lam)
+        return
+    got = offload.queue_spectrum(comp, lam)
+    assert (got.roots, got.weights, got.rho_m) == want, (comp, lam)
+
+
+@st.composite
+def _type_mixes(draw):
+    n = draw(st.integers(2, 4))
+    raw = [draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+           for _ in range(n)]
+    if sum(raw) == 0.0:
+        raw[0] = 1.0
+    mus = tuple(draw(st.floats(5.0, 500.0)) for _ in range(n))
+    return ComputeConfig(type_probs=tuple(p / sum(raw) for p in raw),
+                         mu_c=mus, mu_m=mus)
+
+
 class TestQueueSpectrum:
+    def test_equals_polynomial_form_on_preset_mix(self, mix_comp):
+        preset = ComputeConfig(type_probs=tuple(COMPUTE_MIX["type_probs"]),
+                               mu_c=tuple(COMPUTE_MIX["mu_c"]),
+                               mu_m=tuple(COMPUTE_MIX["mu_m"]))
+        for comp in (preset, mix_comp):
+            for load in np.geomspace(1e-6, 0.98, 200):
+                _assert_matches_polynomial_form(comp, float(load))
+
+    @settings(max_examples=300, deadline=None)
+    @given(comp=_type_mixes(), load=st.floats(1e-6, 0.98))
+    def test_equals_polynomial_form_on_drawn_mixes(self, comp, load):
+        _assert_matches_polynomial_form(comp, load)
+
     def test_matches_generating_function(self, mix_comp):
         spec = offload.queue_spectrum(mix_comp, 40.0)
         want = _pgf_pmf(mix_comp, mp.mpf(40), 12)
@@ -123,31 +215,31 @@ class TestMinDispatch:
 
 
 class TestMinQueue:
+    """The law of the minimum queue length among n servers, as
+    mec_conditional_cdf sums it over v."""
+
+    class _EmptyQueueOnly:
+        # a service-sum "CDF" that counts only v = 0, so the sum over v
+        # returns P[min queue length = 0]
+        def cdf(self, v):
+            return 1.0 if v == 0 else 0.0
+
     def test_single_type_closed_form(self):
         comp = ComputeConfig(type_probs=(1.0,), mu_c=(193.9,), mu_m=(48.5,),
                              offload_prob=0.5, target_latency=0.012)
         spec = offload.queue_spectrum(comp, 0.4124 * 48.5)
-        assert offload.min_queue_pmf(spec, 3, 0) == pytest.approx(
-            0.9298615813760001, rel=1e-12)
+        got = offload.mec_conditional_cdf(spec, 3, self._EmptyQueueOnly())
+        assert got[3] == pytest.approx(0.9298615813760001, rel=1e-12)
 
     def test_normalization(self, mix_comp):
-        spec = offload.queue_spectrum(mix_comp, 40.0)
+        # at 10 s every service-sum CDF the sum reads is 1
+        comp = ComputeConfig(type_probs=mix_comp.type_probs,
+                             mu_c=mix_comp.mu_c, mu_m=mix_comp.mu_m,
+                             target_latency=10.0)
+        spec = offload.queue_spectrum(comp, 40.0)
+        got = offload.mec_conditional_cdf(spec, 5, offload.mec_cache(comp))
         for n in (1, 2, 5):
-            total = sum(offload.min_queue_pmf(spec, n, v) for v in range(400))
-            assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_more_servers_shift_mass_down(self, mix_comp):
-        spec = offload.queue_spectrum(mix_comp, 40.0)
-        p1 = offload.min_queue_pmf(spec, 1, 0)
-        p4 = offload.min_queue_pmf(spec, 4, 0)
-        assert p4 > p1
-
-    def test_validation(self, mix_comp):
-        spec = offload.queue_spectrum(mix_comp, 10.0)
-        with pytest.raises(ValueError):
-            offload.min_queue_pmf(spec, 0, 0)
-        with pytest.raises(ValueError):
-            offload.min_queue_pmf(spec, 2, -1)
+            assert got[n] == pytest.approx(1.0, abs=1e-10), n
 
 
 def test_arrival_rates_explicit(fig_net, mix_comp):
@@ -228,7 +320,8 @@ class TestScpCs:
 
 class TestMecLatency:
     def test_cache_monotone_and_stable(self, mix_comp):
-        cache = offload.MecCdfCache(mix_comp, 0.012)
+        cache = offload.MecCdfCache(mix_comp.type_probs, mix_comp.mu_m,
+                                    0.012)
         vals = [cache.cdf(v) for v in range(8)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         assert cache.cdf(3) == vals[3]
@@ -242,14 +335,16 @@ class TestMecLatency:
         mu = MU_M[1]
         lam = 0.3 * mu
         spec = offload.queue_spectrum(comp, lam)
-        cache = offload.MecCdfCache(comp, comp.target_latency)
+        cache = offload.MecCdfCache(comp.type_probs, comp.mu_m,
+                                    comp.target_latency)
         got = offload.mec_conditional_cdf(spec, n, cache)[n]
         want = -math.expm1(-mu * (1.0 - 0.3 ** n) * comp.target_latency)
         assert got == pytest.approx(want, abs=1e-7)
 
     def test_more_servers_help(self, mix_comp):
         spec = offload.queue_spectrum(mix_comp, 40.0)
-        cache = offload.MecCdfCache(mix_comp, mix_comp.target_latency)
+        cache = offload.MecCdfCache(mix_comp.type_probs, mix_comp.mu_m,
+                                    mix_comp.target_latency)
         vals = [offload.mec_conditional_cdf(spec, n, cache)[n]
                 for n in (1, 2, 4, 8)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -291,7 +386,8 @@ class TestMecLatency:
                 comp = ComputeConfig(type_probs=comp.type_probs,
                                      mu_c=comp.mu_c, mu_m=comp.mu_m,
                                      target_latency=latency)
-                cache = offload.MecCdfCache(comp, latency)
+                cache = offload.MecCdfCache(comp.type_probs, comp.mu_m,
+                                            latency)
                 got = offload.mec_conditional_cdf(spec, n_max, cache)
                 assert got.shape == (n_max + 1,)
                 assert got[0] == 0.0
@@ -314,12 +410,21 @@ def test_poisson_weights_match_scipy():
         assert abs(sum(w) - 1.0) < 1e-9
 
 
+@given(st.lists(st.floats(-1e300, 1e300) | st.just(-0.0), max_size=400))
+def test_running_sum_adds_left_to_right(values):
+    want = 0.0
+    for term in values:
+        want += term
+    got = offload.running_sum(np.array(values, dtype=float))
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 def test_scp_mixes_paths(fig_net, mix_comp):
     p_oul = 0.3
     rates = offload.arrival_rates(fig_net, mix_comp, p_oul)
-    spec = offload.queue_spectrum(mix_comp, rates.lambda_m)
     cs = offload.scp_cs(mix_comp, rates.lambda_c)
-    mec = offload.scp_mec(fig_net, mix_comp, spectrum=spec, rates=rates)
+    mec = offload.scp_mec(fig_net, mix_comp, rates=rates)
     got = offload.scp(fig_net, mix_comp, p_oul=p_oul)
     assert got == pytest.approx(0.5 * cs + 0.5 * mec, rel=1e-9)
 
