@@ -1,14 +1,19 @@
 """Monte Carlo oracles for the analytic layers.
 
 Spatial simulations draw Poisson fields in a finite window sized so that
-the truncated far-field contributes a negligible fraction of the mean
-interference, with counter-based per-replication random streams. The
-queueing simulation is a discrete-event model of one central FIFO queue
-plus a group of edge FIFO queues fed by minimum-load dispatch.
+the truncated far field contributes a negligible fraction of the mean
+interference. Replications are drawn a block at a time from counter-based
+streams: the Philox key is (run seed, simulator) and the counter is the
+block index. A block's length depends only on the network and the window,
+so reruns are byte-identical and a longer run starts with the blocks of a
+shorter one. The queueing simulation is a discrete-event model of one
+central FIFO queue plus a group of edge FIFO queues fed by minimum-load
+dispatch.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import heapq
 import math
@@ -16,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import comm
 from .errors import StabilityError
@@ -64,12 +68,87 @@ def _check_window(net: NetworkConfig, scenario: SpatialScenario) -> None:
             f"4 R + guard = {need} km")
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    # counter-based stream: key from the run seed, counter from the
-    # replication index, so any replication is reproducible in isolation
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    counter = np.array([0, 0, 0, rep], dtype=np.uint64)
+# ----------------------------------------------------------------------------
+# replication blocks
+# ----------------------------------------------------------------------------
+
+# Expected elements (per-replication counts, points, index cells and
+# candidate pairs) of one block: keeps block temporaries to a few MB.
+_BLOCK_ELEMENTS = 2 ** 15
+
+# Philox key word 1 of each spatial simulator; the DES uses 1.
+_UPLINK, _DOWNLINK_PER_USER, _DOWNLINK_INDEPENDENT = 2, 3, 4
+
+
+def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
+    counter = np.array([0, 0, 0, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _replicate(scenario: SpatialScenario, stream: int, per_rep: float,
+               draw) -> list:
+    """Per-replication outcome arrays of a run, drawn by `draw(rng, n)` a
+    block at a time. A block holds _BLOCK_ELEMENTS // per_rep replications
+    (at least one), per_rep being the expected elements of one; only the
+    last block of a run may be shorter."""
+    size = max(1, int(_BLOCK_ELEMENTS // per_rep))
+    n = scenario.replications
+    blocks = [draw(_block_rng(scenario.seed, stream, b), min(size, n - first))
+              for b, first in enumerate(range(0, n, size))]
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
+def _owner(counts: np.ndarray) -> np.ndarray:
+    """Index of the run each flat element belongs to, for runs of
+    counts[k] consecutive elements."""
+    return np.repeat(np.arange(len(counts)), counts)
+
+
+def _neighbour_counts(ap_xy: np.ndarray, n_ap: np.ndarray, u_xy: np.ndarray,
+                      n_u: np.ndarray, radius: float,
+                      half_width: float) -> np.ndarray:
+    """Users within `radius` (inclusive) of each AP, in its replication.
+
+    The points of replication k are the n_ap[k] (n_u[k]) consecutive rows
+    of ap_xy (u_xy), all inside [-half_width, half_width]^2. Users are
+    keyed by (replication, column, row) in a dense index of square cells,
+    padded by one cell on each side so the 3x3 cells around any AP stay in
+    its replication. The three cells of a column are adjacent in key
+    order, so each AP scans three runs of users.
+    """
+    n = len(n_u)
+    # A hair above the radius, so that rounding in the cell arithmetic can
+    # never put a pair within the radius two cells apart.
+    side = radius * (1.0 + 1e-9)
+    cells = int(2.0 * half_width / side) + 3
+
+    def cell(xy):
+        return np.floor((xy + half_width) / side).astype(np.int64) + 1
+
+    u_cell = cell(u_xy)
+    u_key = (_owner(n_u) * cells + u_cell[:, 0]) * cells + u_cell[:, 1]
+    order = np.argsort(u_key, kind="stable")
+    ux, uy = u_xy[order, 0], u_xy[order, 1]
+    start = np.zeros(n * cells * cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u_key, minlength=n * cells * cells), out=start[1:])
+
+    # bottom cell of the three columns around each AP, AP-major
+    a_cell = cell(ap_xy)
+    column = _owner(n_ap) * cells + a_cell[:, 0]
+    first = ((column[:, None] + np.arange(-1, 2)) * cells
+             + (a_cell[:, 1] - 1)[:, None]).ravel()
+    lo = start[first]
+    length = start[first + 3] - lo
+    run_first = np.cumsum(length) - length
+    cand = np.arange(int(length.sum())) + np.repeat(lo - run_first, length)
+    per_ap = length.reshape(-1, 3).sum(axis=1)
+    dx = ux[cand] - np.repeat(ap_xy[:, 0], per_ap)
+    dy = uy[cand] - np.repeat(ap_xy[:, 1], per_ap)
+    hits = np.zeros(len(cand) + 1, dtype=np.int64)
+    np.cumsum(dx * dx + dy * dy <= radius * radius, out=hits[1:])
+    end = np.cumsum(per_ap)
+    return hits[end] - hits[end - per_ap]
 
 
 # ----------------------------------------------------------------------------
@@ -88,42 +167,50 @@ class UplinkSample:
         return iter((self.estimate, self.stderr))
 
 
+def _uplink_block(net: NetworkConfig, W: float, rng: np.random.Generator,
+                  n: int):
+    """Outage flags and connected-AP counts of n replications. Every AP in
+    the disc is tried against one interferer field per replication: no AP
+    is an outage, and an AP with no interference decodes."""
+    R = net.coverage_radius
+    n_ap = rng.poisson(mean_connected_aps(net), n)
+    n_u = rng.poisson(net.lambda_d * (2.0 * W) ** 2, n)
+    ap_rep = _owner(n_ap)
+    ap_r = R * np.sqrt(rng.random(len(ap_rep)))
+    ap_phi = 2.0 * math.pi * rng.random(len(ap_rep))
+    u_xy = rng.uniform(-W, W, size=(int(n_u.sum()), 2))
+    # every (AP, user) pair of each replication, AP-major: the j-th pair of
+    # an AP in replication k holds user u_first[k] + j
+    per_ap = n_u[ap_rep]
+    pair_ap = _owner(per_ap)
+    u_first = np.cumsum(n_u) - n_u
+    pair_first = np.cumsum(per_ap) - per_ap
+    pair_u = np.arange(len(pair_ap)) + np.repeat(u_first[ap_rep] - pair_first,
+                                                 per_ap)
+    dx = (ap_r * np.cos(ap_phi))[pair_ap] - u_xy[pair_u, 0]
+    dy = (ap_r * np.sin(ap_phi))[pair_ap] - u_xy[pair_u, 1]
+    gains = rng.exponential(size=len(pair_ap))
+    interference = np.bincount(
+        pair_ap, weights=gains * pathloss(np.sqrt(dx * dx + dy * dy), net),
+        minlength=len(ap_rep))
+    signal = rng.gamma(net.antennas_per_ap, size=len(ap_rep)) \
+        * pathloss(ap_r, net)
+    decoded = signal >= net.sir_threshold_ul * interference
+    return np.bincount(ap_rep, weights=decoded, minlength=n) == 0, n_ap
+
+
 def simulate_uplink_outage(net: NetworkConfig,
                            scenario: SpatialScenario) -> UplinkSample:
     """Outage frequency of best-AP uplink decoding over spatial replications."""
     _check_window(net, scenario)
-    R = net.coverage_radius
     W = scenario.half_width
     nu = mean_connected_aps(net)
-    gamma_th = net.sir_threshold_ul
-    M = net.antennas_per_ap
-    user_mean = net.lambda_d * (2.0 * W) ** 2
-    outages = 0
-    ap_counts = np.empty(scenario.replications)
-    for rep in range(scenario.replications):
-        rng = _rep_rng(scenario.seed, rep)
-        n_ap = rng.poisson(nu)
-        ap_counts[rep] = n_ap
-        if n_ap == 0:
-            outages += 1
-            continue
-        ap_r = R * np.sqrt(rng.random(n_ap))
-        ap_phi = 2.0 * math.pi * rng.random(n_ap)
-        ap_xy = np.column_stack((ap_r * np.cos(ap_phi), ap_r * np.sin(ap_phi)))
-        n_u = rng.poisson(user_mean)
-        if n_u == 0:
-            continue   # no interference, any AP succeeds
-        u_xy = rng.uniform(-W, W, size=(n_u, 2))
-        d = np.sqrt(((ap_xy[:, None, :] - u_xy[None, :, :]) ** 2).sum(axis=2))
-        interference = (rng.exponential(size=(n_ap, n_u))
-                        * pathloss(d, net)).sum(axis=1)
-        signal = rng.gamma(M, size=n_ap) * pathloss(ap_r, net)
-        with np.errstate(divide="ignore"):
-            sir = np.where(interference > 0.0, signal / interference, np.inf)
-        if not np.any(sir >= gamma_th):
-            outages += 1
+    users = net.lambda_d * (2.0 * W) ** 2
+    outage, ap_counts = _replicate(
+        scenario, _UPLINK, 2.0 + nu + users + nu * users,
+        lambda rng, n: _uplink_block(net, W, rng, n))
     n = scenario.replications
-    p = outages / n
+    p = float(outage.mean())
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
     return UplinkSample(estimate=p, stderr=se,
                         ap_count_mean=float(ap_counts.mean()),
@@ -145,8 +232,40 @@ class DownlinkSample:
     i_var: float
     i_var_se: float
 
-    def __iter__(self):
-        return iter((self.outage, self.i_mean, self.i_var))
+
+def _downlink_block(net: NetworkConfig, W: float, beam_placement: str,
+                    rng: np.random.Generator, n: int):
+    """Desired signal and beam interference at the typical user in n
+    replications."""
+    R = net.coverage_radius
+    n_con = rng.poisson(mean_connected_aps(net), n)
+    r_con = R * np.sqrt(rng.random(int(n_con.sum())))
+    sig = np.bincount(_owner(n_con), minlength=n, weights=rng.gamma(
+        net.antennas_per_ap, size=len(r_con)) * pathloss(r_con, net))
+    ap_mean = net.lambda_b * (2.0 * W) ** 2
+    if beam_placement == "per_user":
+        # each AP in the window sends one Exp(1) beam to every user within
+        # R of it, so its gain is Gamma(users served)
+        n_ap = rng.poisson(ap_mean, n)
+        ap_xy = rng.uniform(-W, W, size=(int(n_ap.sum()), 2))
+        Wu = W + R
+        n_u = rng.poisson(net.lambda_d * (2.0 * Wu) ** 2, n)
+        u_xy = rng.uniform(-Wu, Wu, size=(int(n_u.sum()), 2))
+        served = _neighbour_counts(ap_xy, n_ap, u_xy, n_u, R, Wu)
+        gains = rng.gamma(served.astype(float))
+        owner, xy = _owner(n_ap), ap_xy
+    else:
+        # One Poisson field of beams, each at its own location with an
+        # Exp(1) gain. Keeping the beams of one AP collocated instead
+        # would add a cross-beam term (factor 1 + beams_per_ap/2) to
+        # the variance that the moment formulas do not carry.
+        n_beam = rng.poisson(ap_mean * net.lambda_d * math.pi * R ** 2, n)
+        xy = rng.uniform(-W, W, size=(int(n_beam.sum()), 2))
+        gains = rng.exponential(size=len(xy))
+        owner = _owner(n_beam)
+    x, y = xy.T
+    ell = pathloss(np.sqrt(x * x + y * y), net)
+    return sig, np.bincount(owner, weights=gains * ell, minlength=n)
 
 
 def simulate_downlink_sir(net: NetworkConfig, scenario: SpatialScenario,
@@ -163,56 +282,23 @@ def simulate_downlink_sir(net: NetworkConfig, scenario: SpatialScenario,
     R = net.coverage_radius
     W = scenario.half_width
     nu = mean_connected_aps(net)
-    gamma_th = net.sir_threshold_dl
-    M = net.antennas_per_ap
     ap_mean = net.lambda_b * (2.0 * W) ** 2
-    beams_per_ap = net.lambda_d * math.pi * R ** 2
-    Wu = W + R
-    user_mean = net.lambda_d * (2.0 * Wu) ** 2
+    if beam_placement == "per_user":
+        # counts, points, index cells and the users of each AP's 3x3 cells
+        Wu = W + R
+        cells = (2.0 * Wu / R + 3.0) ** 2
+        per_rep = (3.0 + nu + ap_mean + net.lambda_d * (2.0 * Wu) ** 2
+                   + cells + ap_mean * net.lambda_d * 9.0 * R ** 2)
+        stream = _DOWNLINK_PER_USER
+    else:
+        per_rep = 2.0 + nu + ap_mean * net.lambda_d * math.pi * R ** 2
+        stream = _DOWNLINK_INDEPENDENT
+    sig, intf = _replicate(
+        scenario, stream, per_rep,
+        lambda rng, n: _downlink_block(net, W, beam_placement, rng, n))
 
     n = scenario.replications
-    sig = np.empty(n)
-    intf = np.empty(n)
-    for rep in range(n):
-        rng = _rep_rng(scenario.seed, rep)
-        # aggregate desired signal from connected APs
-        n_con = rng.poisson(nu)
-        if n_con > 0:
-            r_con = R * np.sqrt(rng.random(n_con))
-            sig[rep] = float((rng.gamma(M, size=n_con)
-                              * pathloss(r_con, net)).sum())
-        else:
-            sig[rep] = 0.0
-        # interference beams over the full AP window
-        if beam_placement == "per_user":
-            n_ap = rng.poisson(ap_mean)
-            if n_ap == 0:
-                intf[rep] = 0.0
-                continue
-            ap_xy = rng.uniform(-W, W, size=(n_ap, 2))
-            ell = pathloss(np.sqrt((ap_xy ** 2).sum(axis=1)), net)
-            n_u = rng.poisson(user_mean)
-            if n_u == 0:
-                intf[rep] = 0.0
-                continue
-            u_xy = rng.uniform(-Wu, Wu, size=(n_u, 2))
-            counts = cKDTree(u_xy).query_ball_point(ap_xy, r=R,
-                                                    return_length=True)
-            intf[rep] = float((rng.gamma(counts.astype(float)) * ell).sum())
-        else:
-            # One Poisson field of beams, each at its own location with an
-            # Exp(1) gain. Keeping the beams of one AP collocated instead
-            # would add a cross-beam term (factor 1 + beams_per_ap/2) to
-            # the variance that the moment formulas do not carry.
-            n_beam = rng.poisson(ap_mean * beams_per_ap)
-            if n_beam == 0:
-                intf[rep] = 0.0
-                continue
-            b_xy = rng.uniform(-W, W, size=(n_beam, 2))
-            ell_b = pathloss(np.sqrt((b_xy ** 2).sum(axis=1)), net)
-            intf[rep] = float((rng.exponential(size=n_beam) * ell_b).sum())
-
-    out = (sig < gamma_th * intf) | (sig == 0.0)
+    out = (sig < net.sir_threshold_dl * intf) | (sig == 0.0)
     p = float(out.mean())
     p_se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
     i_mean = float(intf.mean())
@@ -323,7 +409,8 @@ def _type_sampler(rng: np.random.Generator, probs):
     rng.choice(len(probs), p=probs), with the CDF computed once."""
     cdf = np.asarray(probs, dtype=float).cumsum()
     cdf /= cdf[-1]
-    return lambda: int(cdf.searchsorted(rng.random(), side="right"))
+    cdf, uniform = cdf.tolist(), rng.random
+    return lambda: bisect.bisect_right(cdf, uniform())
 
 
 def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
@@ -375,26 +462,28 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
     heap: list[tuple] = []
     seq = 0
 
-    def service_time(server: int, type_i: int) -> float:
-        mu = comp.mu_c[type_i] if server == 0 else comp.mu_m[type_i]
-        return rng.exponential(1.0 / mu)
+    exponential, uniform = rng.exponential, rng.random
+    # mean service time per task type, central server then edge servers
+    cs_scale = [1.0 / mu for mu in comp.mu_c]
+    mec_scale = [1.0 / mu for mu in comp.mu_m]
 
     def start_service(server: int, task: int, now: float) -> None:
         nonlocal seq
         seq += 1
-        heapq.heappush(heap, (now + service_time(server, types[task]), seq,
-                              "done", server, task))
+        scale = (cs_scale if server == 0 else mec_scale)[types[task]]
+        heapq.heappush(heap, (now + exponential(scale), seq, "done", server,
+                              task))
 
     if lam_total > 0:
+        gap = 1.0 / lam_total
         seq += 1
-        heapq.heappush(heap, (rng.exponential(1.0 / lam_total), seq,
-                              "arrival", -1, -1))
+        heapq.heappush(heap, (exponential(gap), seq, "arrival", -1, -1))
     while heap:
         now, _, kind, server, task = heapq.heappop(heap)
         if kind == "arrival":
             if now > duration:
                 continue   # stop generating; completions drain the queues
-            if rng.random() < p_cs:
+            if uniform() < p_cs:
                 server = 0
             else:
                 loads = in_system[1:]
@@ -418,8 +507,8 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
                 raise StabilityError(
                     f"server {server} queue exceeded {_MAX_QUEUE} tasks")
             seq += 1
-            heapq.heappush(heap, (now + rng.exponential(1.0 / lam_total), seq,
-                                  "arrival", -1, -1))
+            heapq.heappush(heap, (now + exponential(gap), seq, "arrival",
+                                  -1, -1))
         else:
             sojourns[task] = now - arrival_t[task]
             in_system[server] -= 1

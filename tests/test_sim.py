@@ -42,6 +42,141 @@ class TestScenario:
             SpatialScenario(half_width=-1.0, guard=0.1, replications=5, seed=1)
 
 
+def _blocks(monkeypatch, run):
+    """Block sizes and per-replication outcome arrays of one simulator run,
+    read off the block driver."""
+    sizes, outcomes = [], []
+    real = sim._replicate
+
+    def spy(scenario, stream, per_rep, draw):
+        def sized(rng, n):
+            sizes.append(n)
+            return draw(rng, n)
+
+        out = real(scenario, stream, per_rep, sized)
+        outcomes.append(out)
+        return out
+
+    monkeypatch.setattr(sim, "_replicate", spy)
+    run()
+    monkeypatch.undo()
+    return sizes, outcomes[0]
+
+
+_SIMULATORS = {
+    "uplink": lambda net, sc: simulate_uplink_outage(net, sc),
+    "per_user": lambda net, sc: simulate_downlink_sir(net, sc, "per_user"),
+    "independent": lambda net, sc: simulate_downlink_sir(net, sc,
+                                                         "independent"),
+}
+
+
+class TestNeighbourCounts:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        radius, half = 0.05, 0.3
+        n_ap = rng.poisson(12.0, 5) + 1
+        n_u = rng.poisson(25.0, 5) + 1
+        n_ap[1] = 0
+        n_u[2] = 0
+        ap = rng.uniform(-half, half, (n_ap.sum(), 2))
+        u = rng.uniform(-half, half, (n_u.sum(), 2))
+        # points on cell edges and window corners, and users at exactly
+        # the radius from an AP
+        ap[::3] = np.clip(np.round(ap[::3] / radius) * radius, -half, half)
+        u[::4] = np.clip(np.round(u[::4] / radius) * radius, -half, half)
+        ap[0] = u[0] = (-half, -half)
+        ap[-1] = u[-1] = (half, half)
+        ap_rep = np.repeat(np.arange(5), n_ap)
+        u_rep = np.repeat(np.arange(5), n_u)
+        for i in range(0, len(u), 5):
+            j = np.flatnonzero(ap_rep == u_rep[i])
+            if len(j):
+                # toward the centre, so the user stays in the window
+                y = ap[j[0], 1]
+                u[i] = ap[j[0]] - (0.0, math.copysign(radius, y))
+        assert np.abs(u).max() <= half
+        d = ap[:, None, :] - u[None, :, :]
+        within = (d * d).sum(axis=2) <= radius * radius
+        want = (within & (ap_rep[:, None] == u_rep[None, :])).sum(axis=1)
+        got = sim._neighbour_counts(ap, n_ap, u, n_u, radius, half)
+        assert np.array_equal(got, want)
+        assert want.sum() > 0
+
+    def test_exact_radius_is_inside(self):
+        ap = np.array([[0.0, 0.0]])
+        u = np.array([[0.25, 0.0], [0.0, -0.25], [0.25, 1e-6]])
+        got = sim._neighbour_counts(ap, np.array([1]), u, np.array([3]),
+                                    0.25, 1.0)
+        assert got.tolist() == [2]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("kind", sorted(_SIMULATORS))
+    def test_reruns_equal(self, fig_net, kind):
+        sc = SpatialScenario.for_network(fig_net, 300, seed=7)
+        run = _SIMULATORS[kind]
+        assert run(fig_net, sc) == run(fig_net, sc)
+
+    @pytest.mark.parametrize("kind", sorted(_SIMULATORS))
+    def test_longer_run_starts_with_shorter(self, fig_net, monkeypatch,
+                                            kind):
+        run = _SIMULATORS[kind]
+
+        def outcomes(reps):
+            sc = SpatialScenario.for_network(fig_net, reps, seed=3)
+            return _blocks(monkeypatch, lambda: run(fig_net, sc))
+
+        sizes, _ = outcomes(10_000)
+        k = sizes[0]
+        assert 1 < k < 10_000
+        assert set(sizes[:-1]) == {k}
+        one, first = outcomes(k)
+        assert one == [k]
+        for reps, want in ((2 * k, [k, k]), (k + 3, [k, 3])):
+            sizes, out = outcomes(reps)
+            assert sizes == want
+            for long, short in zip(out, first):
+                assert len(long) == reps
+                assert np.array_equal(long[:k], short)
+
+    @pytest.mark.parametrize("kind", sorted(_SIMULATORS))
+    def test_single_replication(self, fig_net, kind):
+        out = _SIMULATORS[kind](
+            fig_net, SpatialScenario.for_network(fig_net, 1, seed=2))
+        if kind == "uplink":
+            assert out.estimate in (0.0, 1.0)
+            assert out.ap_count_se == 0.0
+        else:
+            assert out.outage in (0.0, 1.0)
+            assert out.i_var == out.i_var_se == out.i_mean_se == 0.0
+
+    def test_empty_fields(self, monkeypatch):
+        # so sparse that whole blocks hold no AP, user or beam
+        net = make_net(lambda_b=1e-6, lambda_d=1e-6)
+        sc = SpatialScenario.for_network(net, 40_000, seed=4)
+        sizes, _ = _blocks(monkeypatch,
+                           lambda: simulate_uplink_outage(net, sc))
+        assert len(sizes) > 1
+        up = simulate_uplink_outage(net, sc)
+        assert up.estimate == 1.0 and up.ap_count_mean == 0.0
+        for placement in ("per_user", "independent"):
+            dl = simulate_downlink_sir(net, sc, placement)
+            assert dl.outage == 1.0
+            assert dl.i_mean == dl.i_var == 0.0
+
+    def test_no_users_means_success(self, monkeypatch):
+        # APs but no interferers: exactly the replications without an AP
+        # are outages
+        net = make_net(lambda_d=1e-6)
+        sc = SpatialScenario.for_network(net, 2000, seed=6)
+        _, (outage, ap_count) = _blocks(
+            monkeypatch, lambda: simulate_uplink_outage(net, sc))
+        assert np.array_equal(outage, ap_count == 0)
+        assert 0 < outage.sum() < len(outage)
+
+
 class TestUplink:
     def test_deterministic(self, fig_net):
         sc = SpatialScenario.for_network(fig_net, 400, seed=7)
