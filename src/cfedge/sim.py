@@ -6,16 +6,13 @@ interference. Replications are drawn a block at a time from counter-based
 streams: the Philox key is (run seed, simulator) and the counter is the
 block index. A block's length depends only on the network and the window,
 so reruns are byte-identical and a longer run starts with the blocks of a
-shorter one. The queueing simulation is a discrete-event model of one
-central FIFO queue plus a group of edge FIFO queues fed by minimum-load
-dispatch.
+shorter one. The queueing simulation runs one central FIFO queue plus a
+group of edge FIFO queues fed by minimum-load dispatch, drawing its task
+stream a chunk at a time.
 """
 
 from __future__ import annotations
 
-import bisect
-import csv
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -369,60 +366,90 @@ class EventLog:
             return float("nan")
         return float((vals <= t).mean())
 
-    def littles_law_summary(self, server_id: int) -> dict:
-        """Arrival-seen mean occupancy vs arrival rate times mean sojourn."""
-        mask = self.analysis_mask(server_id)
-        arrivals = self.arrival_s[mask]
-        if len(arrivals) < 2:
-            return {"n": int(mask.sum())}
-        span = float(arrivals[-1] - arrivals[0])
-        lam = (len(arrivals) - 1) / span if span > 0 else float("nan")
-        w = self.sojourn_s[mask]
-        seen = self.queue_len_seen[mask]
-        return {
-            "n": len(arrivals),
-            "l_seen": float(seen.mean()),
-            "l_seen_se": float(seen.std(ddof=1) / math.sqrt(len(seen))),
-            "lambda_hat": lam,
-            "mean_sojourn": float(w.mean()),
-            "sojourn_se": float(w.std(ddof=1) / math.sqrt(len(w))),
-        }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["arrival_s", "server_id", "queue_len_seen",
-                             "sojourn_s", "type_idx"])
-            for i in range(len(self)):
-                writer.writerow([repr(float(self.arrival_s[i])),
-                                 int(self.server_id[i]),
-                                 int(self.queue_len_seen[i]),
-                                 repr(float(self.sojourn_s[i])),
-                                 int(self.type_idx[i])])
-
 
 _MAX_QUEUE = 1_000_000
 
+# Tasks drawn per chunk of the task stream.
+_CHUNK = 2 ** 16
 
-def _type_sampler(rng: np.random.Generator, probs):
-    """A draw of a task type index: the value and stream use of
-    rng.choice(len(probs), p=probs), with the CDF computed once."""
-    cdf = np.asarray(probs, dtype=float).cumsum()
-    cdf /= cdf[-1]
-    cdf, uniform = cdf.tolist(), rng.random
-    return lambda: bisect.bisect_right(cdf, uniform())
+
+def _dispatch(queues: list, arrival, to_cs, service, tie) -> tuple:
+    """Serve tasks in arrival order at FIFO servers.
+
+    queues[s] holds the departure epochs of the tasks still in system at
+    server s (0 is the central server, the rest the edge group) and is
+    updated in place, so consecutive chunks of one stream share it. A task
+    with to_cs set joins the central server; any other joins the edge
+    server with the fewest tasks in system, ties broken by its tie uniform.
+    It starts at its arrival or at its predecessor's departure, whichever
+    is later. Returns each task's server and departure epoch.
+    """
+    central, edge = queues[0], queues[1:]
+    servers, departures = [], []
+    add_server, add_departure, limit = (servers.append, departures.append,
+                                        _MAX_QUEUE)
+    for t, cs, x, u in zip(arrival, to_cs, service, tie):
+        if cs:
+            s, q = 0, central
+            while q and q[0] <= t:
+                q.popleft()
+        else:
+            for q in edge:
+                while q and q[0] <= t:
+                    q.popleft()
+            loads = list(map(len, edge))
+            low = min(loads)
+            ties = loads.count(low)
+            if ties == 1:
+                s = 1 + loads.index(low)
+            elif ties == len(loads):   # the common case at light load
+                s = 1 + int(u * ties)
+            else:
+                s = 1 + [i for i, n in enumerate(loads) if n == low][
+                    int(u * ties)]
+            q = queues[s]
+        if q:
+            if len(q) >= limit:
+                raise StabilityError(
+                    f"server {s} queue exceeded {limit} tasks")
+            d = q[-1] + x
+        else:
+            d = t + x
+        q.append(d)
+        add_server(s)
+        add_departure(d)
+    return servers, departures
+
+
+def _in_system(arrival: np.ndarray, server: np.ndarray,
+               departure: np.ndarray, n_servers: int) -> np.ndarray:
+    """Tasks in system at each server found by each arrival: the earlier
+    tasks of that server less those departed by then. FIFO departure
+    epochs are sorted per server, so one np.searchsorted counts the
+    departed."""
+    counts = np.empty((len(arrival), n_servers), dtype=np.int64)
+    for s in range(n_servers):
+        at = server == s
+        counts[:, s] = np.cumsum(at) - at - np.searchsorted(
+            departure[at], arrival, side="right")
+    return counts
 
 
 def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
                   seed: int, n_mec: int | None = None,
                   p_oul: float | None = None) -> EventLog:
-    """Discrete-event run of the central queue plus an edge-server group.
+    """Queueing run of the central server plus an edge-server group.
 
     The central stream carries the network-wide rate; the edge group
     carries its per-server rate times the group size, dispatched to the
     least-loaded member (ties uniform), so each edge server sees the
     analytic per-server arrival rate. Arrivals stop at `duration`; queued
     work is drained so every admitted task gets a sojourn.
+
+    The merged task stream is drawn _CHUNK tasks at a time: gaps, routes,
+    types, unit service times and tie uniforms, in that order. Its layout
+    depends only on the chunk index and dispatch is causal, so a longer
+    run's log starts with the whole log of a shorter one.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -443,89 +470,48 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
     lam_group = rates.lambda_m * n_mec
     lam_total = lam_cs + lam_group
     p_cs = lam_cs / lam_total if lam_total > 0 else 0.0
-    draw_type = _type_sampler(rng, comp.type_probs)
-
-    arrival_t: list[float] = []
-    server_ids: list[int] = []
-    seen: list[int] = []
-    types: list[int] = []
-    sojourns: list[float] = []
-    # Edge-queue lengths observed by every admitted arrival. The merged
-    # arrival stream is Poisson, so these snapshots sample the stationary
-    # state without the selection bias of `seen` (dispatch picks the
-    # minimum, so chosen-server lengths are biased low).
-    snapshots: list[list[int]] = []
+    probs = np.asarray(comp.type_probs)
+    # mean service time per task type: edge servers in row 0, central in 1
+    scale = 1.0 / np.array([comp.mu_m, comp.mu_c])
 
     n_servers = 1 + n_mec
-    in_system = [0] * n_servers
     queues = [deque() for _ in range(n_servers)]
-    heap: list[tuple] = []
-    seq = 0
+    chunks = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0),
+               np.zeros(0, np.int64))]
+    epoch, kept = 0.0, _CHUNK
+    while lam_total > 0 and kept == _CHUNK:
+        gaps = rng.exponential(1.0 / lam_total, _CHUNK)
+        gaps[0] += epoch
+        arrival = np.cumsum(gaps)
+        to_cs = rng.random(_CHUNK) < p_cs
+        types = rng.choice(len(probs), size=_CHUNK, p=probs)
+        service = rng.exponential(size=_CHUNK) * scale[to_cs.astype(int),
+                                                        types]
+        tie = rng.random(_CHUNK)
+        kept = int(np.searchsorted(arrival, duration, side="right"))
+        servers, departures = _dispatch(
+            queues, *(a[:kept].tolist() for a in (arrival, to_cs, service,
+                                                  tie)))
+        chunks.append((arrival[:kept], np.asarray(servers, dtype=np.int64),
+                       np.asarray(departures, dtype=float), types[:kept]))
+        epoch = arrival[-1]
 
-    exponential, uniform = rng.exponential, rng.random
-    # mean service time per task type, central server then edge servers
-    cs_scale = [1.0 / mu for mu in comp.mu_c]
-    mec_scale = [1.0 / mu for mu in comp.mu_m]
-
-    def start_service(server: int, task: int, now: float) -> None:
-        nonlocal seq
-        seq += 1
-        scale = (cs_scale if server == 0 else mec_scale)[types[task]]
-        heapq.heappush(heap, (now + exponential(scale), seq, "done", server,
-                              task))
-
-    if lam_total > 0:
-        gap = 1.0 / lam_total
-        seq += 1
-        heapq.heappush(heap, (exponential(gap), seq, "arrival", -1, -1))
-    while heap:
-        now, _, kind, server, task = heapq.heappop(heap)
-        if kind == "arrival":
-            if now > duration:
-                continue   # stop generating; completions drain the queues
-            if uniform() < p_cs:
-                server = 0
-            else:
-                loads = in_system[1:]
-                low = min(loads)
-                choices = [i + 1 for i, l in enumerate(loads) if l == low]
-                server = choices[rng.integers(len(choices))] \
-                    if len(choices) > 1 else choices[0]
-            task = len(arrival_t)
-            arrival_t.append(now)
-            server_ids.append(server)
-            seen.append(in_system[server])
-            snapshots.append(list(in_system[1:]))
-            types.append(draw_type())
-            sojourns.append(math.nan)
-            if in_system[server] == 0:
-                start_service(server, task, now)
-            else:
-                queues[server].append(task)
-            in_system[server] += 1
-            if in_system[server] > _MAX_QUEUE:
-                raise StabilityError(
-                    f"server {server} queue exceeded {_MAX_QUEUE} tasks")
-            seq += 1
-            heapq.heappush(heap, (now + exponential(gap), seq, "arrival",
-                                  -1, -1))
-        else:
-            sojourns[task] = now - arrival_t[task]
-            in_system[server] -= 1
-            if queues[server]:
-                start_service(server, queues[server].popleft(), now)
-
+    arrival, server, departure, types = (np.concatenate(column)
+                                         for column in zip(*chunks))
+    counts = _in_system(arrival, server, departure, n_servers)
     return EventLog(
-        arrival_s=np.asarray(arrival_t),
-        server_id=np.asarray(server_ids, dtype=np.int64),
-        queue_len_seen=np.asarray(seen, dtype=np.int64),
-        sojourn_s=np.asarray(sojourns),
-        type_idx=np.asarray(types, dtype=np.int64),
+        arrival_s=arrival,
+        server_id=server,
+        queue_len_seen=counts[np.arange(len(arrival)), server],
+        sojourn_s=departure - arrival,
+        type_idx=types,
         n_servers=n_servers,
         duration=duration,
+        # Edge-queue lengths found by every arrival. The merged arrival
+        # stream is Poisson, so these sample the stationary state without
+        # the selection bias of queue_len_seen (dispatch picks the
+        # minimum, so chosen-server lengths are biased low).
         extras={"n_mec": n_mec, "lambda_c": lam_cs,
                 "lambda_m": rates.lambda_m, "p_oul": p_oul,
-                "mec_queue_snapshot": np.asarray(snapshots,
-                                                 dtype=np.int64).reshape(
-                                                     len(arrival_t), n_mec)},
+                "mec_queue_snapshot": counts[:, 1:]},
     )

@@ -5,8 +5,11 @@ tight-budget comparisons against the analytic layer live in the
 acceptance suite.
 """
 
-import csv
+import heapq
+import itertools
 import math
+import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -230,6 +233,73 @@ class TestDownlink:
             simulate_downlink_sir(fig_net, sc, beam_placement="grid")
 
 
+def _littles_law_summary(log, server_id: int) -> dict:
+    """Arrival-seen mean occupancy vs arrival rate times mean sojourn."""
+    mask = log.analysis_mask(server_id)
+    arrivals = log.arrival_s[mask]
+    if len(arrivals) < 2:
+        return {"n": int(mask.sum())}
+    span = float(arrivals[-1] - arrivals[0])
+    lam = (len(arrivals) - 1) / span if span > 0 else float("nan")
+    w = log.sojourn_s[mask]
+    seen = log.queue_len_seen[mask]
+    return {
+        "n": len(arrivals),
+        "l_seen": float(seen.mean()),
+        "l_seen_se": float(seen.std(ddof=1) / math.sqrt(len(seen))),
+        "lambda_hat": lam,
+        "mean_sojourn": float(w.mean()),
+        "sojourn_se": float(w.std(ddof=1) / math.sqrt(len(w))),
+    }
+
+
+def _heap_reference(arrival, to_cs, service, tie, n_mec):
+    """Event-heap simulation of the same queues fed given task arrays:
+    arrival and completion events popped in time order, each service
+    started when its server frees up. Returns server ids, tasks found in
+    system, edge-queue snapshots and sojourns."""
+    n = len(arrival)
+    in_system = [0] * (1 + n_mec)
+    waiting = [deque() for _ in in_system]
+    heap, seq = [], itertools.count()
+    servers, seen, snapshots = [], [], []
+    sojourns = [math.nan] * n
+
+    def start_service(server, task, now):
+        heapq.heappush(heap, (now + service[task], next(seq), "done", server,
+                              task))
+
+    if n:
+        heapq.heappush(heap, (arrival[0], next(seq), "arrival", -1, 0))
+    while heap:
+        now, _, kind, server, task = heapq.heappop(heap)
+        if kind == "arrival":
+            if to_cs[task]:
+                server = 0
+            else:
+                loads = in_system[1:]
+                low = min(loads)
+                choices = [i + 1 for i, k in enumerate(loads) if k == low]
+                server = choices[int(tie[task] * len(choices))]
+            servers.append(server)
+            seen.append(in_system[server])
+            snapshots.append(in_system[1:])
+            if in_system[server] == 0:
+                start_service(server, task, now)
+            else:
+                waiting[server].append(task)
+            in_system[server] += 1
+            if task + 1 < n:
+                heapq.heappush(heap, (arrival[task + 1], next(seq), "arrival",
+                                      -1, task + 1))
+        else:
+            sojourns[task] = now - arrival[task]
+            in_system[server] -= 1
+            if waiting[server]:
+                start_service(server, waiting[server].popleft(), now)
+    return servers, seen, snapshots, sojourns
+
+
 class TestQueueRuns:
     def test_deterministic(self, fig_net, mix_comp):
         a = simulate_mlcm(fig_net, mix_comp, 30.0, seed=21, n_mec=2)
@@ -238,21 +308,60 @@ class TestQueueRuns:
         assert np.array_equal(a.sojourn_s, b.sojourn_s, equal_nan=True)
         assert np.array_equal(a.server_id, b.server_id)
 
-    @pytest.mark.parametrize("probs", [(1.0,), (0.6, 0.4),
-                                       (0.2, 0.5, 0.3)])
-    def test_type_draw_matches_choice(self, probs):
-        # same values and same stream use as Generator.choice, with
-        # exponential draws between the type draws as in the simulator
-        def rng():
-            return np.random.Generator(np.random.Philox(
-                key=np.array([17, 1], dtype=np.uint64)))
+    @pytest.mark.parametrize("n_mec", [0, 1, 2, 4])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("rho", [0.02, 0.7])
+    def test_dispatch_matches_event_heap(self, n_mec, theta, rho):
+        # Unit-rate task stream; rho is each server's utilisation at even
+        # routing, so the light load leaves most edge arrivals a tie
+        # among idle servers. Fed in two chunks sharing the queues.
+        lam_cs, lam_group = theta, (1.0 - theta) * n_mec
+        total = lam_cs + lam_group
+        n = 3000 if total > 0 else 0
+        rng = np.random.default_rng([n_mec, int(theta * 10), int(rho * 100)])
+        arrival = np.cumsum(rng.exponential(1.0 / max(total, 1e-9), n))
+        to_cs = rng.random(n) < (lam_cs / total if total > 0 else 0.0)
+        mean = np.where(to_cs, rho / max(lam_cs, 1e-9),
+                        rho * n_mec / max(lam_group, 1e-9))
+        service = rng.exponential(size=n) * mean
+        tie = rng.random(n)
+        want = _heap_reference(*(a.tolist() for a in (arrival, to_cs,
+                                                       service, tie)), n_mec)
 
-        ref, ours = rng(), rng()
-        draw = sim._type_sampler(ours, probs)
-        for _ in range(5000):
-            want = int(ref.choice(len(probs), p=np.asarray(probs)))
-            assert draw() == want
-            assert ours.exponential(0.01) == ref.exponential(0.01)
+        queues = [deque() for _ in range(1 + n_mec)]
+        servers, departures = [], []
+        for part in (slice(0, n // 3), slice(n // 3, n)):
+            got = sim._dispatch(queues, *(a[part].tolist() for a in (
+                arrival, to_cs, service, tie)))
+            servers += got[0]
+            departures += got[1]
+        server = np.asarray(servers, dtype=np.int64)
+        departure = np.asarray(departures)
+        counts = sim._in_system(arrival, server, departure, 1 + n_mec)
+        assert servers == want[0]
+        assert counts[np.arange(n), server].tolist() == want[1]
+        assert counts[:, 1:].tolist() == want[2]
+        assert (departure - arrival).tolist() == want[3]
+        if rho < 0.1 and lam_group > 0 and n_mec > 1:
+            # most edge arrivals find every edge server idle
+            idle = counts[~to_cs, 1:].sum(axis=1) == 0
+            assert idle.mean() > 0.8
+
+    def test_longer_run_starts_with_shorter(self, mix_comp):
+        # both runs cross a chunk boundary
+        net = make_net(lambda_d=4000.0, coverage_radius=0.1)
+        comp = replace(mix_comp, offload_prob=0.04)
+        short = simulate_mlcm(net, comp, 300.0, seed=1, p_oul=0.0)
+        long = simulate_mlcm(net, comp, 900.0, seed=1, p_oul=0.0)
+        n = len(short)
+        assert sim._CHUNK < n < len(long)
+        assert long.extras["n_mec"] == short.extras["n_mec"] > 1
+        for name in ("arrival_s", "server_id", "queue_len_seen", "sojourn_s",
+                     "type_idx"):
+            assert np.array_equal(getattr(long, name)[:n],
+                                  getattr(short, name))
+        assert np.array_equal(long.extras["mec_queue_snapshot"][:n],
+                              short.extras["mec_queue_snapshot"])
 
     def test_drains_and_orders(self, fig_net, mix_comp):
         log = simulate_mlcm(fig_net, mix_comp, 50.0, seed=2, n_mec=3)
@@ -272,7 +381,7 @@ class TestQueueRuns:
 
     def test_littles_law_central(self, fig_net, mix_comp):
         log = simulate_mlcm(fig_net, mix_comp, 400.0, seed=6, n_mec=2)
-        report = log.littles_law_summary(server_id=0)
+        report = _littles_law_summary(log, server_id=0)
         assert report["n"] > 5000
         predicted = report["lambda_hat"] * report["mean_sojourn"]
         spread = (report["l_seen_se"]
@@ -300,17 +409,20 @@ class TestQueueRuns:
         with pytest.raises(StabilityError, match="queue exceeded"):
             simulate_mlcm(net, comp, 100.0, seed=1, n_mec=1, p_oul=0.0)
 
-    def test_to_csv_roundtrip(self, fig_net, mix_comp, tmp_path):
-        log = simulate_mlcm(fig_net, mix_comp, 10.0, seed=8, n_mec=2)
-        path = tmp_path / "events.csv"
-        log.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["arrival_s", "server_id", "queue_len_seen",
-                           "sojourn_s", "type_idx"]
-        assert len(rows) == len(log) + 1
-        back = np.array([float(r[0]) for r in rows[1:]])
-        assert np.array_equal(back, log.arrival_s)
+    def test_overload_memory_bounded(self, mix_comp, monkeypatch):
+        # about 1e7 tasks would arrive, but the overload is caught within
+        # the first chunk of the stream
+        monkeypatch.setattr(sim, "_MAX_QUEUE", 200)
+        net = make_net(lambda_d=60000.0, coverage_radius=0.1)
+        comp = replace(mix_comp, offload_prob=0.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StabilityError, match="queue exceeded"):
+                simulate_mlcm(net, comp, 7e4, seed=1, n_mec=1, p_oul=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_validation(self, fig_net, mix_comp):
         with pytest.raises(ValueError):
