@@ -17,7 +17,7 @@ import numpy as np
 from . import search
 # Direct submodule import: the package attribute `secp` is the function
 # of the same name once cfedge/__init__ has run.
-from .secp import THETA_GRID, _split_secp
+from .secp import THETA_GRID, _split_scorer
 from .secp import _best_theta as _secp_best_theta
 from .secp import find_r_threshold as _secp_find_r_threshold
 from .errors import InfeasibilityError
@@ -207,7 +207,7 @@ def minimize_energy(net: NetworkConfig, comp: ComputeConfig, cfg: EnergyConfig,
 
     net_star = replace(net, coverage_radius=r_star)
     theta_star = _cheapest_feasible_theta(
-        lambda theta: _split_secp(net_star, comp, theta), xi, splits[r_star],
+        _split_scorer(net_star, comp), xi, splits[r_star],
         theta_energy_slope(comp, cfg), theta_grid)
     comp_star = replace(comp, offload_prob=theta_star)
     return r_star, theta_star, energy_breakdown(net_star, comp_star, cfg)
@@ -217,21 +217,23 @@ def _cheapest_feasible_theta(secp_at, xi, theta_peak, slope, theta_grid) -> floa
     # The feasible splits form an interval around the peak (the objective is
     # unimodal in the split); energy is affine in the split, so the cheaper
     # feasible endpoint wins. Walk the grid outward from the peak in the
-    # cheaper direction, then bisect the boundary.
+    # cheaper direction, then bisect the boundary. secp_at maps a list of
+    # splits to their values, None where a split is infeasible.
     direction = -1.0 if slope >= 0.0 else 1.0   # -1: smaller split is cheaper
     step = abs(float(theta_grid[1]) - float(theta_grid[0])) \
         if len(theta_grid) > 1 else 0.05
 
     def feasible(theta: float) -> bool:
-        v = secp_at(theta)
+        v, = secp_at([theta])
         return v is not None and v >= xi
 
     outer = float(theta_peak)
     if not feasible(outer):
         # the hinted peak may sit just below the floor after radius rounding;
         # fall back to the best grid point
-        cands = [(secp_at(float(th)), float(th)) for th in theta_grid]
-        cands = [(v, th) for v, th in cands if v is not None and v >= xi]
+        thetas = [float(th) for th in theta_grid]
+        cands = [(v, th) for v, th in zip(secp_at(thetas), thetas)
+                 if v is not None and v >= xi]
         if not cands:
             raise InfeasibilityError("no feasible split at the chosen radius")
         outer = max(cands)[1] if direction > 0 else min(cands)[1]

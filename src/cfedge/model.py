@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,11 +96,12 @@ class ComputeConfig:
         if self.target_latency <= 0:
             raise ValueError("target_latency must be positive")
 
-    @property
+    # computed once per config: the queues read them at every split
+    @cached_property
     def mean_service_time_cs(self) -> float:
         return sum(p / m for p, m in zip(self.type_probs, self.mu_c))
 
-    @property
+    @cached_property
     def mean_service_time_mec(self) -> float:
         return sum(p / m for p, m in zip(self.type_probs, self.mu_m))
 

@@ -26,6 +26,9 @@ from .specfun import (DEFAULT_INVERSION, _euler_nodes, invert_laplace_cdf,
 
 _POISSON_TAIL = 1e-10
 _GEO_TAIL = 1e-10
+# half the spacing of the doubles in [0.5, 1), the least from 0.5 up: for
+# p >= 0.5, p - x rounds to p when |x| is below it
+_HALF_ULP_AT_HALF = 2.0 ** -54
 # exp(-nu) is a normal float below this mean; above it the pmf recursion
 # would start from a subnormal (or zero) value
 _POISSON_RECURSION_MAX = 708.0
@@ -56,12 +59,21 @@ def arrival_rates(net: NetworkConfig, comp: ComputeConfig,
     """Thinned task arrival rates given the uplink outage probability."""
     if p_oul is None:
         p_oul = comm.uplink_outage(net)
-    success = 1.0 - p_oul
-    lam_c = comp.offload_prob * net.lambda_d * net.network_area * success
-    lam_o = (1.0 - comp.offload_prob) * net.lambda_d \
+    return ArrivalRates(*split_rates(
+        net, comp.offload_prob, 1.0 - p_oul,
+        min_dispatch_prob(mean_connected_aps(net))))
+
+
+def split_rates(net: NetworkConfig, theta: float, success: float,
+                dispatch: float) -> tuple:
+    """(lambda_c, lambda_o, lambda_m) at offload split theta, given the
+    uplink success probability and min_dispatch_prob of the mean server
+    count; neither depends on the split, so a split search computes them
+    once per radius."""
+    lam_c = theta * net.lambda_d * net.network_area * success
+    lam_o = (1.0 - theta) * net.lambda_d \
         * math.pi * net.coverage_radius ** 2 * success
-    lam_m = lam_o * min_dispatch_prob(mean_connected_aps(net))
-    return ArrivalRates(lambda_c=lam_c, lambda_o=lam_o, lambda_m=lam_m)
+    return lam_c, lam_o, lam_o * dispatch
 
 
 # ----------------------------------------------------------------------------
@@ -206,18 +218,37 @@ def _cs_service_values(mu_c: tuple, type_probs: tuple, t: float) -> np.ndarray:
     return b
 
 
-def scp_cs(comp: ComputeConfig, lambda_c: float) -> float:
-    """P[central-server sojourn <= target latency] from the P-K transform."""
+def central_load(comp: ComputeConfig, lambda_c: float) -> float:
+    """Utilization rho_c of the central server at arrival rate lambda_c;
+    StabilityError if the queue is overloaded (rho_c >= 1)."""
     if lambda_c < 0:
         raise ValueError("arrival rate cannot be negative")
     rho = lambda_c * comp.mean_service_time_cs
     if rho >= 1.0:
         raise StabilityError(f"central server unstable: rho_c = {rho:.4f} >= 1")
+    return rho
+
+
+def scp_cs(comp: ComputeConfig, lambda_c):
+    """P[central-server sojourn <= target latency] from the P-K transform.
+
+    lambda_c is one arrival rate, giving a float, or a 1-D numpy array of
+    them, giving an array: all rates share one inversion, each with the
+    float operations of its one-rate call. StabilityError if a rate
+    overloads the server.
+    """
+    if isinstance(lambda_c, np.ndarray):
+        # one column per rate: the transform has one row per rate
+        lam = np.asarray(lambda_c, dtype=float)[:, None]
+        rho = np.array([central_load(comp, x)
+                        for x in lam[:, 0].tolist()])[:, None]
+    else:
+        lam, rho = lambda_c, central_load(comp, lambda_c)
     b = _cs_service_values(comp.mu_c, comp.type_probs, comp.target_latency)
 
     def sojourn(s):
         # s is the node array b was computed at
-        return (1.0 - rho) * s * b / (s - lambda_c + lambda_c * b)
+        return (1.0 - rho) * s * b / (s - lam + lam * b)
 
     return invert_laplace_cdf(sojourn, comp.target_latency)
 
@@ -260,33 +291,76 @@ def mec_conditional_cdf(spectrum: QueueSpectrum, n_max: int,
     The first cut-off comes no later as n grows, so the n still summing
     are always 1..active; every tail and CDF value is read once.
     """
-    total = np.zeros(n_max + 1)
-    max_root = spectrum.max_root
-    active = n_max
-    tail = spectrum.tail(0)
-    powers = np.array([tail ** n for n in range(1, active + 1)])
+    return mec_conditional_cdfs((spectrum,), n_max, cache)[0]
+
+
+def mec_conditional_cdfs(spectra, n_max: int,
+                         cache: MecCdfCache) -> np.ndarray:
+    """mec_conditional_cdf of each queue spectrum, as the rows of a
+    (len(spectra), n_max + 1) array.
+
+    One walk over v serves every row and reads each CDF value once; each
+    row stops on its own cut-offs. The sums over v are Python floats,
+    updated in place one v at a time, and become an array once at the end:
+    the walk's later steps are short, so per-step array calls would cost
+    more than the arithmetic.
+    """
+    sums = [[0.0] * n_max for _ in spectra]
+    # P[N >= v]^n of every row, for n up to the row's count. Python's float
+    # power (libm pow), which np.power does not match bit for bit; pow(1.0,
+    # n) is 1.0.
+    powers = [[1.0] * n_max if tail == 1.0 else
+              [tail ** n for n in range(1, n_max + 1)]
+              for tail in [spec.tail(0) for spec in spectra]]
+    tails = [spec.tail for spec in spectra]
+    max_roots = [spec.max_root for spec in spectra]
+    active = [n_max] * len(spectra)
     v = 0
-    while active > 0:
+    while any(active):
         cdf = cache.cdf(v)
-        tail = spectrum.tail(v + 1)
-        # Python's float power (libm pow), which np.power does not match
-        # bit for bit; tail ** n falls with n, so those >= _GEO_TAIL lead
-        listed = [tail ** n for n in range(1, active + 1)]
-        powers_next = np.array(listed)
-        total[1:active + 1] += (powers - powers_next) * cdf
         v += 1
-        while active > 0 and listed[active - 1] < _GEO_TAIL:
-            active -= 1
-        if max_root > 0.0 and max_root ** (v + 1) / (1.0 - max_root) < _GEO_TAIL:
-            break
+        for row, n in enumerate(active):
+            if not n:
+                continue
+            tail = tails[row](v)
+            total, before = sums[row], powers[row]
+            if v == 1 and min(before[0], before[n - 1]) >= 0.5:
+                # Every sum is still 0.0, and every P[N >= 0]^n is at least
+                # 0.5, so a power P[N >= 1]^n below 2^-54, under half its
+                # ulp, leaves P[N >= 0]^n - P[N >= 1]^n = P[N >= 0]^n
+                # exactly. The powers fall with n, so this holds for every
+                # later n too, and those powers, below _GEO_TAIL, are never
+                # read again.
+                after = []
+                for k in range(1, n + 1):
+                    power = tail ** k
+                    if abs(power) < _HALF_ULP_AT_HALF:
+                        total[k - 1:n] = [p * cdf for p in before[k - 1:n]]
+                        n = k - 1
+                        break
+                    after.append(power)
+            else:
+                after = [tail ** k for k in range(1, n + 1)]
+            total[:n] = [t + (p - q) * cdf
+                         for t, p, q in zip(total, before, after)]
+            powers[row] = after
+            # tail ** k falls with k, so the powers >= _GEO_TAIL lead
+            while n and after[n - 1] < _GEO_TAIL:
+                n -= 1
+            max_root = max_roots[row]
+            if max_root > 0.0 and \
+                    max_root ** (v + 1) / (1.0 - max_root) < _GEO_TAIL:
+                n = 0
+            active[row] = n
         if cdf < 1e-13 and v > 4:
             # CDF of the service sum is decreasing in v; the remaining terms
             # contribute less than the current CDF value
             break
-        if active > 0 and v > 100000:
+        if any(active) and v > 100000:
             raise NumericalError("queue-length truncation failed to terminate")
-        powers = powers_next[:active]
-    # min(1, max(0, x)) as Python evaluates it: no term is -0.0 or NaN
+    total = np.array([[0.0] + row for row in sums]).reshape(
+        len(spectra), n_max + 1)
+    # min(1, max(0, x)) as Python evaluates it: no sum is -0.0 or NaN
     np.maximum(total, 0.0, out=total)
     return np.minimum(total, 1.0, out=total)
 

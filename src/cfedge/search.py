@@ -10,14 +10,17 @@ _BISECT_STEPS = 60
 
 
 def maximize(f, grid):
-    """(argmax, max) of f over the span of grid, or None if f is None
-    (infeasible) at every grid point.
+    """(argmax, max) of a function over the span of grid, or None if it is
+    None (infeasible) at every grid point.
 
-    The best grid point, the first on ties, is refined by golden-section
-    search between its grid neighbours; None loses every comparison.
+    f maps a list of points to the list of their values, so a caller can
+    score several points in one pass: the grid goes in one call, the first
+    golden-section pair in one call, then one point per step. The best grid
+    point, the first on ties, is refined by golden-section search between
+    its grid neighbours; None loses every comparison.
     """
     xs = [float(x) for x in grid]
-    values = [f(x) for x in xs]
+    values = f(xs)
     feasible = [i for i, v in enumerate(values) if v is not None]
     if not feasible:
         return None
@@ -30,18 +33,18 @@ def maximize(f, grid):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = xs[max(best - 1, 0)], xs[min(best + 1, len(xs) - 1)]
     c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = f([c, d])
     for _ in range(_GOLDEN_STEPS):
         if b - a < _GOLDEN_TOL:
             break
         if score(fc) >= score(fd):
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c)
+            fc, = f([c])
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d)
+            fd, = f([d])
     for x, v in ((c, fc), (d, fd)):
         if v is not None and v > best_val:
             best_x, best_val = x, v

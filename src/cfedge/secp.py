@@ -21,8 +21,9 @@ import numpy as np
 from . import comm, search
 from .errors import InfeasibilityError, StabilityError
 from .model import ComputeConfig, NetworkConfig
-from .offload import (arrival_rates, mec_cache, mec_conditional_cdf,
-                      poisson_weights, queue_spectrum, running_sum, scp_cs)
+from .offload import (central_load, mec_cache, mec_conditional_cdfs,
+                      min_dispatch_prob, poisson_weights, queue_spectrum,
+                      running_sum, scp_cs, split_rates)
 
 # offload splits scanned before the golden-section refinement
 THETA_GRID = tuple(float(th) for th in np.linspace(0.0, 1.0, 21))
@@ -46,81 +47,130 @@ class SecpPoint:
     dl_term: float
 
 
-@lru_cache(maxsize=64)
-def _downlink_success(net: NetworkConfig) -> float:
-    # cached here rather than on comm.downlink_outage, so every call of
-    # the closed form itself is still a real evaluation
-    return 1.0 - comm.downlink_outage(net).point
+@dataclass(frozen=True)
+class _Link:
+    """The split-independent terms of secp at one network (one radius)."""
+
+    net: NetworkConfig
+    weights: np.ndarray      # Poisson weights of n = 1..n_max connected APs
+    ul_given_n: np.ndarray   # P[some AP decodes | n APs], n = 1..n_max
+    ul_term: float           # Poisson-aggregated uplink term over n >= 1
+    dl_success: float
+    success: float           # uplink success, which thins the arrivals
+    dispatch: float          # min_dispatch_prob of the mean AP count
+
+    @property
+    def n_max(self) -> int:
+        return len(self.weights)
 
 
 @lru_cache(maxsize=64)
-def _uplink_terms(net: NetworkConfig):
-    """Poisson weights of the connected-AP count n and P[some AP decodes |
-    n APs], both indexed by n = 0..n_max, and the Poisson-aggregated uplink
-    term over n >= 1. They depend on the network only, so a search computes
-    them once per radius."""
+def _link(net: NetworkConfig) -> _Link:
+    """The _Link of net, so a search computes it once per radius.
+
+    The uplink terms come from comm.uplink_mixture; the downlink success is
+    cached here rather than on comm.downlink_outage, so every call of the
+    closed form itself is still a real evaluation.
+    """
     uplink = comm.uplink_mixture(net)
     weights = poisson_weights(uplink.mean_aps)
     # P[some AP decodes | n APs] = 1 - sum_k w_k (1 - q_k)^n
     ul_given_n = 1.0 - uplink.weights @ (
         1.0 - uplink.success[:, None]) ** np.arange(len(weights))
+    weights, ul_given_n = weights[1:], ul_given_n[1:]
     weights.setflags(write=False)
     ul_given_n.setflags(write=False)
-    return weights, ul_given_n, running_sum(weights[1:] * ul_given_n[1:])
+    return _Link(net, weights, ul_given_n, running_sum(weights * ul_given_n),
+                 1.0 - comm.downlink_outage(net).point, 1.0 - uplink.outage,
+                 min_dispatch_prob(uplink.mean_aps))
+
+
+def _split_points(link: _Link, comp: ComputeConfig, thetas) -> list:
+    """(secp, comp_term) at each offload split of thetas, or the
+    StabilityError of a split that overloads a queue.
+
+    The queues decide stability split by split; then one scp_cs call and
+    one walk over the queue length serve all stable splits, and each
+    split's sums over n add left to right, as a loop over n = 1..n_max.
+    """
+    points = [None] * len(thetas)
+    stable, splits, lam_c, spectra = [], [], [], []
+    for k, theta in enumerate(thetas):
+        rates = split_rates(link.net, theta, link.success, link.dispatch)
+        try:
+            # the central queue raises first, as in scp
+            if theta > 0.0:
+                central_load(comp, rates[0])
+            if theta < 1.0:
+                spectrum = queue_spectrum(comp, rates[2])
+        except StabilityError as exc:
+            points[k] = exc
+            continue
+        stable.append(k)
+        splits.append(theta)
+        if theta > 0.0:
+            lam_c.append(rates[0])
+        if theta < 1.0:
+            spectra.append(spectrum)
+    # one rate takes scp_cs's float form, which skips the array set-up
+    cs_part = iter(scp_cs(comp, np.array(lam_c)).tolist() if len(lam_c) > 1
+                   else [scp_cs(comp, lam) for lam in lam_c])
+    mec = iter(mec_conditional_cdfs(spectra, link.n_max, mec_cache(comp)))
+    for k, theta in zip(stable, splits):
+        cs = next(cs_part) if theta > 0.0 else 0.0
+        mec_n = next(mec) if theta < 1.0 else np.zeros(link.n_max + 1)
+        # per n >= 1: computation success, then its products with the weights
+        w_comp = link.weights * (theta * cs + (1.0 - theta) * mec_n[1:])
+        points[k] = (running_sum(w_comp * link.ul_given_n) * link.dl_success,
+                     running_sum(w_comp))
+    return points
 
 
 def secp(net: NetworkConfig, comp: ComputeConfig) -> SecpPoint:
     """Probability that upload, computation and download all succeed in time.
 
-    The uplink terms and the downlink success are cached per network, so
-    a search at one radius computes them once; the sums over n run
-    elementwise, in the order of a loop over n = 1..n_max.
+    The one-split case of the split evaluator: the link terms are cached
+    per network, so a search at one radius computes them once; the sums
+    over n run elementwise, in the order of a loop over n = 1..n_max.
+    StabilityError if the split overloads a queue.
     """
     theta = comp.offload_prob
     t = comp.target_latency
     R = net.coverage_radius
     if R <= 0.0:
         return SecpPoint(R, theta, t, 0.0, 0.0, 0.0, 1.0)
-    weights, ul_given_n, ul_term = _uplink_terms(net)
-    dl_success = _downlink_success(net)
-    # scp_cs and queue_spectrum raise StabilityError on an overloaded queue
-    rates = arrival_rates(net, comp, comm.uplink_mixture(net).outage)
-    cs_part = scp_cs(comp, rates.lambda_c) if theta > 0.0 else 0.0
-    n_max = len(weights) - 1
-    if theta < 1.0:
-        mec_n = mec_conditional_cdf(queue_spectrum(comp, rates.lambda_m),
-                                    n_max, mec_cache(comp))
-    else:
-        mec_n = np.zeros(n_max + 1)
-    # per n >= 1: computation success, then its products with the weights
-    comp_n = theta * cs_part + (1.0 - theta) * mec_n[1:]
-    w_comp = weights[1:] * comp_n
-    return SecpPoint(R, theta, t,
-                     running_sum(w_comp * ul_given_n[1:]) * dl_success,
-                     running_sum(w_comp), ul_term, dl_success)
+    link = _link(net)
+    point, = _split_points(link, comp, (theta,))
+    if isinstance(point, StabilityError):
+        raise point
+    return SecpPoint(R, theta, t, point[0], point[1], link.ul_term,
+                     link.dl_success)
 
 
-def _split_secp(net: NetworkConfig, comp: ComputeConfig, theta: float):
-    """secp at offload split theta; None where that split overloads a queue.
-    Only theta is checked: comp's other fields passed ComputeConfig's."""
-    theta = float(theta)
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("offload_prob must lie in [0, 1]")
-    split = object.__new__(ComputeConfig)
-    split.__dict__.update(vars(comp), offload_prob=theta)
-    try:
-        return secp(net, split).secp
-    except StabilityError:
-        return None
+def _split_scorer(net: NetworkConfig, comp: ComputeConfig):
+    """The split evaluator at net's radius, in the form search.maximize
+    takes: a function mapping a list of offload splits to their secp, None
+    where a split overloads a queue. comp's fields other than the split
+    passed ComputeConfig's checks; the splits are checked here."""
+    link = _link(net)
+
+    def score(thetas) -> list:
+        thetas = [float(theta) for theta in thetas]
+        if not all(0.0 <= theta <= 1.0 for theta in thetas):
+            raise ValueError("offload_prob must lie in [0, 1]")
+        return [None if isinstance(point, StabilityError) else point[0]
+                for point in _split_points(link, comp, thetas)]
+
+    return score
 
 
 def _best_theta(net: NetworkConfig, comp: ComputeConfig, radius: float,
                 theta_grid):
     """(split, secp) maximizing secp at the given coverage radius, or None
     when every split on the grid overloads a queue."""
-    net = replace(net, coverage_radius=float(radius))
-    return search.maximize(lambda theta: _split_secp(net, comp, theta),
-                           theta_grid)
+    return search.maximize(
+        _split_scorer(replace(net, coverage_radius=float(radius)), comp),
+        theta_grid)
 
 
 def find_r_threshold(net: NetworkConfig, comp: ComputeConfig,
@@ -142,7 +192,8 @@ def find_r_threshold(net: NetworkConfig, comp: ComputeConfig,
             splits[R] = best[0]
             return best[1]
 
-    best = search.maximize(value, np.linspace(r_lo, r_hi, 8))
+    best = search.maximize(lambda radii: [value(R) for R in radii],
+                           np.linspace(r_lo, r_hi, 8))
     if best is None:
         raise InfeasibilityError("no stable operating point in the radius range")
     best_r, best_val = best

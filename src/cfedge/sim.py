@@ -320,10 +320,10 @@ def simulate_downlink_sir(net: NetworkConfig, scenario: SpatialScenario,
 class EventLog:
     """Arrival-stamped record of a queueing run.
 
-    Server id 0 is the central server; ids 1..n_servers are edge servers.
-    queue_len_seen is the number in system (including in service) the task
-    found on arrival. sojourn_s is NaN for tasks still in service when the
-    run was cut off.
+    Server id 0 is the central server; ids 1..n_servers - 1 are edge
+    servers. queue_len_seen is the number in system (including in service)
+    the task found on arrival. Every sojourn_s is finite: a run drains its
+    queues after the last arrival.
     """
 
     arrival_s: np.ndarray
@@ -340,11 +340,10 @@ class EventLog:
         return len(self.arrival_s)
 
     def analysis_mask(self, server_id: int | None = None) -> np.ndarray:
-        """Post-warmup completed records, optionally for one server."""
+        """Post-warmup records, optionally for one server."""
         n_warm = int(self.warmup_fraction * len(self))
         mask = np.zeros(len(self), dtype=bool)
         mask[n_warm:] = True
-        mask &= ~np.isnan(self.sojourn_s)
         if server_id is not None:
             mask &= self.server_id == server_id
         return mask

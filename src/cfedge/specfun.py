@@ -129,12 +129,19 @@ def _euler_nodes(t, terms):
 
 
 def _euler_values(transform, t, terms):
+    """Euler estimate at t and its change from one term fewer. Transform
+    values of shape (K, nodes) give two lists of K, one entry per row."""
     s, signs, w = _euler_nodes(t, terms)
-    partial = np.cumsum(signs * np.asarray(transform(s)).real)
+    partial = (signs * np.asarray(transform(s)).real).cumsum(axis=-1)
     scale = math.exp(_EULER_A / 2.0) / t
-    est = scale * float(w @ partial[terms:terms + _EULER_AVG + 1])
-    prev = scale * float(w @ partial[terms - 1:terms + _EULER_AVG])
-    return est, abs(est - prev)
+    est, err = [], []
+    for row in partial if partial.ndim > 1 else (partial,):
+        # a 1-D dot per row: a matrix product may add in another order
+        value = scale * float(w @ row[terms:terms + _EULER_AVG + 1])
+        prev = scale * float(w @ row[terms - 1:terms + _EULER_AVG])
+        est.append(value)
+        err.append(abs(value - prev))
+    return (est, err) if partial.ndim > 1 else (est[0], err[0])
 
 
 def _talbot_values(transform, t, terms):
@@ -150,10 +157,13 @@ def _talbot_values(transform, t, terms):
     gamma[0] = 0.5 * np.exp(delta[0])
     gamma[1:] = (1.0 + 1j * theta * (1.0 + cot ** 2) - 1j * cot) * np.exp(delta[1:])
     vals = np.asarray(transform(delta / t))
-    est = (2.0 / (5.0 * t)) * float(np.sum((gamma * vals).real))
+    est = (2.0 / (5.0 * t)) * np.sum((gamma * vals).real, axis=-1)
     # error proxy: drop the last (most oscillatory) node pair
-    est_short = (2.0 / (5.0 * t)) * float(np.sum((gamma[:-2] * vals[:-2]).real))
-    return est, abs(est - est_short)
+    est_short = (2.0 / (5.0 * t)) * np.sum(
+        (gamma[:-2] * vals[..., :-2]).real, axis=-1)
+    err = np.abs(est - est_short)
+    return (est.tolist(), err.tolist()) if vals.ndim > 1 \
+        else (float(est), float(err))
 
 
 def invert_laplace_cdf(transform: Callable, t: float,
@@ -162,6 +172,8 @@ def invert_laplace_cdf(transform: Callable, t: float,
 
     `transform` maps (complex arrays of) s to E[exp(-s T)]; the CDF transform
     transform(s)/s is inverted at t and clamped into [0, 1]. t <= 0 returns 0.
+    A transform giving one row of values per law, shape (K, len(s)), gives
+    an array of the K CDF values, each as its own 1-D inversion would.
     """
     if t <= 0.0:
         return 0.0
@@ -170,14 +182,19 @@ def invert_laplace_cdf(transform: Callable, t: float,
         est, err = _euler_values(cdf_transform, t, settings.terms)
     else:
         est, err = _talbot_values(cdf_transform, t, settings.terms)
-    if not math.isfinite(est):
+    rows = isinstance(est, list)
+    if not rows:
+        est, err = (est,), (err,)
+    if not all(map(math.isfinite, est)):
         raise NumericalError("Laplace inversion produced a non-finite value")
-    if err > max(settings.tolerance, 1e-7) * 50.0:
+    if max(err, default=0.0) > max(settings.tolerance, 1e-7) * 50.0:
         raise NumericalError(
-            f"Laplace inversion did not settle at t={t}: change {err:.3e} "
-            f"between consecutive estimates"
+            f"Laplace inversion did not settle at t={t}: change "
+            f"{max(err):.3e} between consecutive estimates"
         )
-    return min(1.0, max(0.0, est))
+    if rows:
+        return np.array([min(1.0, max(0.0, x)) for x in est])
+    return min(1.0, max(0.0, est[0]))
 
 
 # ----------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cfedge.model import ComputeConfig, NetworkConfig
@@ -31,3 +32,32 @@ def mix_comp() -> ComputeConfig:
 def single_comp() -> ComputeConfig:
     return ComputeConfig(type_probs=(1.0,), mu_c=(MU_C[1],), mu_m=(MU_M[1],),
                          offload_prob=0.2, target_latency=0.012)
+
+
+def walk_reference(spectrum, n_max, cache):
+    """Reference for offload.mec_conditional_cdf(s): the walk over the
+    queue length v for one spectrum, with an array update per v, every
+    power P[N >= v]^n in Python's float power and the same cut-offs.
+    Tests compare with it by ==."""
+    total = np.zeros(n_max + 1)
+    max_root = spectrum.max_root
+    active = n_max
+    tail = spectrum.tail(0)
+    powers = np.array([tail ** n for n in range(1, active + 1)])
+    v = 0
+    while active > 0:
+        cdf = cache.cdf(v)
+        tail = spectrum.tail(v + 1)
+        listed = [tail ** n for n in range(1, active + 1)]
+        powers_next = np.array(listed)
+        total[1:active + 1] += (powers - powers_next) * cdf
+        v += 1
+        while active > 0 and listed[active - 1] < 1e-10:
+            active -= 1
+        if max_root > 0.0 and max_root ** (v + 1) / (1.0 - max_root) < 1e-10:
+            break
+        if cdf < 1e-13 and v > 4:
+            break
+        powers = powers_next[:active]
+    np.maximum(total, 0.0, out=total)
+    return np.minimum(total, 1.0, out=total)

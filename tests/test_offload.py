@@ -19,7 +19,7 @@ from cfedge.model import ComputeConfig
 from cfedge.presets import COMPUTE_MIX
 from cfedge.specfun import LaplaceInversionSettings
 
-from conftest import MU_C, MU_M, make_net
+from conftest import MU_C, MU_M, make_net, walk_reference
 
 mp.mp.dps = 40
 
@@ -394,6 +394,78 @@ class TestMecLatency:
                 for n in range(1, n_max + 1):
                     assert got[n] == self._per_n_reference(spec, n, cache), \
                         (spec, latency, n)
+
+
+@st.composite
+def _walk_batches(draw):
+    # one service law, 1-2 types, and 1-3 loads on it, zero included
+    n = draw(st.integers(1, 2))
+    mus = tuple(draw(st.floats(20.0, 500.0)) for _ in range(n))
+    raw = [draw(st.floats(0.05, 1.0)) for _ in range(n)]
+    comp = ComputeConfig(type_probs=tuple(p / sum(raw) for p in raw),
+                         mu_c=mus, mu_m=mus,
+                         target_latency=draw(st.sampled_from((0.004, 0.012))))
+    loads = draw(st.lists(st.just(0.0) | st.floats(1e-4, 0.95),
+                          min_size=1, max_size=3))
+    return comp, loads, draw(st.integers(0, 400))
+
+
+class TestRowWiseWalk:
+    """mec_conditional_cdfs walks over v for several spectra at once."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=_walk_batches())
+    def test_rows_equal_one_spectrum_walks(self, batch):
+        comp, loads, n_max = batch
+        cap = 1.0 / comp.mean_service_time_mec
+        spectra = []
+        for load in loads:
+            try:
+                spectra.append(offload.queue_spectrum(comp, load * cap))
+            except NumericalError:
+                pass
+        cache = offload.mec_cache(comp)
+        rows = offload.mec_conditional_cdfs(spectra, n_max, cache)
+        assert rows.shape == (len(spectra), n_max + 1)
+        for spec, row in zip(spectra, rows):
+            one = offload.mec_conditional_cdf(spec, n_max, cache)
+            want = walk_reference(spec, n_max, cache)
+            assert row.tolist() == one.tolist() == want.tolist()
+            # no -0.0 anywhere: the signs agree too
+            assert not np.signbit(row).any()
+
+    def test_zero_load_and_unit_tail(self, mix_comp, single_comp):
+        # a zero-load spectrum and single-type spectra start from
+        # P[N >= 0] == 1.0 exactly, whose powers skip pow
+        cache = offload.mec_cache(single_comp)
+        spectra = [offload.queue_spectrum(single_comp, lam)
+                   for lam in (0.0, 5.0, 60.0)]
+        assert [spec.tail(0) for spec in spectra] == [1.0] * 3
+        rows = offload.mec_conditional_cdfs(spectra, 30, cache)
+        for spec, row in zip(spectra, rows):
+            assert row.tolist() == walk_reference(spec, 30, cache).tolist()
+        mix = offload.queue_spectrum(mix_comp, 40.0)
+        assert mix.tail(0) != 1.0
+        cache = offload.mec_cache(mix_comp)
+        assert offload.mec_conditional_cdfs([mix, mix], 12, cache).tolist() \
+            == [walk_reference(mix, 12, cache).tolist()] * 2
+
+    def test_no_rows(self, mix_comp):
+        cache = offload.mec_cache(mix_comp)
+        assert offload.mec_conditional_cdfs([], 5, cache).shape == (0, 6)
+
+
+def test_scp_cs_over_rates_equals_one_rate_calls(single_comp, mix_comp):
+    for comp in (single_comp, mix_comp):
+        cap = 1.0 / comp.mean_service_time_cs
+        rates = np.array([0.0, 0.1, 0.5, 0.9, 0.99]) * cap
+        got = offload.scp_cs(comp, rates)
+        assert isinstance(got, np.ndarray) and got.shape == rates.shape
+        assert got.tolist() == [offload.scp_cs(comp, lam)
+                                for lam in rates.tolist()]
+        assert offload.scp_cs(comp, rates[2:3]).tolist() == got[2:3].tolist()
+        with pytest.raises(StabilityError, match="central"):
+            offload.scp_cs(comp, np.array([0.5, 1.001]) * cap)
 
 
 def test_poisson_weights_match_scipy():

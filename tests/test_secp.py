@@ -1,5 +1,6 @@
 """Joint end-to-end success probability and the radius threshold search."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from cfedge import comm, offload
 from cfedge.errors import InfeasibilityError, StabilityError
 from cfedge.model import ComputeConfig
-from cfedge.secp import THETA_GRID, _split_secp, find_r_threshold, secp
+from cfedge.presets import COMPUTE_SINGLE
+from cfedge.secp import THETA_GRID, _split_scorer, find_r_threshold, secp
 
-from conftest import MU_C, MU_M, make_net
+from conftest import MU_C, MU_M, make_net, walk_reference
 
 
 def test_zero_radius_degenerate(fig_net, mix_comp):
@@ -89,20 +91,73 @@ _SLOW = ComputeConfig(type_probs=(0.6, 0.4), mu_c=(50.0, 80.0),
                       mu_m=(0.1, 0.2), target_latency=0.012)
 
 
-def test_split_secp_equals_secp_of_replaced_config(fig_net, mix_comp):
-    for comp in (mix_comp, _SLOW):
-        got = [_split_secp(fig_net, comp, theta) for theta in THETA_GRID]
-        for theta, value in zip(THETA_GRID, got):
-            full = replace(comp, offload_prob=theta)
-            if value is None:
-                with pytest.raises(StabilityError):
-                    secp(fig_net, full)
-            else:
-                assert value == secp(fig_net, full).secp
-    assert got[0] is None and got[-1] is None
-    assert any(value is not None for value in got)
-    with pytest.raises(ValueError, match="offload_prob"):
-        _split_secp(fig_net, mix_comp, 1.5)
+def _per_split_secp(net, comp, theta):
+    """secp at split theta, None where a queue overloads, with the split
+    scored alone: its own arrival rates and scp_cs call, the reference walk
+    and left-to-right sums over n."""
+    comp = replace(comp, offload_prob=theta)
+    uplink = comm.uplink_mixture(net)
+    weights = offload.poisson_weights(uplink.mean_aps)
+    ul_given_n = 1.0 - uplink.weights @ (
+        1.0 - uplink.success[:, None]) ** np.arange(len(weights))
+    dl_success = 1.0 - comm.downlink_outage(net).point
+    rates = offload.arrival_rates(net, comp, uplink.outage)
+    try:
+        cs_part = offload.scp_cs(comp, rates.lambda_c) if theta > 0.0 \
+            else 0.0
+        if theta < 1.0:
+            mec_n = walk_reference(
+                offload.queue_spectrum(comp, rates.lambda_m),
+                len(weights) - 1, offload.mec_cache(comp))
+        else:
+            mec_n = np.zeros(len(weights))
+    except StabilityError:
+        return None
+    comp_n = theta * cs_part + (1.0 - theta) * mec_n[1:]
+    total = 0.0
+    for term in weights[1:] * comp_n * ul_given_n[1:]:
+        total += term
+    return total * dl_success
+
+
+def test_split_scorer_equals_per_split_code(fig_net, mix_comp):
+    # the batched evaluator against each split scored alone, by == with
+    # the sign of zero; the off-grid splits stand for golden-section steps
+    single = ComputeConfig(type_probs=COMPUTE_SINGLE["type_probs"],
+                           mu_c=COMPUTE_SINGLE["mu_c"],
+                           mu_m=COMPUTE_SINGLE["mu_m"])
+    thetas = list(THETA_GRID) + [0.013, 0.4142, 0.987]
+    overloaded = 0
+    for comp in (mix_comp, _SLOW, single):
+        for radius in (0.01, 0.05, 0.12, 0.2):
+            net = replace(fig_net, coverage_radius=radius)
+            got = _split_scorer(net, comp)(thetas)
+            # one split at a time, and one pair, as the searches send them
+            assert [_split_scorer(net, comp)([th])[0] for th in thetas] == got
+            assert _split_scorer(net, comp)(thetas[3:5]) == got[3:5]
+            for theta, value in zip(thetas, got):
+                want = _per_split_secp(net, comp, theta)
+                assert value == want, (comp, radius, theta)
+                if value is None:
+                    overloaded += 1
+                else:
+                    assert math.copysign(1.0, value) == \
+                        math.copysign(1.0, want)
+    assert overloaded > 0
+    for theta in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="offload_prob"):
+            _split_scorer(fig_net, mix_comp)([0.5, theta])
+
+
+def test_secp_is_the_one_split_case(fig_net):
+    for theta in THETA_GRID:
+        comp = replace(_SLOW, offload_prob=theta)
+        value, = _split_scorer(fig_net, _SLOW)([theta])
+        if value is None:
+            with pytest.raises(StabilityError):
+                secp(fig_net, comp)
+        else:
+            assert secp(fig_net, comp).secp == value
 
 
 @pytest.mark.parametrize("theta, queue", [(0.0, "edge"), (0.3, "edge"),

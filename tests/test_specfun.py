@@ -98,6 +98,18 @@ class TestLaplaceInversion:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             invert_laplace_cdf(lambda s: s * np.inf, 0.01)
 
+    @pytest.mark.parametrize("method", ["euler", "talbot"])
+    def test_rows_equal_one_law_inversions(self, method):
+        # a transform with one row per law gives each law's own value
+        settings = LaplaceInversionSettings(method=method)
+        rates = np.array([2.0, 50.0, 400.0])
+        got = invert_laplace_cdf(
+            lambda s: rates[:, None] / (s + rates[:, None]), 0.01, settings)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [
+            invert_laplace_cdf(lambda s: mu / (s + mu), 0.01, settings)
+            for mu in rates.tolist()]
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             LaplaceInversionSettings(method="pade")
