@@ -94,11 +94,12 @@ class ExperimentSpec:
         if not isinstance(sweep, dict):
             raise SpecError("'sweep' must be an object")
         _check_sweep(kind, sweep)
+        for section in ("network", "compute", "energy", "sim"):
+            if not isinstance(data.get(section, {}), dict):
+                raise SpecError(f"'{section}' must be an object")
         if kind != "scmp_vs_R" and not data.get("compute"):
             raise SpecError(f"kind {kind} needs a 'compute' section")
         sim_section = data.get("sim", {})
-        if not isinstance(sim_section, dict):
-            raise SpecError("'sim' must be an object")
         try:
             replications = int(sim_section.get("replications", 1000))
             seed = int(sim_section.get("seed", 0))
@@ -207,7 +208,12 @@ def _network_for(spec: ExperimentSpec, **overrides) -> NetworkConfig:
     for side in ("ul", "dl"):
         db_key = f"sir_threshold_{side}_db"
         if db_key in merged:
-            merged[f"sir_threshold_{side}"] = 10.0 ** (merged.pop(db_key) / 10.0)
+            try:
+                merged[f"sir_threshold_{side}"] = \
+                    10.0 ** (merged.pop(db_key) / 10.0)
+            except (TypeError, OverflowError):
+                raise SpecError(f"bad network section: {db_key} must be a "
+                                "number of dB") from None
     merged.update(overrides)
     return _config(NetworkConfig, "network", merged)
 
@@ -215,18 +221,11 @@ def _network_for(spec: ExperimentSpec, **overrides) -> NetworkConfig:
 def _compute_for(spec: ExperimentSpec, **overrides) -> ComputeConfig:
     merged = dict(spec.compute)
     merged.update(overrides)
-    for key in ("type_probs", "mu_c", "mu_m"):
-        if key in merged:
-            merged[key] = tuple(merged[key])
     return _config(ComputeConfig, "compute", merged)
 
 
 def _energy_for(spec: ExperimentSpec) -> energy_mod.EnergyConfig:
-    merged = dict(spec.energy)
-    for key in ("f_cs_hz", "f_mec_hz"):
-        if key in merged:
-            merged[key] = tuple(merged[key])
-    return _config(energy_mod.EnergyConfig, "energy", merged)
+    return _config(energy_mod.EnergyConfig, "energy", dict(spec.energy))
 
 
 # ---------------------------------------------------------------------------

@@ -32,25 +32,6 @@ _CLAMP_WARN = 1e-6
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaplaceDerivativeTable:
-    """Derivatives of the uplink interference transform at one point.
-
-    f1, f2 hold the near-field and far-field factors with derivatives of
-    order 0..max_order; li holds the product transform. Entry m is the
-    m-th derivative, so (-1)^m li[m] >= 0.
-    """
-
-    s: float
-    f1: tuple
-    f2: tuple
-    li: tuple
-
-    @property
-    def max_order(self) -> int:
-        return len(self.li) - 1
-
-
 def _log_near_derivs(s: float, jmax: int, net: NetworkConfig) -> list:
     # log F1 and derivatives; F1 covers interferers inside the pathloss
     # plateau. log F1 = -pi lambda_d d0^2 sc/(1+sc) with c = d0^(-alpha).
@@ -97,8 +78,11 @@ def _exp_derivs(log_derivs: list) -> list:
 
 
 def uplink_laplace_derivs(s: float, max_order: int,
-                          net: NetworkConfig) -> LaplaceDerivativeTable:
-    """Interference transform factors and derivatives up to max_order at s."""
+                          net: NetworkConfig) -> tuple:
+    """Uplink interference transform and its derivatives of order
+    0..max_order at s: entry m is the m-th derivative, so (-1)^m entry m
+    >= 0. The transform is the product of a near-field factor (interferers
+    on the pathloss plateau) and a far-field factor."""
     if s < 0:
         raise ValueError("transform argument must be non-negative")
     if max_order < 0:
@@ -108,7 +92,7 @@ def uplink_laplace_derivs(s: float, max_order: int,
     li = []
     for m in range(max_order + 1):
         li.append(sum(math.comb(m, i) * f1[i] * f2[m - i] for i in range(m + 1)))
-    return LaplaceDerivativeTable(s=s, f1=tuple(f1), f2=tuple(f2), li=tuple(li))
+    return tuple(li)
 
 
 def _single_ap_success_at(r: float, net: NetworkConfig) -> float:
@@ -117,10 +101,10 @@ def _single_ap_success_at(r: float, net: NetworkConfig) -> float:
     # term, not pathloss**-m alone. The Monte Carlo suite pins this form.
     ell = pathloss(r, net)
     s = net.sir_threshold_ul / ell
-    tab = uplink_laplace_derivs(s, net.antennas_per_ap - 1, net)
+    li = uplink_laplace_derivs(s, net.antennas_per_ap - 1, net)
     total = 0.0
     for m in range(net.antennas_per_ap):
-        total += (-1) ** m * s ** m / math.factorial(m) * tab.li[m]
+        total += (-1) ** m * s ** m / math.factorial(m) * li[m]
     return total
 
 
@@ -430,23 +414,10 @@ def gamma_interference_params(net: NetworkConfig) -> GammaInterferenceParams:
     return GammaInterferenceParams(zeta=zeta, eta=eta)
 
 
-@dataclass(frozen=True)
-class RhoDerivativeTable:
-    """Exponent of the aggregate signal transform with derivatives 0..max_order.
-
-    Sign structure: (-1)^(m-1) * values[m] >= 0 for m >= 1.
-    """
-
-    s: float
-    values: tuple
-
-    @property
-    def max_order(self) -> int:
-        return len(self.values) - 1
-
-
-def rho_derivs(s: float, max_order: int, net: NetworkConfig) -> RhoDerivativeTable:
-    """Signal-transform exponent: radial integral over the disc with Gamma gains."""
+def rho_derivs(s: float, max_order: int, net: NetworkConfig) -> tuple:
+    """Signal-transform exponent, a radial integral over the disc with
+    Gamma gains, and its derivatives of order 0..max_order at s: entry m
+    is the m-th derivative, so (-1)^(m-1) entry m >= 0 for m >= 1."""
     if s < 0:
         raise ValueError("transform argument must be non-negative")
     a = net.alpha
@@ -461,15 +432,15 @@ def rho_derivs(s: float, max_order: int, net: NetworkConfig) -> RhoDerivativeTab
         for m in range(1, max_order + 1):
             vals.append((-1) ** (m - 1) * 0.5 * R ** 2 * cd ** m
                         * _tilted_moment(M, m, s * cd))
-        return RhoDerivativeTable(s=s, values=tuple(vals))
+        return tuple(vals)
 
     cr = R ** (-a)
     two_a = 2.0 / a
     head = 0.5 * R ** 2 * (1.0 - (1.0 + s * cr) ** (-M))
     if s == 0.0:
-        return RhoDerivativeTable(s=0.0, values=tuple([0.0] + [
+        return tuple([0.0] + [
             (-1) ** (m - 1) * (0.5 * d0 ** 2 * cd ** m * _tilted_moment(M, m, 0.0)
-                               + _zero_point_tail(m, net)) for m in range(1, max_order + 1)]))
+                               + _zero_point_tail(m, net)) for m in range(1, max_order + 1)])
 
     gamma_arg0 = 1.0 - two_a
 
@@ -488,7 +459,7 @@ def rho_derivs(s: float, max_order: int, net: NetworkConfig) -> RhoDerivativeTab
         term1 = 0.5 * d0 ** 2 * cd ** m * _tilted_moment(M, m, s * cd)
         term2 = (1.0 / a) * s ** (two_a - m) * gamma_expectation(fm, M)
         vals.append((-1) ** (m - 1) * (term1 + term2))
-    return RhoDerivativeTable(s=s, values=tuple(vals))
+    return tuple(vals)
 
 
 def _tilted_moment(M: int, m: int, x: float) -> float:
@@ -514,11 +485,11 @@ def signal_laplace_derivs(s: float, max_order: int, net: NetworkConfig) -> tuple
     """Aggregate downlink signal transform with derivatives 0..max_order at s."""
     rho = rho_derivs(s, max_order, net)
     amp = 2.0 * math.pi * net.lambda_b
-    lp = [math.exp(-amp * rho.values[0])]
+    lp = [math.exp(-amp * rho[0])]
     for m in range(1, max_order + 1):
         acc = 0.0
         for i in range(m):
-            acc += math.comb(m - 1, i) * lp[i] * rho.values[m - i]
+            acc += math.comb(m - 1, i) * lp[i] * rho[m - i]
         lp.append(-amp * acc)
     return tuple(lp)
 

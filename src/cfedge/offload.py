@@ -21,8 +21,7 @@ import scipy.special as sp
 from . import comm
 from .errors import NumericalError, StabilityError
 from .model import ComputeConfig, NetworkConfig, mean_connected_aps
-from .specfun import (DEFAULT_INVERSION, _euler_nodes, invert_laplace_cdf,
-                      poly_roots_real)
+from .specfun import _euler_nodes, invert_laplace_cdf, poly_roots_real
 
 _POISSON_TAIL = 1e-10
 _GEO_TAIL = 1e-10
@@ -212,8 +211,7 @@ def service_transform(rates, weights):
 def _cs_service_values(mu_c: tuple, type_probs: tuple, t: float) -> np.ndarray:
     # the CS service transform at the Euler nodes invert_laplace_cdf reads
     # at t; it does not depend on the arrival rate
-    b = service_transform(mu_c, type_probs)(
-        _euler_nodes(t, DEFAULT_INVERSION.terms)[0])
+    b = service_transform(mu_c, type_probs)(_euler_nodes(t)[0])
     b.setflags(write=False)
     return b
 
@@ -365,22 +363,23 @@ def mec_conditional_cdfs(spectra, n_max: int,
     return np.minimum(total, 1.0, out=total)
 
 
-def poisson_weights(nu: float, tail: float = _POISSON_TAIL):
-    """Poisson(nu) pmf values from n = 0 up to the tail cutoff."""
+def poisson_weights(nu: float):
+    """Poisson(nu) pmf values from n = 0 until the mass left is at most
+    _POISSON_TAIL."""
     if nu < 0:
         raise ValueError("mean cannot be negative")
     if nu >= _POISSON_RECURSION_MAX:
         # in log space, up to a cutoff 20 standard deviations past the mean
         n = np.arange(int(nu + 20.0 * math.sqrt(nu)))
         weights = np.exp(sp.xlogy(n, nu) - sp.gammaln(n + 1) - nu)
-        done = np.flatnonzero(1.0 - np.cumsum(weights) <= tail)
+        done = np.flatnonzero(1.0 - np.cumsum(weights) <= _POISSON_TAIL)
         if len(done) == 0:
             raise NumericalError("Poisson truncation failed to terminate")
         return weights[:done[0] + 1]
     weights = [math.exp(-nu)]
     cum = weights[0]
     n = 0
-    while 1.0 - cum > tail:
+    while 1.0 - cum > _POISSON_TAIL:
         n += 1
         weights.append(weights[-1] * nu / n)
         cum += weights[-1]

@@ -29,11 +29,15 @@ from .offload import arrival_rates
 # ----------------------------------------------------------------------------
 
 
-def default_guard(net: NetworkConfig, rel_tail: float = 1e-4) -> float:
+# Share of the mean interference the truncated far field may leave out.
+_REL_TAIL = 1e-4
+
+
+def default_guard(net: NetworkConfig) -> float:
     """Distance beyond which the truncated far field contributes less than
-    rel_tail of the mean interference (Campbell tail of the pathloss)."""
+    _REL_TAIL of the mean interference (Campbell tail of the pathloss)."""
     a = net.alpha
-    return net.d0 * (2.0 / (a * rel_tail)) ** (1.0 / (a - 2.0))
+    return net.d0 * (2.0 / (a * _REL_TAIL)) ** (1.0 / (a - 2.0))
 
 
 @dataclass(frozen=True)
@@ -50,9 +54,9 @@ class SpatialScenario:
             raise ValueError("window and guard must be positive")
 
     @classmethod
-    def for_network(cls, net: NetworkConfig, replications: int, seed: int,
-                    rel_tail: float = 1e-4) -> "SpatialScenario":
-        guard = default_guard(net, rel_tail)
+    def for_network(cls, net: NetworkConfig, replications: int,
+                    seed: int) -> "SpatialScenario":
+        guard = default_guard(net)
         return cls(half_width=4.0 * net.coverage_radius + guard, guard=guard,
                    replications=replications, seed=seed)
 
@@ -316,6 +320,10 @@ def simulate_downlink_sir(net: NetworkConfig, scenario: SpatialScenario,
 # ----------------------------------------------------------------------------
 
 
+# Leading share of a run's records left out of its statistics as warm-up.
+_WARMUP_FRACTION = 0.1
+
+
 @dataclass
 class EventLog:
     """Arrival-stamped record of a queueing run.
@@ -333,7 +341,6 @@ class EventLog:
     type_idx: np.ndarray
     n_servers: int
     duration: float
-    warmup_fraction: float = 0.1
     extras: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -341,7 +348,7 @@ class EventLog:
 
     def analysis_mask(self, server_id: int | None = None) -> np.ndarray:
         """Post-warmup records, optionally for one server."""
-        n_warm = int(self.warmup_fraction * len(self))
+        n_warm = int(_WARMUP_FRACTION * len(self))
         mask = np.zeros(len(self), dtype=bool)
         mask[n_warm:] = True
         if server_id is not None:
@@ -435,12 +442,13 @@ def _in_system(arrival: np.ndarray, server: np.ndarray,
 
 
 def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
-                  seed: int, n_mec: int | None = None,
+                  seed: int, n_mec: int,
                   p_oul: float | None = None) -> EventLog:
-    """Queueing run of the central server plus an edge-server group.
+    """Queueing run of the central server plus a group of n_mec edge
+    servers.
 
     The central stream carries the network-wide rate; the edge group
-    carries its per-server rate times the group size, dispatched to the
+    carries its per-server rate times n_mec, dispatched to the
     least-loaded member (ties uniform), so each edge server sees the
     analytic per-server arrival rate. Arrivals stop at `duration`; queued
     work is drained so every admitted task gets a sojourn.
@@ -452,18 +460,13 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
+    if n_mec < 0:
+        raise ValueError("n_mec cannot be negative")
     if p_oul is None:
         p_oul = comm.uplink_outage(net)
     rates = arrival_rates(net, comp, p_oul)
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 1], dtype=np.uint64)))
-    if n_mec is None:
-        nu = mean_connected_aps(net)
-        n_mec = 0
-        while n_mec == 0:
-            n_mec = int(rng.poisson(nu)) if nu > 0 else 1
-    if n_mec < 0:
-        raise ValueError("n_mec cannot be negative")
 
     lam_cs = rates.lambda_c
     lam_group = rates.lambda_m * n_mec

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -50,32 +49,32 @@ def _laguerre_rule(nodes: int, m: int):
     return x, w / sp.gamma(m)
 
 
-def gamma_expectation(f: Callable, m: int, nodes: int = 64) -> float:
+# Gauss-Laguerre nodes of the coarse rule; the check rule has twice as many
+_LAGUERRE_NODES = 64
+
+
+def gamma_expectation(f: Callable, m: int) -> float:
     """E[f(G)] for G ~ Gamma(m, 1) by generalized Gauss-Laguerre quadrature.
 
     The node count is doubled once and the two estimates compared; a gap
-    beyond 1e-9 triggers a warning. `f` should accept numpy arrays.
+    beyond 1e-9 triggers a warning. `f` maps an array of nodes to the array
+    of its values.
     """
     if m < 1 or int(m) != m:
         raise ValueError("m must be a positive integer")
-    if nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
 
     def apply(n):
         x, w = _laguerre_rule(n, int(m))
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            y = np.array([f(xi) for xi in x], dtype=float)
-        return float(w @ y)
+        return float(w @ np.asarray(f(x), dtype=float))
 
-    coarse = apply(nodes)
-    fine = apply(2 * nodes)
+    coarse = apply(_LAGUERRE_NODES)
+    fine = apply(2 * _LAGUERRE_NODES)
     if not math.isfinite(fine):
         raise NumericalError("gamma_expectation produced a non-finite value")
     if abs(fine - coarse) > 1e-9 + 1e-12 * abs(fine):
         warnings.warn(
             f"gamma_expectation doubling gap {abs(fine - coarse):.3e} "
-            f"at {nodes} nodes; integrand may be under-resolved",
+            f"at {_LAGUERRE_NODES} nodes; integrand may be under-resolved",
             stacklevel=2,
         )
     return fine
@@ -86,38 +85,24 @@ def gamma_expectation(f: Callable, m: int, nodes: int = 64) -> float:
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaplaceInversionSettings:
-    method: str = "euler"    # "euler" (Abate-Whitt) or "talbot" (fixed Talbot)
-    terms: int = 18          # series terms before averaging / Talbot node pairs
-    tolerance: float = 1e-7  # absolute error target on CDF values
-
-    def __post_init__(self):
-        if self.method not in ("euler", "talbot"):
-            raise ValueError("method must be 'euler' or 'talbot'")
-        if self.terms < 10:
-            raise ValueError("terms must be at least 10")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
-
-DEFAULT_INVERSION = LaplaceInversionSettings()
-
-
-# Abate-Whitt Euler summation: binomial averaging of the last _EULER_AVG + 1
-# partial sums; _EULER_A ~ 18.4 keeps the aliasing error of a bounded
-# function near 1e-8
+# Abate-Whitt Euler summation: _EULER_TERMS series terms, then binomial
+# averaging of the last _EULER_AVG + 1 partial sums; _EULER_A ~ 18.4 keeps
+# the aliasing error of a bounded function near 1e-8
+_EULER_TERMS = 18
 _EULER_AVG = 11
 _EULER_A = 18.4
+# absolute error target on CDF values; an estimate that moves by more than
+# 50 times it when the series loses its last term has not settled
+_EULER_TOLERANCE = 1e-7
 
 
 @lru_cache(maxsize=64)
-def _euler_nodes(t, terms):
+def _euler_nodes(t):
     """Nodes s_k = _EULER_A/(2t) + i pi k/t of the Euler summation at t, the
     signs of their terms (the first halved) and the averaging weights
     C(_EULER_AVG, j) / 2^_EULER_AVG. Read-only and shared by every
     inversion at t, so a transform may cache its values at these nodes."""
-    k = np.arange(terms + _EULER_AVG + 1)
+    k = np.arange(_EULER_TERMS + _EULER_AVG + 1)
     s = _EULER_A / (2.0 * t) + 1j * math.pi * k / t
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     signs[0] = 0.5
@@ -128,73 +113,38 @@ def _euler_nodes(t, terms):
     return s, signs, w
 
 
-def _euler_values(transform, t, terms):
-    """Euler estimate at t and its change from one term fewer. Transform
-    values of shape (K, nodes) give two lists of K, one entry per row."""
-    s, signs, w = _euler_nodes(t, terms)
-    partial = (signs * np.asarray(transform(s)).real).cumsum(axis=-1)
-    scale = math.exp(_EULER_A / 2.0) / t
-    est, err = [], []
-    for row in partial if partial.ndim > 1 else (partial,):
-        # a 1-D dot per row: a matrix product may add in another order
-        value = scale * float(w @ row[terms:terms + _EULER_AVG + 1])
-        prev = scale * float(w @ row[terms - 1:terms + _EULER_AVG])
-        est.append(value)
-        err.append(abs(value - prev))
-    return (est, err) if partial.ndim > 1 else (est[0], err[0])
-
-
-def _talbot_values(transform, t, terms):
-    # fixed Talbot contour (Abate-Valko), 2*terms nodes
-    n = 2 * terms
-    k = np.arange(1, n)
-    theta = k * math.pi / n
-    cot = 1.0 / np.tan(theta)
-    delta = np.empty(n, dtype=complex)
-    delta[0] = 2.0 * n / 5.0
-    delta[1:] = (2.0 * math.pi / 5.0) * k * (cot + 1j)
-    gamma = np.empty(n, dtype=complex)
-    gamma[0] = 0.5 * np.exp(delta[0])
-    gamma[1:] = (1.0 + 1j * theta * (1.0 + cot ** 2) - 1j * cot) * np.exp(delta[1:])
-    vals = np.asarray(transform(delta / t))
-    est = (2.0 / (5.0 * t)) * np.sum((gamma * vals).real, axis=-1)
-    # error proxy: drop the last (most oscillatory) node pair
-    est_short = (2.0 / (5.0 * t)) * np.sum(
-        (gamma[:-2] * vals[..., :-2]).real, axis=-1)
-    err = np.abs(est - est_short)
-    return (est.tolist(), err.tolist()) if vals.ndim > 1 \
-        else (float(est), float(err))
-
-
-def invert_laplace_cdf(transform: Callable, t: float,
-                       settings: LaplaceInversionSettings = DEFAULT_INVERSION) -> float:
+def invert_laplace_cdf(transform: Callable, t: float):
     """CDF value F(t) from the Laplace transform of the density.
 
     `transform` maps (complex arrays of) s to E[exp(-s T)]; the CDF transform
-    transform(s)/s is inverted at t and clamped into [0, 1]. t <= 0 returns 0.
-    A transform giving one row of values per law, shape (K, len(s)), gives
-    an array of the K CDF values, each as its own 1-D inversion would.
+    transform(s)/s is inverted at t by Euler summation and clamped into
+    [0, 1]. t <= 0 returns 0. A transform giving one row of values per law,
+    shape (K, len(s)), gives an array of the K CDF values, each as its own
+    1-D inversion would. NumericalError if a value is not finite or moves
+    by more than 50 * _EULER_TOLERANCE when the series loses its last term.
     """
     if t <= 0.0:
         return 0.0
-    cdf_transform = lambda s: np.asarray(transform(s)) / s
-    if settings.method == "euler":
-        est, err = _euler_values(cdf_transform, t, settings.terms)
-    else:
-        est, err = _talbot_values(cdf_transform, t, settings.terms)
-    rows = isinstance(est, list)
-    if not rows:
-        est, err = (est,), (err,)
+    s, signs, w = _euler_nodes(t)
+    partial = (signs * (np.asarray(transform(s)) / s).real).cumsum(axis=-1)
+    scale = math.exp(_EULER_A / 2.0) / t
+    lo, hi = _EULER_TERMS, _EULER_TERMS + _EULER_AVG + 1
+    est, err = [], []
+    for row in partial if partial.ndim > 1 else (partial,):
+        # a 1-D dot per row: a matrix product may add in another order
+        value = scale * float(w @ row[lo:hi])
+        prev = scale * float(w @ row[lo - 1:hi - 1])
+        est.append(value)
+        err.append(abs(value - prev))
     if not all(map(math.isfinite, est)):
         raise NumericalError("Laplace inversion produced a non-finite value")
-    if max(err, default=0.0) > max(settings.tolerance, 1e-7) * 50.0:
+    if max(err, default=0.0) > _EULER_TOLERANCE * 50.0:
         raise NumericalError(
             f"Laplace inversion did not settle at t={t}: change "
             f"{max(err):.3e} between consecutive estimates"
         )
-    if rows:
-        return np.array([min(1.0, max(0.0, x)) for x in est])
-    return min(1.0, max(0.0, est[0]))
+    cdf = [min(1.0, max(0.0, x)) for x in est]
+    return np.array(cdf) if partial.ndim > 1 else cdf[0]
 
 
 # ----------------------------------------------------------------------------

@@ -277,6 +277,32 @@ class TestRunExperiment:
         assert manifest["error"]["type"] == "SpecError"
         assert "alpha" in manifest["error"]["message"]
 
+    @pytest.mark.parametrize("preset, overrides, needle", [
+        ("scp-surface-single", {"compute": {"type_probs": 0.5}}, "compute"),
+        ("scp-surface-single", {"compute": {"mu_m": 5}}, "compute"),
+        ("scp-surface-single", {"compute": {"mu_c": None}}, "compute"),
+        ("energy-sweep", {"energy": {"f_cs_hz": 3}}, "energy"),
+        ("scp-surface-single", {"network": {"sir_threshold_ul_db": "x"}},
+         "sir_threshold_ul_db"),
+        ("scp-surface-single", {"network": {"sir_threshold_dl_db": 1e5}},
+         "sir_threshold_dl_db"),
+    ])
+    def test_bad_section_value_is_exit_2(self, tmp_path, preset, overrides,
+                                         needle):
+        # these fail when a point builds its configs, not at spec time
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(overrides))
+        code = cli.main(["run", str(p), "--preset", preset, "--out",
+                         str(tmp_path)])
+        assert code == EXIT_USAGE
+        manifest = json.loads(
+            (tmp_path / f"{preset}.manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["exit_code"] == EXIT_USAGE
+        assert manifest["error"]["type"] == "SpecError"
+        assert needle in manifest["error"]["message"]
+        assert not (tmp_path / f"{preset}.csv").exists()
+
     def test_all_infeasible_is_exit_3(self, tmp_path):
         spec = ExperimentSpec.from_mapping(_energy_spec([0.97]))
         code = run_experiment(spec, out_dir=str(tmp_path))
@@ -384,6 +410,10 @@ class TestMain:
         ("validate", {"sweep": {"queue": {"n_mec": -1}}}, None, "queue"),
         ("validate", {"sweep": {"queue_cs": {"duration_s": -5}}}, None,
          "queue_cs"),
+        ("scmp-sweep", {"network": 5}, None, "network"),
+        ("scmp-sweep", {"network": [1, 2]}, None, "network"),
+        ("scp-surface-single", {"compute": 3}, None, "compute"),
+        ("energy-sweep", {"energy": 7}, None, "energy"),
     ])
     def test_bad_spec_is_exit_2_with_manifest(self, tmp_path, capsys, preset,
                                               overrides, reps, needle):

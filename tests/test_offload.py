@@ -17,7 +17,6 @@ from cfedge import offload
 from cfedge.errors import NumericalError, StabilityError
 from cfedge.model import ComputeConfig
 from cfedge.presets import COMPUTE_MIX
-from cfedge.specfun import LaplaceInversionSettings
 
 from conftest import MU_C, MU_M, make_net, walk_reference
 
