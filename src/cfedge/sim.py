@@ -30,14 +30,15 @@ from .offload import arrival_rates
 
 
 # Share of the mean interference the truncated far field may leave out.
-_REL_TAIL = 1e-4
+_FAR_FIELD_SHARE = 1e-4
 
 
 def default_guard(net: NetworkConfig) -> float:
     """Distance beyond which the truncated far field contributes less than
-    _REL_TAIL of the mean interference (Campbell tail of the pathloss)."""
+    _FAR_FIELD_SHARE of the mean interference (Campbell tail of the
+    pathloss)."""
     a = net.alpha
-    return net.d0 * (2.0 / (a * _REL_TAIL)) ** (1.0 / (a - 2.0))
+    return net.d0 * (2.0 / (a * _FAR_FIELD_SHARE)) ** (1.0 / (a - 2.0))
 
 
 @dataclass(frozen=True)
@@ -321,7 +322,7 @@ def simulate_downlink_sir(net: NetworkConfig, scenario: SpatialScenario,
 
 
 # Leading share of a run's records left out of its statistics as warm-up.
-_WARMUP_FRACTION = 0.1
+_WARM_UP_SHARE = 0.1
 
 
 @dataclass
@@ -348,7 +349,7 @@ class EventLog:
 
     def analysis_mask(self, server_id: int | None = None) -> np.ndarray:
         """Post-warmup records, optionally for one server."""
-        n_warm = int(_WARMUP_FRACTION * len(self))
+        n_warm = int(_WARM_UP_SHARE * len(self))
         mask = np.zeros(len(self), dtype=bool)
         mask[n_warm:] = True
         if server_id is not None:
