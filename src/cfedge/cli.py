@@ -544,6 +544,11 @@ def write_csv_rows(path: str, columns: list, rows: list) -> None:
 
 
 def write_manifest(path: str, manifest: dict) -> None:
+    if manifest["output_csv"] is None:
+        # no earlier run's CSV stays next to a run that wrote none
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(os.path.dirname(path),
+                                   manifest["label"] + ".csv"))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -702,9 +707,10 @@ def main(argv: list | None = None) -> int:
             _write_spec_error_manifest(args.out, mapping, exc)
         return EXIT_USAGE
     code = run_experiment(spec, out_dir=args.out, workers=args.workers)
-    status = "ok" if code == EXIT_OK else f"failed (exit {code})"
+    status, written = ("ok", ".csv") if code == EXIT_OK else (
+        f"failed (exit {code})", ".manifest.json")
     print(f"{spec.label}: {status} -> "
-          f"{os.path.join(args.out, spec.label + '.csv')}")
+          f"{os.path.join(args.out, spec.label + written)}")
     return code
 
 

@@ -21,7 +21,8 @@ from .secp import THETA_GRID, _split_scorer
 from .secp import _best_theta as _secp_best_theta
 from .secp import find_r_threshold as _secp_find_r_threshold
 from .errors import InfeasibilityError
-from .model import ComputeConfig, NetworkConfig, mean_connected_aps
+from .model import (ComputeConfig, NetworkConfig, check_numbers,
+                    mean_connected_aps)
 
 # ----------------------------------------------------------------------------
 # configuration
@@ -52,8 +53,7 @@ class EnergyConfig:
     delta: float = 3.0               # power-frequency exponent
 
     def __post_init__(self):
-        object.__setattr__(self, "f_cs_hz", tuple(float(f) for f in self.f_cs_hz))
-        object.__setattr__(self, "f_mec_hz", tuple(float(f) for f in self.f_mec_hz))
+        check_numbers(self, ("f_cs_hz", "f_mec_hz"))
         if len(self.f_cs_hz) != len(self.f_mec_hz):
             raise ValueError("f_cs_hz and f_mec_hz must have equal length")
         positives = (self.bandwidth_hz, self.task_bits_ul, self.task_bits_dl,

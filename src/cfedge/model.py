@@ -13,6 +13,24 @@ from functools import cached_property
 
 import numpy as np
 
+
+def check_numbers(config, tuple_fields: tuple = ()) -> None:
+    """Store tuple_fields of a frozen config as tuples of floats. ValueError
+    unless each is a list or tuple of numbers (so a string is not read
+    character by character) and every field is finite."""
+    for name in tuple_fields:
+        value = getattr(config, name)
+        if not isinstance(value, (list, tuple)) or any(
+                isinstance(v, str) for v in value):
+            raise ValueError(f"{name} must be a list of numbers")
+        object.__setattr__(config, name, tuple(map(float, value)))
+    for name in config.__dataclass_fields__:
+        value = getattr(config, name)
+        if not (all(map(math.isfinite, value)) if name in tuple_fields
+                else math.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+
+
 # ----------------------------------------------------------------------------
 # network geometry + radio parameters
 # ----------------------------------------------------------------------------
@@ -31,6 +49,7 @@ class NetworkConfig:
     network_area: float = 1.0       # total served area [km^2], scales CS load
 
     def __post_init__(self):
+        check_numbers(self)
         if self.lambda_b < 0 or self.lambda_d < 0:
             raise ValueError("densities must be non-negative")
         if int(self.antennas_per_ap) != self.antennas_per_ap or self.antennas_per_ap < 1:
@@ -79,9 +98,7 @@ class ComputeConfig:
     target_latency: float = 0.012    # end-to-end latency target [s]
 
     def __post_init__(self):
-        object.__setattr__(self, "type_probs", tuple(float(p) for p in self.type_probs))
-        object.__setattr__(self, "mu_c", tuple(float(m) for m in self.mu_c))
-        object.__setattr__(self, "mu_m", tuple(float(m) for m in self.mu_m))
+        check_numbers(self, ("type_probs", "mu_c", "mu_m"))
         n = len(self.type_probs)
         if len(self.mu_c) != n or len(self.mu_m) != n:
             raise ValueError("type_probs, mu_c, mu_m must have equal length")

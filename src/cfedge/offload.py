@@ -3,9 +3,10 @@
 Arrival rates at the central server and at a typical edge server follow
 from thinning the user field by the uplink success probability and by the
 minimum-load dispatch rule. Each edge server is an M/G/1 queue with
-hyperexponential service; its stationary queue length has a geometric
-mixture form whose roots and weights are computed here, and the latency
-CDFs come from numerical transform inversion.
+hyperexponential service; its stationary queue length is a mixture of
+geometric terms, with roots bracketed between the poles of a rational
+function and weights from residues in closed form. The latency CDFs come
+from numerical transform inversion.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.special as sp
+from scipy.optimize import brentq
 
 from . import comm
 from .errors import NumericalError, StabilityError
 from .model import ComputeConfig, NetworkConfig, mean_connected_aps
-from .specfun import _euler_nodes, invert_laplace_cdf, poly_roots_real
+from .specfun import _euler_nodes, invert_laplace_cdf
 
 _POISSON_TAIL = 1e-10
 _GEO_TAIL = 1e-10
@@ -106,7 +108,16 @@ class QueueSpectrum:
 
 
 def queue_spectrum(comp: ComputeConfig, lambda_m: float) -> QueueSpectrum:
-    """Roots and weights of the edge-server queue-length distribution."""
+    """Roots and weights of the edge-server queue-length distribution.
+
+    The roots are lam x for the roots x of h(x) = sum_l p_l (mu_l x - 1) /
+    ((mu_l + lam)(x - x_l)) = a - lam sum_l p_l x_l^2 / (x - x_l), with one
+    pole x_l = 1/(mu_l + lam) per distinct edge rate of a type with p_l > 0.
+    h rises from -inf to +inf between consecutive poles and to
+    h(1/lam) = 1 - rho past the last: one root per bracket, found as its
+    offset from the pole on its left. Each weight is the residue of the
+    queue-length generating function at z = 1/omega.
+    """
     if lambda_m < 0:
         raise ValueError("arrival rate cannot be negative")
     n = comp.num_types
@@ -119,62 +130,57 @@ def queue_spectrum(comp: ComputeConfig, lambda_m: float) -> QueueSpectrum:
     if n == 1:
         return QueueSpectrum(roots=(rho,), weights=(1.0 - rho,), rho_m=rho)
     if rho < 1e-6:
-        # all roots collapse toward 0 together and the weight system loses
-        # rank; the queue is empty up to O(rho), which is below every
-        # tolerance this value feeds
+        # the roots sit ever closer to their poles, where the root search
+        # starts, and it converges ever more slowly; the queue is empty up
+        # to O(rho), which is below every tolerance this value feeds
         return QueueSpectrum(roots=(0.0,) * n,
                              weights=(1.0,) + (0.0,) * (n - 1), rho_m=rho)
 
     lam = lambda_m
-    # the factors (mu_q + lam) omega - lam, lowest power first
-    factors = [np.array([-lam, mu + lam]) for mu in comp.mu_m]
-    # root equation: omega^2 * A-type sum = prod_q ((mu_q + lam) omega - lam);
-    # omega = 1 always solves it and is deflated before root finding
-    rhs = np.array([1.0])
-    for f in factors:
-        rhs = np.convolve(rhs, f)
-    lhs = np.zeros(n)
-    for l, (p, mu) in enumerate(zip(comp.type_probs, comp.mu_m)):
-        term = np.array([p * mu])
-        for k, f in enumerate(factors):
-            if k != l:
-                term = np.convolve(term, f)
-        lhs += term
-    full = np.append(rhs, 0.0)
-    full[2:] -= lhs
-    # synthetic division by omega - 1 is a running sum from the top
-    # coefficient down; the last sum is the remainder
-    sums = np.cumsum(full[::-1])[::-1]
-    quotient, remainder = sums[1:], sums[0]
-    if abs(remainder) > 1e-6 * np.max(np.abs(full)):
-        raise NumericalError("structural root omega = 1 missing from queue polynomial")
-    roots, _ = poly_roots_real(quotient)
-    roots = roots[(roots > -1.0) & (roots < 1.0)]
-    if len(roots) != n:
-        raise NumericalError(
-            f"expected {n} queue-length roots inside the unit interval, "
-            f"found {len(roots)}")
+    merged = {}
+    for p, mu in zip(comp.type_probs, comp.mu_m):
+        if p > 0.0:
+            merged[mu] = merged.get(mu, 0.0) + p
+    mus = sorted(merged, reverse=True)  # poles ascending
+    probs = [merged[mu] for mu in mus]
+    poles = [1.0 / (mu + lam) for mu in mus]
+    a = sum(p * mu * x for p, mu, x in zip(probs, mus, poles))
+    b = [p * x * x for p, x in zip(probs, poles)]
+    roots, eps = [], []
+    for k, (mu_k, x_k) in enumerate(zip(mus, poles)):
+        # x_k - x_l without the cancellation of subtracting the poles
+        gaps = [(mu - mu_k) * x_k * x for mu, x in zip(mus, poles)]
+        last = k == len(mus) - 1
+        # the bracket's right end as an offset: the next pole or 1/lam
+        w = mu_k * x_k / lam if last else -gaps[k + 1]
+        b_next = 0.0 if last else b[k + 1]
+        others = [(b_l, g_l) for l, (b_l, g_l) in enumerate(zip(b, gaps))
+                  if l != k and (last or l != k + 1)]
 
-    # weights from matching sum_q eps_q prod_{r != q}(1 - omega_r z)
-    # against (1 - rho) A(z)/A(0) coefficient by coefficient, where
-    # A(z) = sum_l p_l mu_l prod_{k != l} (mu_k + lam - lam z) is lhs with
-    # its coefficients reversed
-    a_poly = lhs[::-1]
-    target = (1.0 - rho) * a_poly / a_poly[0]
-    mat = np.zeros((n, n))
-    for q in range(n):
-        col = np.array([1.0])
-        for r_i, w in enumerate(roots):
-            if r_i != q:
-                col = np.convolve(col, np.array([1.0, -w]))
-        mat[:, q] = col
-    try:
-        eps = np.linalg.solve(mat, target)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"queue weight system is singular: {exc}") from exc
+        def cleared(u):
+            # h(x_k + u) times u (w - u), or times u in the last bracket:
+            # finite, negative at u = 0 and positive at u = w
+            v = 1.0 if last else w - u
+            far = sum(b_l / (u + g_l) for b_l, g_l in others)
+            return u * v * (a - lam * far) - lam * (b[k] * v - b_next * u)
 
-    spectrum = QueueSpectrum(roots=tuple(float(r) for r in roots),
-                             weights=tuple(float(e) for e in eps), rho_m=rho)
+        try:
+            # an absolute tolerance so small that the relative one decides
+            u = brentq(cleared, 0.0, w, xtol=np.finfo(float).tiny)
+        except (RuntimeError, ValueError) as exc:  # no convergence, bad sign
+            raise NumericalError(f"queue-length root not found: {exc}") \
+                from exc
+        omega = lam * (x_k + u)
+        # (1 - rho)(1 - omega) / (omega (D - 1)), with D =
+        # lam x^2 sum_l p_l mu_l / ((mu_l + lam)(x - x_l))^2
+        big_d = lam * (x_k + u) ** 2 * sum(
+            p * mu * x * x / (u + g_l) ** 2
+            for p, mu, x, g_l in zip(probs, mus, poles, gaps))
+        roots.append(omega)
+        eps.append((1.0 - rho) * (1.0 - omega) / (omega * (big_d - 1.0)))
+
+    spectrum = QueueSpectrum(roots=tuple(roots), weights=tuple(eps),
+                             rho_m=rho)
     _validate_spectrum(spectrum)
     return spectrum
 

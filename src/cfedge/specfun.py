@@ -1,8 +1,8 @@
 """Numeric backends used by the analytic layers.
 
 Wraps the Gauss hypergeometric function the closed forms need, provides
-expectations against the Gamma(M, 1) antenna gain law, numerical inversion
-of Laplace-transformed CDFs, and real roots of small polynomials.
+expectations against the Gamma(M, 1) antenna gain law and numerical
+inversion of Laplace-transformed CDFs.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.special as sp
@@ -146,34 +146,3 @@ def invert_laplace_cdf(transform: Callable, t: float):
     cdf = [min(1.0, max(0.0, x)) for x in est]
     return np.array(cdf) if partial.ndim > 1 else cdf[0]
 
-
-# ----------------------------------------------------------------------------
-# real polynomial roots
-# ----------------------------------------------------------------------------
-
-
-def poly_roots_real(coeffs: Sequence[float]):
-    """Real roots of a real polynomial, ascending coefficient order.
-
-    Returns (roots, residuals) with residuals |p(root)| scaled by the largest
-    coefficient magnitude. Degree is capped at 16; a scaled residual beyond
-    1e-6 raises a numerical error.
-    """
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), trim="b")
-    if c.size == 0:
-        raise ValueError("zero polynomial has no well-defined roots")
-    if c.size - 1 > 16:
-        raise ValueError("polynomial degree above 16 is not supported")
-    if c.size == 1:
-        return np.empty(0), np.empty(0)
-    roots = np.polynomial.polynomial.polyroots(c)
-    scale = np.max(np.abs(c))
-    real_mask = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))
-    real_roots = np.sort(roots[real_mask].real)
-    residuals = np.abs(np.polynomial.polynomial.polyval(real_roots, c)) / scale
-    if np.any(residuals > 1e-6):
-        raise NumericalError(
-            f"ill-conditioned polynomial: scaled root residual "
-            f"{residuals.max():.3e} exceeds 1e-6"
-        )
-    return real_roots, residuals

@@ -286,6 +286,19 @@ class TestRunExperiment:
          "sir_threshold_ul_db"),
         ("scp-surface-single", {"network": {"sir_threshold_dl_db": 1e5}},
          "sir_threshold_dl_db"),
+        # a string is not read character by character
+        ("scp-surface-single", {"compute": {"type_probs": "1", "mu_c": "9",
+                                            "mu_m": "8"}}, "type_probs"),
+        ("scp-surface-single", {"compute": {"mu_c": ["9"]}}, "mu_c"),
+        ("energy-sweep", {"energy": {"f_mec_hz": "3"}}, "f_mec_hz"),
+        # json reads NaN and Infinity; no range check catches NaN
+        ("scp-surface-single", {"network": {"lambda_b": float("nan")}},
+         "lambda_b"),
+        ("scp-surface-single", {"network": {"antennas_per_ap": math.inf}},
+         "antennas_per_ap"),
+        ("scp-surface-single", {"compute": {"target_latency": float("nan")}},
+         "target_latency"),
+        ("energy-sweep", {"energy": {"kappa_m": float("nan")}}, "kappa_m"),
     ])
     def test_bad_section_value_is_exit_2(self, tmp_path, preset, overrides,
                                          needle):
@@ -430,6 +443,46 @@ class TestMain:
         assert manifest["error"]["type"] == "SpecError"
         assert needle in manifest["error"]["message"]
         assert not (tmp_path / f"{preset}.csv").exists()
+
+    def test_failed_rerun_removes_stale_csv(self, tmp_path, capsys):
+        # a failed run names its manifest and leaves no earlier CSV of its
+        # label behind
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(_scmp_spec()))
+        argv = ["run", str(p), "--out", str(tmp_path), "--reps", "100"]
+        assert cli.main(argv) == EXIT_OK
+        assert (tmp_path / "tiny.csv").exists()
+        capsys.readouterr()
+        p.write_text(json.dumps(_scmp_spec(
+            network={"lambda_b": float("nan"), "lambda_d": 100.0})))
+        assert cli.main(argv) == EXIT_USAGE
+        out = capsys.readouterr().out
+        assert "tiny: failed (exit 2)" in out
+        assert str(tmp_path / "tiny.manifest.json") in out
+        assert not (tmp_path / "tiny.csv").exists()
+        manifest = json.loads((tmp_path / "tiny.manifest.json").read_text())
+        assert manifest["output_csv"] is None
+        # and so does a spec that fails before the run starts
+        p.write_text(json.dumps(_scmp_spec()))
+        assert cli.main(argv) == EXIT_OK
+        p.write_text(json.dumps(_scmp_spec(sweep={"radii_km": ["a"]})))
+        assert cli.main(argv) == EXIT_USAGE
+        assert not (tmp_path / "tiny.csv").exists()
+
+    def test_three_type_light_edge_load_is_exit_0(self, tmp_path):
+        # edge load 6.6e-6: the queue-length roots sit next to their poles
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({
+            "compute": {"type_probs": [0.3, 0.3, 0.4],
+                        "mu_c": [320.0, 139.0, 25.0],
+                        "mu_m": [320.0, 139.0, 25.0]},
+            "sweep": {"radii_km": [0.01], "theta_grid": [0.9]}}))
+        code = cli.main(["run", str(p), "--preset", "scp-surface-mix",
+                         "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        with open(tmp_path / "scp-surface-mix.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert 0.0 < float(row["scp_mec"]) <= 1.0
 
     def test_ok_path(self, tmp_path, capsys):
         p = tmp_path / "s.json"

@@ -91,6 +91,13 @@ def test_config_validation():
         EnergyConfig(pa_efficiency=0.0)
     with pytest.raises(ValueError):
         EnergyConfig(task_bits_ul=-1.0)
+    # a string is not read character by character, and NaN fails no range
+    with pytest.raises(ValueError, match="f_cs_hz"):
+        EnergyConfig(f_cs_hz="45", f_mec_hz=(1e9, 3.4e9))
+    with pytest.raises(ValueError, match="delta"):
+        EnergyConfig(delta=float("nan"))
+    with pytest.raises(ValueError, match="f_mec_hz"):
+        EnergyConfig(f_mec_hz=(1e9, float("inf")))
 
 
 class TestMinimizeEnergy:

@@ -27,6 +27,11 @@ class TestNetworkConfig:
         ("sir_threshold_ul", 0.0),
         ("sir_threshold_dl", -3.0),
         ("network_area", 0.0),
+        # no range check is false for NaN, and int(inf) overflows
+        ("lambda_b", math.nan),
+        ("alpha", math.nan),
+        ("coverage_radius", math.inf),
+        ("antennas_per_ap", math.inf),
     ])
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ValueError):
@@ -74,6 +79,10 @@ class TestComputeConfig:
         assert mix_comp.mean_service_time_cs == pytest.approx(mean_cs)
         assert mix_comp.num_types == 2
 
+    def test_lists_stored_as_float_tuples(self):
+        comp = ComputeConfig(type_probs=[1], mu_c=[10], mu_m=[np.float64(5)])
+        assert comp.mu_c == (10.0,) and type(comp.mu_m[0]) is float
+
     def test_num_types_inferred_and_checked(self):
         # num_types is read from type_probs; it cannot be given or set
         comp = ComputeConfig(type_probs=(1.0,), mu_c=(10.0,), mu_m=(5.0,))
@@ -91,6 +100,14 @@ class TestComputeConfig:
         dict(type_probs=(1.0,), mu_c=(1.0,), mu_m=(1.0,), offload_prob=1.5),
         dict(type_probs=(1.0,), mu_c=(1.0,), mu_m=(1.0,), target_latency=0.0),
         dict(type_probs=(), mu_c=(), mu_m=()),
+        # a string is not read character by character
+        dict(type_probs="1", mu_c="9", mu_m="8"),
+        dict(type_probs=[1.0], mu_c=["9"], mu_m=[8.0]),
+        dict(type_probs=1.0, mu_c=(9.0,), mu_m=(8.0,)),
+        dict(type_probs=(1.0,), mu_c=(math.nan,), mu_m=(1.0,)),
+        dict(type_probs=(1.0,), mu_c=(1.0,), mu_m=(math.inf,)),
+        dict(type_probs=(1.0,), mu_c=(1.0,), mu_m=(1.0,),
+             target_latency=math.nan),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):

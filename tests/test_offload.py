@@ -1,9 +1,10 @@
 """Edge offload layer: queue spectrum, latency CDFs, and the offload mix.
 
 The stationary queue spectrum is checked against Taylor coefficients of
-the M/G/1 queue-length generating function computed independently in
-mpmath, and the latency CDFs against the exponential closed form that
-exists when there is a single service type.
+the M/G/1 queue-length generating function and against the roots of its
+characteristic polynomial, both computed independently in mpmath, and the
+latency CDFs against the exponential closed form that exists when there is
+a single service type.
 """
 
 import math
@@ -37,70 +38,43 @@ def _pgf_pmf(comp, lam, vmax):
     return [float(c) for c in mp.taylor(pi, 0, vmax)]
 
 
-def _polynomial_spectrum(comp, lambda_m):
-    # queue_spectrum's former numpy.polynomial construction, kept as the
-    # reference for the array form: (roots, weights, rho) or NumericalError
-    poly = np.polynomial.polynomial
-    n = comp.num_types
-    rho = lambda_m * comp.mean_service_time_mec
-    if n == 1:
-        return (rho,), (1.0 - rho,), rho
-    if rho < 1e-6:
-        return (0.0,) * n, (1.0,) + (0.0,) * (n - 1), rho
-    lam = lambda_m
-    mus = comp.mu_m
-    rhs = np.array([1.0])
-    for mu in mus:
-        rhs = poly.polymul(rhs, np.array([-lam, mu + lam]))
-    lhs = np.zeros(1)
-    for l, (p, mu) in enumerate(zip(comp.type_probs, mus)):
-        term = np.array([p * mu])
-        for k, mu_k in enumerate(mus):
-            if k != l:
-                term = poly.polymul(term, np.array([-lam, mu_k + lam]))
-        lhs = poly.polyadd(lhs, term)
-    full = poly.polysub(rhs, poly.polymul(np.array([0.0, 0.0, 1.0]), lhs))
-    quotient, remainder = poly.polydiv(full, np.array([-1.0, 1.0]))
-    if np.max(np.abs(remainder)) > 1e-6 * np.max(np.abs(full)):
-        raise NumericalError("structural root missing")
-    roots, _ = offload.poly_roots_real(quotient)
-    roots = roots[(roots > -1.0) & (roots < 1.0)]
-    if len(roots) != n:
-        raise NumericalError("root count")
-    a_poly = lhs[::-1]
-    target = (1.0 - rho) * a_poly / a_poly[0]
-    mat = np.zeros((n, n))
-    for q in range(n):
-        col = np.array([1.0])
-        for r_i, w in enumerate(roots):
-            if r_i != q:
-                col = poly.polymul(col, np.array([1.0, -w]))
-        mat[:len(col), q] = col
-    rhs_vec = np.zeros(n)
-    rhs_vec[:len(target)] = target
-    try:
-        eps = np.linalg.solve(mat, rhs_vec)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular weight system") from exc
-    spec = offload.QueueSpectrum(roots=tuple(float(r) for r in roots),
-                                 weights=tuple(float(e) for e in eps),
-                                 rho_m=rho)
-    if abs(spec.tail(0) - 1.0) > 1e-9 or any(
-            spec.pmf(v) < -1e-12 for v in range(0, 200, 7)):
-        raise NumericalError("invalid spectrum")
-    return spec.roots, spec.weights, rho
+def _mp_roots(comp, lam):
+    # roots omega of h(omega) = sum_l p_l (mu_l omega - lam)/((mu_l + lam)
+    # omega - lam) as mpmath roots of its numerator polynomial, one factor
+    # per distinct rate of a type with positive probability
+    merged = {}
+    for p, mu in zip(comp.type_probs, comp.mu_m):
+        if p > 0.0:
+            merged[mp.mpf(mu)] = merged.get(mp.mpf(mu), 0) + mp.mpf(p)
+    lam = mp.mpf(lam)
+    numerator = [mp.mpf(0)] * (len(merged) + 1)
+    for mu_l, p_l in merged.items():
+        # coefficients, highest power first
+        term = [p_l * mu_l, -p_l * lam]
+        for mu_k in merged:
+            if mu_k != mu_l:
+                term = [a * (mu_k + lam) - b * lam
+                        for a, b in zip(term + [0], [0] + term)]
+        numerator = [a + b for a, b in zip(numerator, term)]
+    return sorted(mp.polyroots(numerator, maxsteps=200, extraprec=200))
 
 
-def _assert_matches_polynomial_form(comp, load):
+def _assert_matches_mpmath(comp, load, vmax=8):
     lam = load / comp.mean_service_time_mec
-    try:
-        want = _polynomial_spectrum(comp, lam)
-    except NumericalError:
-        with pytest.raises(NumericalError):
-            offload.queue_spectrum(comp, lam)
-        return
     got = offload.queue_spectrum(comp, lam)
-    assert (got.roots, got.weights, got.rho_m) == want, (comp, lam)
+    if got.rho_m < 1e-6:
+        # the collapsed spectrum: P[N = 0] = 1 - rho is read as 1, and
+        # the rho of mass on N >= 1 as 0
+        assert got.roots == (0.0,) * comp.num_types
+        tol = 2.0 * got.rho_m
+    else:
+        want = _mp_roots(comp, lam)
+        assert len(got.roots) == len(want)
+        for r, w in zip(got.roots, want):
+            assert abs(r - w) <= 1e-12 * abs(w), (comp, lam)
+        tol = 1e-10
+    for v, w in enumerate(_pgf_pmf(comp, mp.mpf(lam), vmax)):
+        assert got.pmf(v) == pytest.approx(w, abs=tol), (comp, lam, v)
 
 
 @st.composite
@@ -116,18 +90,32 @@ def _type_mixes(draw):
 
 
 class TestQueueSpectrum:
-    def test_equals_polynomial_form_on_preset_mix(self, mix_comp):
+    def test_roots_match_mpmath_on_preset_mix(self, mix_comp):
         preset = ComputeConfig(type_probs=tuple(COMPUTE_MIX["type_probs"]),
                                mu_c=tuple(COMPUTE_MIX["mu_c"]),
                                mu_m=tuple(COMPUTE_MIX["mu_m"]))
         for comp in (preset, mix_comp):
-            for load in np.geomspace(1e-6, 0.98, 200):
-                _assert_matches_polynomial_form(comp, float(load))
+            for load in np.geomspace(1e-9, 0.98, 100):
+                _assert_matches_mpmath(comp, float(load))
 
     @settings(max_examples=300, deadline=None)
-    @given(comp=_type_mixes(), load=st.floats(1e-6, 0.98))
-    def test_equals_polynomial_form_on_drawn_mixes(self, comp, load):
-        _assert_matches_polynomial_form(comp, load)
+    @given(comp=_type_mixes(), log_load=st.floats(-9.0, math.log10(0.98)))
+    def test_roots_match_mpmath_on_drawn_mixes(self, comp, log_load):
+        _assert_matches_mpmath(comp, 10.0 ** log_load)
+
+    def test_zero_and_repeated_types_merge(self):
+        # a type of probability 0 adds no pole, and types of one edge rate
+        # share one: the spectrum is that of the merged two-type mix
+        merged = ComputeConfig(type_probs=(0.6, 0.4), mu_c=(50.0, 160.0),
+                               mu_m=(50.0, 160.0))
+        split = ComputeConfig(type_probs=(0.25, 0.0, 0.4, 0.35),
+                              mu_c=(50.0, 80.0, 160.0, 50.0),
+                              mu_m=(50.0, 80.0, 160.0, 50.0))
+        want = offload.queue_spectrum(merged, 40.0)
+        got = offload.queue_spectrum(split, 40.0)
+        assert len(got.roots) == 2
+        assert got.roots == pytest.approx(want.roots, rel=1e-14)
+        assert got.weights == pytest.approx(want.weights, rel=1e-13)
 
     def test_matches_generating_function(self, mix_comp):
         spec = offload.queue_spectrum(mix_comp, 40.0)
@@ -171,7 +159,7 @@ class TestQueueSpectrum:
 
     def test_vanishing_load_guard(self, mix_comp):
         # below the degenerate-load threshold the collapsed spectrum is
-        # returned instead of a singular weight solve
+        # returned instead of a root search starting next to the poles
         spec = offload.queue_spectrum(mix_comp, 1e-8)
         assert spec.roots == (0.0, 0.0)
         assert spec.weights == (1.0, 0.0)

@@ -8,8 +8,7 @@ import pytest
 from scipy.special import gammainc
 
 from cfedge.errors import NumericalError
-from cfedge.specfun import (gamma_expectation, hyp2f1, invert_laplace_cdf,
-                            poly_roots_real)
+from cfedge.specfun import gamma_expectation, hyp2f1, invert_laplace_cdf
 
 mp.mp.dps = 40
 
@@ -109,31 +108,3 @@ class TestLaplaceInversion:
             invert_laplace_cdf(
                 lambda s: np.stack([50.0 / (s + 50.0), delay(s)]), 0.01)
 
-
-class TestPolyRoots:
-    def test_quadratic(self):
-        # (x - 2)(x + 3) = -6 + x + x^2
-        roots, residuals = poly_roots_real([-6.0, 1.0, 1.0])
-        assert roots == pytest.approx([-3.0, 2.0])
-        assert np.all(residuals < 1e-12)
-
-    def test_complex_pair_filtered(self):
-        # x^2 + 1 has no real roots
-        roots, _ = poly_roots_real([1.0, 0.0, 1.0])
-        assert len(roots) == 0
-
-    def test_trailing_zeros_trimmed(self):
-        roots, _ = poly_roots_real([-1.0, 1.0, 0.0, 0.0])
-        assert roots == pytest.approx([1.0])
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            poly_roots_real([1.0] * 18)
-
-    def test_zero_polynomial(self):
-        with pytest.raises(ValueError):
-            poly_roots_real([0.0, 0.0])
-
-    def test_constant_polynomial(self):
-        roots, residuals = poly_roots_real([3.0])
-        assert len(roots) == 0 and len(residuals) == 0
