@@ -5,6 +5,7 @@ tight-budget comparisons against the analytic layer live in the
 acceptance suite.
 """
 
+import hashlib
 import heapq
 import itertools
 import math
@@ -143,6 +144,29 @@ class TestBlocks:
             for long, short in zip(out, first):
                 assert len(long) == reps
                 assert np.array_equal(long[:k], short)
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("independent", "8b932ed0bb8e0bd5e45b5040c8dfa9e4"
+                        "44570af56439b80aa9db789967f49f1a"),
+        ("per_user", "c432c04b60a3160e20988917cb0cae09"
+                     "8b3f41e309a4dd61aad960e5fac43018"),
+        ("uplink", "22bed49eaeb669ca267f09b888630a16"
+                   "32c2e9d3063c6ea1f641d10867b00471"),
+    ])
+    def test_single_radius_outcomes_pinned(self, fig_net, monkeypatch, kind,
+                                           digest):
+        # SHA-256 of the per-replication outcome arrays (dtype, then
+        # bytes) of a one-radius run: any change to the stream or to the
+        # arithmetic of a one-radius run shows here
+        sc = SpatialScenario.for_network(fig_net, 300, seed=7)
+        _, outcomes = _blocks(monkeypatch,
+                              lambda: _SIMULATORS[kind](fig_net, sc))
+        h = hashlib.sha256()
+        for column in outcomes:
+            assert len(column) == 300
+            h.update(column.dtype.str.encode())
+            h.update(np.ascontiguousarray(column).tobytes())
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("kind", sorted(_SIMULATORS))
     def test_single_replication(self, fig_net, kind):
