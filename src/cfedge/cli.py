@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import numbers
@@ -266,14 +267,33 @@ def _nan_row(kind: str, **known) -> dict:
     return {**dict.fromkeys(COLUMNS[kind], float("nan")), **known}
 
 
+@functools.lru_cache(maxsize=32)
+def _drop(simulator: str, net: NetworkConfig, radii: tuple,
+          replications: int, seed: int) -> tuple:
+    """Samples at each radius of one drop of simulator ("uplink" or a beam
+    placement), net being the network at the largest: cached, so each
+    process draws a run's drop once."""
+    scenario = sim.SpatialScenario.for_network(net, replications, seed=seed)
+    if simulator == "uplink":
+        return sim.simulate_uplink_outage(net, scenario, radii=radii)
+    return sim.simulate_downlink_sir(net, scenario, simulator, radii=radii)
+
+
+def _sample(spec: ExperimentSpec, simulator: str, R: float, radii=None):
+    """The sample at radius R of the run's drop over radii (the sweep's by
+    default), drawn at the run's seed."""
+    radii = tuple(sorted(set(map(float, radii or spec.sweep["radii_km"]))))
+    net = _network_for(spec, coverage_radius=radii[-1])
+    return _drop(simulator, net, radii, spec.replications,
+                 spec.seed)[radii.index(R)]
+
+
 def _eval_scmp(spec: ExperimentSpec, index: int, point: dict) -> dict:
     net = _network_for(spec, coverage_radius=point["R"])
     p_oul = comm.uplink_outage(net)
     dl = comm.downlink_outage(net)
-    scenario = sim.SpatialScenario.for_network(net, spec.replications,
-                                               seed=spec.seed + index)
-    ul_sample = sim.simulate_uplink_outage(net, scenario)
-    dl_sample = sim.simulate_downlink_sir(net, scenario)
+    ul_sample = _sample(spec, "uplink", point["R"])
+    dl_sample = _sample(spec, "per_user", point["R"])
     return {
         "R_km": point["R"],
         "p_oul": p_oul,
@@ -403,12 +423,10 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
     if check in ("uplink_outage", "uplink_outage_independent",
                  "downlink_outage", "interference_mean", "interference_var"):
         net = _network_for(spec, coverage_radius=point["R"])
-        scenario = sim.SpatialScenario.for_network(
-            net, spec.replications, seed=spec.seed + index)
         name = f"{check}@R={point['R']:g}km"
         if check == "uplink_outage":
             ana = comm.uplink_outage(net)
-            sample = sim.simulate_uplink_outage(net, scenario)
+            sample = _sample(spec, "uplink", point["R"])
             delta = abs(ana - sample.estimate)
             return _vrow(name, ana, sample.estimate, delta,
                          0.02 + 3.0 * sample.stderr)
@@ -418,19 +436,18 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
             # the shared interferer field, so only an excess over it fails
             bound = math.exp(-mean_connected_aps(net)
                              * comm.per_ap_success(net))
-            sample = sim.simulate_uplink_outage(net, scenario)
+            sample = _sample(spec, "uplink", point["R"])
             return _vrow(name, bound, sample.estimate,
                          max(0.0, bound - sample.estimate),
                          3.0 * sample.stderr)
         if check == "downlink_outage":
             out = comm.downlink_outage(net)
-            sample = sim.simulate_downlink_sir(net, scenario)
+            sample = _sample(spec, "per_user", point["R"])
             delta = max(0.0, out.lower - sample.outage,
                         sample.outage - out.upper)
             return _vrow(name, out.point, sample.outage, delta,
                          0.03 + 3.0 * sample.outage_se)
-        sample = sim.simulate_downlink_sir(net, scenario,
-                                           beam_placement="independent")
+        sample = _sample(spec, "independent", point["R"], [point["R"]])
         params = comm.gamma_interference_params(net)
         if check == "interference_mean":
             return _vrow(name, params.mean, sample.i_mean,

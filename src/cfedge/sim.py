@@ -6,16 +6,18 @@ interference. Replications are drawn a block at a time from counter-based
 streams: the Philox key is (run seed, simulator) and the counter is the
 block index. A block's length depends only on the network and the window,
 so reruns are byte-identical and a longer run starts with the blocks of a
-shorter one. The queueing simulation runs one central FIFO queue plus a
-group of edge FIFO queues fed by minimum-load dispatch, drawing its task
-stream a chunk at a time.
+shorter one. A spatial run samples strictly increasing radii from one drop
+at the largest, thinned to each smaller radius, so its sample at the
+largest radius is that of a run at that radius alone. The queueing
+simulation runs one central FIFO queue plus a group of edge FIFO queues
+fed by minimum-load dispatch, drawing its task stream a chunk at a time.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,12 +64,19 @@ class SpatialScenario:
                    replications=replications, seed=seed)
 
 
-def _check_window(net: NetworkConfig, scenario: SpatialScenario) -> None:
+def _sweep(net: NetworkConfig, scenario: SpatialScenario, radii) -> tuple:
+    """The network at the largest of the radii and the radii as an array;
+    ValueError unless they increase strictly and the window fits."""
+    radii = np.array((net.coverage_radius,) if radii is None else radii,
+                     dtype=float, ndmin=1)
+    if len(radii) == 0 or np.any(np.diff(radii) <= 0.0):
+        raise ValueError("radii must be strictly increasing")
+    net = replace(net, coverage_radius=float(radii[-1]))
     need = 4.0 * net.coverage_radius + scenario.guard
     if scenario.half_width + 1e-12 < need:
-        raise ValueError(
-            f"window half-width {scenario.half_width} km below the required "
-            f"4 R + guard = {need} km")
+        raise ValueError(f"window half-width {scenario.half_width} km below "
+                         f"4 R + guard = {need} km")
+    return net, radii
 
 
 # ----------------------------------------------------------------------------
@@ -101,28 +110,49 @@ def _replicate(scenario: SpatialScenario, stream: int, per_rep: float,
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
+def _frequency(flags: np.ndarray) -> tuple:
+    """Share of the replications flagged, and its standard error."""
+    p = float(flags.mean())
+    return p, math.sqrt(max(p * (1.0 - p), 1e-300) / len(flags))
+
+
+def _mean(values: np.ndarray) -> tuple:
+    """Mean over the replications, and its standard error."""
+    n = len(values)
+    return (float(values.mean()),
+            float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
+
+
 def _owner(counts: np.ndarray) -> np.ndarray:
     """Index of the run each flat element belongs to, for runs of
     counts[k] consecutive elements."""
     return np.repeat(np.arange(len(counts)), counts)
 
 
+def _sums(owner: np.ndarray, weights: list, n: int) -> np.ndarray:
+    """Sums over each of n runs, one column per array of weights. Each
+    array is summed in element order, whatever the other arrays."""
+    return np.column_stack([np.bincount(owner, w, minlength=n)
+                            for w in weights])
+
+
 def _neighbour_counts(ap_xy: np.ndarray, n_ap: np.ndarray, u_xy: np.ndarray,
-                      n_u: np.ndarray, radius: float,
+                      n_u: np.ndarray, radii: np.ndarray,
                       half_width: float) -> np.ndarray:
-    """Users within `radius` (inclusive) of each AP, in its replication.
+    """Users within each of the increasing radii (inclusive) of each AP, in
+    its replication: one row per radius, one column per AP.
 
     The points of replication k are the n_ap[k] (n_u[k]) consecutive rows
     of ap_xy (u_xy), all inside [-half_width, half_width]^2. Users are
-    keyed by (replication, column, row) in a dense index of square cells,
-    padded by one cell on each side so the 3x3 cells around any AP stay in
-    its replication. The three cells of a column are adjacent in key
-    order, so each AP scans three runs of users.
+    keyed by (replication, column, row) in a dense index of square cells
+    as wide as the largest radius, padded by one cell on each side so the
+    3x3 cells around any AP stay in its replication. The three cells of a
+    column are adjacent in key order, so each AP scans three runs of users.
     """
     n = len(n_u)
     # A hair above the radius, so that rounding in the cell arithmetic can
     # never put a pair within the radius two cells apart.
-    side = radius * (1.0 + 1e-9)
+    side = radii[-1] * (1.0 + 1e-9)
     cells = int(2.0 * half_width / side) + 3
 
     def cell(xy):
@@ -144,13 +174,19 @@ def _neighbour_counts(ap_xy: np.ndarray, n_ap: np.ndarray, u_xy: np.ndarray,
     length = start[first + 3] - lo
     run_first = np.cumsum(length) - length
     cand = np.arange(int(length.sum())) + np.repeat(lo - run_first, length)
-    per_ap = length.reshape(-1, 3).sum(axis=1)
+    per_ap = length[0::3] + length[1::3] + length[2::3]
     dx = ux[cand] - np.repeat(ap_xy[:, 0], per_ap)
     dy = uy[cand] - np.repeat(ap_xy[:, 1], per_ap)
-    hits = np.zeros(len(cand) + 1, dtype=np.int64)
-    np.cumsum(dx * dx + dy * dy <= radius * radius, out=hits[1:])
-    end = np.cumsum(per_ap)
-    return hits[end] - hits[end - per_ap]
+    # from the largest radius down, count each AP's pairs within the
+    # radius and keep only those, still AP-major, for the next
+    d2, counts = dx * dx + dy * dy, [per_ap]
+    for r in radii[::-1]:
+        inside = d2 <= r * r
+        hits = np.zeros(len(d2) + 1, dtype=np.int64)
+        np.cumsum(inside, out=hits[1:])
+        counts.append(np.diff(hits[np.cumsum(counts[-1])], prepend=0))
+        d2 = d2[inside]
+    return np.stack(counts[:0:-1])
 
 
 # ----------------------------------------------------------------------------
@@ -165,15 +201,13 @@ class UplinkSample:
     ap_count_mean: float  # mean connected APs over replications
     ap_count_se: float
 
-    def __iter__(self):
-        return iter((self.estimate, self.stderr))
 
-
-def _uplink_block(net: NetworkConfig, W: float, rng: np.random.Generator,
-                  n: int):
-    """Outage flags and connected-AP counts of n replications. Every AP in
-    the disc is tried against one interferer field per replication: no AP
-    is an outage, and an AP with no interference decodes."""
+def _uplink_block(net: NetworkConfig, W: float, radii: np.ndarray,
+                  rng: np.random.Generator, n: int):
+    """Outage flags and connected-AP counts of n replications, one column
+    per radius. Every AP in the largest disc is tried against one
+    interferer field per replication, so a replication is an outage at R
+    when no AP within R decodes. An AP with no interference decodes."""
     R = net.coverage_radius
     n_ap = rng.poisson(mean_connected_aps(net), n)
     n_u = rng.poisson(net.lambda_d * (2.0 * W) ** 2, n)
@@ -198,26 +232,24 @@ def _uplink_block(net: NetworkConfig, W: float, rng: np.random.Generator,
     signal = rng.gamma(net.antennas_per_ap, size=len(ap_rep)) \
         * pathloss(ap_r, net)
     decoded = signal >= net.sir_threshold_ul * interference
-    return np.bincount(ap_rep, weights=decoded, minlength=n) == 0, n_ap
+    within = [ap_r <= r for r in radii]
+    return (_sums(ap_rep, [decoded & w for w in within], n) == 0,
+            _sums(ap_rep, within, n).astype(np.int64))
 
 
-def simulate_uplink_outage(net: NetworkConfig,
-                           scenario: SpatialScenario) -> UplinkSample:
-    """Outage frequency of best-AP uplink decoding over spatial replications."""
-    _check_window(net, scenario)
+def simulate_uplink_outage(net: NetworkConfig, scenario: SpatialScenario,
+                           radii=None) -> tuple:
+    """Outage frequency of best-AP uplink decoding over spatial
+    replications, one sample per radius."""
+    net, radii = _sweep(net, scenario, radii)
     W = scenario.half_width
     nu = mean_connected_aps(net)
     users = net.lambda_d * (2.0 * W) ** 2
     outage, ap_counts = _replicate(
         scenario, _UPLINK, 2.0 + nu + users + nu * users,
-        lambda rng, n: _uplink_block(net, W, rng, n))
-    n = scenario.replications
-    p = float(outage.mean())
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
-    return UplinkSample(estimate=p, stderr=se,
-                        ap_count_mean=float(ap_counts.mean()),
-                        ap_count_se=float(ap_counts.std(ddof=1) / math.sqrt(n))
-                        if n > 1 else 0.0)
+        lambda rng, n: _uplink_block(net, W, radii, rng, n))
+    return tuple(UplinkSample(*_frequency(out), *_mean(counts))
+                 for out, counts in zip(outage.T, ap_counts.T))
 
 
 # ----------------------------------------------------------------------------
@@ -235,15 +267,17 @@ class DownlinkSample:
     i_var_se: float
 
 
-def _downlink_block(net: NetworkConfig, W: float, beam_placement: str,
-                    rng: np.random.Generator, n: int):
+def _downlink_block(net: NetworkConfig, W: float, radii: np.ndarray,
+                    beam_placement: str, rng: np.random.Generator, n: int):
     """Desired signal and beam interference at the typical user in n
-    replications."""
+    replications, one column per radius. The field of the largest radius
+    is drawn and thinned to each smaller one."""
     R = net.coverage_radius
     n_con = rng.poisson(mean_connected_aps(net), n)
     r_con = R * np.sqrt(rng.random(int(n_con.sum())))
-    sig = np.bincount(_owner(n_con), minlength=n, weights=rng.gamma(
-        net.antennas_per_ap, size=len(r_con)) * pathloss(r_con, net))
+    power = rng.gamma(net.antennas_per_ap, size=len(r_con)) \
+        * pathloss(r_con, net)
+    sig = _sums(_owner(n_con), [power * (r_con <= r) for r in radii], n)
     ap_mean = net.lambda_b * (2.0 * W) ** 2
     if beam_placement == "per_user":
         # each AP in the window sends one Exp(1) beam to every user within
@@ -253,8 +287,15 @@ def _downlink_block(net: NetworkConfig, W: float, beam_placement: str,
         Wu = W + R
         n_u = rng.poisson(net.lambda_d * (2.0 * Wu) ** 2, n)
         u_xy = rng.uniform(-Wu, Wu, size=(int(n_u.sum()), 2))
-        served = _neighbour_counts(ap_xy, n_ap, u_xy, n_u, R, Wu)
-        gains = rng.gamma(served.astype(float))
+        served = _neighbour_counts(ap_xy, n_ap, u_xy, n_u, radii, Wu)
+        gains = [rng.gamma(served[-1].astype(float))]
+        # Gamma(a + b) times an independent Beta(a, b) is Gamma(a): from
+        # the largest radius down, each gain is split off the last one
+        for inner, outer in zip(served[-2::-1], served[:0:-1]):
+            split = np.flatnonzero((inner > 0) & (inner < outer))
+            gains.append(gains[-1] * (inner > 0))
+            gains[-1][split] *= rng.beta(inner[split], (outer - inner)[split])
+        gains.reverse()
         owner, xy = _owner(n_ap), ap_xy
     else:
         # One Poisson field of beams, each at its own location with an
@@ -265,14 +306,20 @@ def _downlink_block(net: NetworkConfig, W: float, beam_placement: str,
         xy = rng.uniform(-W, W, size=(int(n_beam.sum()), 2))
         gains = rng.exponential(size=len(xy))
         owner = _owner(n_beam)
+        # drawn last: a beam with mark u is in the field at radius r when
+        # u <= (r / R)^2, a thinning of the field at R to the one at r
+        mark = rng.random(len(xy))
+        gains = [gains * (mark <= (r / R) ** 2) for r in radii]
     x, y = xy.T
     ell = pathloss(np.sqrt(x * x + y * y), net)
-    return sig, np.bincount(owner, weights=gains * ell, minlength=n)
+    return sig, _sums(owner, [g * ell for g in gains], n)
 
 
 def simulate_downlink_sir(net: NetworkConfig, scenario: SpatialScenario,
-                          beam_placement: str = "per_user") -> DownlinkSample:
-    """Downlink outage and beam-interference moments at the typical user.
+                          beam_placement: str = "per_user",
+                          radii=None) -> tuple:
+    """Downlink outage and beam-interference moments at the typical user,
+    one sample per radius.
 
     beam_placement "per_user" serves the drawn user field (beams cluster at
     serving APs); "independent" scatters beams as their own Poisson field,
@@ -280,7 +327,7 @@ def simulate_downlink_sir(net: NetworkConfig, scenario: SpatialScenario,
     """
     if beam_placement not in ("per_user", "independent"):
         raise ValueError("beam_placement must be 'per_user' or 'independent'")
-    _check_window(net, scenario)
+    net, radii = _sweep(net, scenario, radii)
     R = net.coverage_radius
     W = scenario.half_width
     nu = mean_connected_aps(net)
@@ -297,23 +344,18 @@ def simulate_downlink_sir(net: NetworkConfig, scenario: SpatialScenario,
         stream = _DOWNLINK_INDEPENDENT
     sig, intf = _replicate(
         scenario, stream, per_rep,
-        lambda rng, n: _downlink_block(net, W, beam_placement, rng, n))
-
+        lambda rng, n: _downlink_block(net, W, radii, beam_placement, rng, n))
     n = scenario.replications
-    out = (sig < net.sir_threshold_dl * intf) | (sig == 0.0)
-    p = float(out.mean())
-    p_se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
-    i_mean = float(intf.mean())
-    i_mean_se = float(intf.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    i_var = float(intf.var(ddof=1)) if n > 1 else 0.0
-    if n > 3:
-        centered = intf - i_mean
-        m4 = float((centered ** 4).mean())
-        i_var_se = math.sqrt(max(m4 - i_var ** 2, 0.0) / n)
-    else:
-        i_var_se = 0.0
-    return DownlinkSample(outage=p, outage_se=p_se, i_mean=i_mean,
-                          i_mean_se=i_mean_se, i_var=i_var, i_var_se=i_var_se)
+    samples = []
+    for s, i in zip(sig.T, intf.T):
+        i_var, i_var_se = float(i.var(ddof=1)) if n > 1 else 0.0, 0.0
+        if n > 3:
+            m4 = float(((i - i.mean()) ** 4).mean())
+            i_var_se = math.sqrt(max(m4 - i_var ** 2, 0.0) / n)
+        samples.append(DownlinkSample(
+            *_frequency((s < net.sir_threshold_dl * i) | (s == 0.0)),
+            *_mean(i), i_var, i_var_se))
+    return tuple(samples)
 
 
 # ----------------------------------------------------------------------------

@@ -45,10 +45,11 @@ def test_criterion_1_uplink_outage_vs_simulation():
     for i, R in enumerate(RADII_KM):
         net = _net_at(R)
         scenario = sim.SpatialScenario.for_network(net, 100_000, SEED + i)
-        est, se = sim.simulate_uplink_outage(net, scenario)
+        (sample,) = sim.simulate_uplink_outage(net, scenario)
+        est = sample.estimate
         ana = comm.uplink_outage(net)
         gap = abs(ana - est)
-        tol = 0.02 + 3.0 * se
+        tol = 0.02 + 3.0 * sample.stderr
         mark = "ok" if gap <= tol else "FAIL"
         lines.append(f"  R={R * 1000:5.0f} m analytic={ana:.4f} "
                      f"sim={est:.4f} gap={gap:.4f} tol={tol:.4f}  {mark}")
@@ -68,8 +69,8 @@ def test_criterion_2_interference_moments():
     for i, R in enumerate((0.05, 0.10)):
         net = _net_at(R)
         scenario = sim.SpatialScenario.for_network(net, 100_000, SEED + 10 + i)
-        sample = sim.simulate_downlink_sir(net, scenario,
-                                           beam_placement="independent")
+        (sample,) = sim.simulate_downlink_sir(net, scenario,
+                                              beam_placement="independent")
         params = comm.gamma_interference_params(net)
         mean_gap = abs(sample.i_mean - params.mean)
         var_gap = abs(sample.i_var - params.variance)
@@ -85,8 +86,8 @@ def test_criterion_3_downlink_outage_bracket():
     for i, R in enumerate(RADII_KM):
         net = _net_at(R)
         scenario = sim.SpatialScenario.for_network(net, 20_000, SEED + 20 + i)
-        sample = sim.simulate_downlink_sir(net, scenario,
-                                           beam_placement="per_user")
+        (sample,) = sim.simulate_downlink_sir(net, scenario,
+                                              beam_placement="per_user")
         out = comm.downlink_outage(net)
         slack = 0.03 + 3.0 * sample.outage_se
         lines.append(f"  R={R * 1000:5.0f} m sim={sample.outage:.4f} "

@@ -30,6 +30,22 @@ def _scmp_spec(**extra):
     return base
 
 
+def _validate_spec(radii_km, replications=200):
+    """A validate spec small enough for the unit tests: short queue runs."""
+    return {
+        "kind": "validate",
+        "label": "v",
+        "network": {"lambda_b": 400.0, "lambda_d": 100.0,
+                    "antennas_per_ap": 4},
+        "compute": {"type_probs": [1.0], "mu_c": [MU_C[1]],
+                    "mu_m": [MU_M[1]]},
+        "sweep": {"radii_km": radii_km,
+                  "queue": {"duration_n1_s": 20.0, "duration_s": 30.0},
+                  "queue_cs": {"duration_s": 20.0}},
+        "sim": {"replications": replications, "seed": 5},
+    }
+
+
 def _energy_spec(xi_grid):
     return {
         "kind": "energy_vs_xi",
@@ -219,22 +235,53 @@ class TestRunExperiment:
     def test_reruns_byte_identical(self, tmp_path):
         # reruns read the process-wide caches (latency CDFs, Euler nodes,
         # central-server service transform) that the first run filled,
-        # in this process and in the worker processes
+        # in this process and in the worker processes; the worker
+        # processes draw the spatial drops afresh
         surface = _merge_spec(None, "scp-surface-mix", None, None)
         surface["sweep"] = {"radii_km": [0.04, 0.1],
                             "theta_grid": [0.0, 0.3, 1.0]}
         search = _merge_spec(None, "r-threshold", None, None)
         search["sweep"] = {**search["sweep"], "areas_km2": [4.0],
                            "rows": search["sweep"]["rows"][:2]}
-        for mapping in (_scmp_spec(), _energy_spec([0.5]), surface, search):
+        for mapping in (_scmp_spec(), _energy_spec([0.5]), surface, search,
+                        _validate_spec([0.03, 0.05])):
             spec = ExperimentSpec.from_mapping(mapping)
             name = spec.label + ".csv"
             run_experiment(spec, out_dir=str(tmp_path / "a"))
             run_experiment(spec, out_dir=str(tmp_path / "b"))
+            cli._drop.cache_clear()
             run_experiment(spec, out_dir=str(tmp_path / "c"), workers=2)
             a = (tmp_path / "a" / name).read_bytes()
             assert a == (tmp_path / "b" / name).read_bytes()
             assert a == (tmp_path / "c" / name).read_bytes()
+
+    def test_scmp_rows_share_one_drop(self):
+        # rows follow the spec's radii, and a row depends only on its
+        # radius and the set of radii the drop serves
+        spec = ExperimentSpec.from_mapping(
+            _scmp_spec(sweep={"radii_km": [0.05, 0.03, 0.05]}))
+        rows = cli._evaluate(spec, _points(spec), 1)
+        assert [row["R_km"] for row in rows] == [0.05, 0.03, 0.05]
+        assert rows[0] == rows[2]
+        spec = ExperimentSpec.from_mapping(_scmp_spec())
+        assert cli._evaluate(spec, _points(spec), 1) == rows[1:]
+
+    def test_validate_rows_share_one_drop(self):
+        spec = ExperimentSpec.from_mapping(_validate_spec([0.05, 0.03, 0.05]))
+        rows = cli._evaluate(spec, _points(spec), 1)
+        checks = [row["check"] for row in rows]
+        assert checks[:6] == [f"{check}@R={r}km" for check in
+                              ("uplink_outage", "downlink_outage")
+                              for r in (0.05, 0.03, 0.05)]
+        assert rows[0] == rows[2] and rows[3] == rows[5]
+        assert rows[0] != rows[1] and rows[3] != rows[4]
+        # the independent-decoding row reads the uplink drop at r0
+        assert checks[-1] == "uplink_outage_independent@R=0.05km"
+        assert rows[-1]["value_oracle"] == rows[2]["value_oracle"]
+        spatial = ExperimentSpec.from_mapping(_validate_spec([0.03, 0.05]))
+        assert [cli._eval_validate(spatial, i, point) for i, point in
+                enumerate(_points(spatial)[:4])] == [rows[1], rows[0],
+                                                     rows[4], rows[3]]
 
     def test_scp_surface_overloaded_paths(self, tmp_path):
         # at R = 0.1 km the central server overloads at theta = 1 and the

@@ -102,18 +102,23 @@ class TestNeighbourCounts:
                 u[i] = ap[j[0]] - (0.0, math.copysign(radius, y))
         assert np.abs(u).max() <= half
         d = ap[:, None, :] - u[None, :, :]
-        within = (d * d).sum(axis=2) <= radius * radius
-        want = (within & (ap_rep[:, None] == u_rep[None, :])).sum(axis=1)
-        got = sim._neighbour_counts(ap, n_ap, u, n_u, radius, half)
+        same = ap_rep[:, None] == u_rep[None, :]
+        radii = np.array([0.7 * radius, radius])
+        want = np.stack([(((d * d).sum(axis=2) <= r * r) & same).sum(axis=1)
+                         for r in radii])
+        got = sim._neighbour_counts(ap, n_ap, u, n_u, radii, half)
         assert np.array_equal(got, want)
-        assert want.sum() > 0
+        assert np.array_equal(
+            sim._neighbour_counts(ap, n_ap, u, n_u, radii[1:], half),
+            want[1:])
+        assert 0 < want[0].sum() < want[1].sum()
 
     def test_exact_radius_is_inside(self):
         ap = np.array([[0.0, 0.0]])
         u = np.array([[0.25, 0.0], [0.0, -0.25], [0.25, 1e-6]])
         got = sim._neighbour_counts(ap, np.array([1]), u, np.array([3]),
-                                    0.25, 1.0)
-        assert got.tolist() == [2]
+                                    np.array([0.1, 0.25]), 1.0)
+        assert got.tolist() == [[0], [2]]
 
 
 class TestBlocks:
@@ -170,7 +175,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("kind", sorted(_SIMULATORS))
     def test_single_replication(self, fig_net, kind):
-        out = _SIMULATORS[kind](
+        (out,) = _SIMULATORS[kind](
             fig_net, SpatialScenario.for_network(fig_net, 1, seed=2))
         if kind == "uplink":
             assert out.estimate in (0.0, 1.0)
@@ -186,10 +191,10 @@ class TestBlocks:
         sizes, _ = _blocks(monkeypatch,
                            lambda: simulate_uplink_outage(net, sc))
         assert len(sizes) > 1
-        up = simulate_uplink_outage(net, sc)
+        (up,) = simulate_uplink_outage(net, sc)
         assert up.estimate == 1.0 and up.ap_count_mean == 0.0
         for placement in ("per_user", "independent"):
-            dl = simulate_downlink_sir(net, sc, placement)
+            (dl,) = simulate_downlink_sir(net, sc, placement)
             assert dl.outage == 1.0
             assert dl.i_mean == dl.i_var == 0.0
 
@@ -204,24 +209,81 @@ class TestBlocks:
         assert 0 < outage.sum() < len(outage)
 
 
+_SWEEPS = {
+    "uplink": lambda net, sc, radii: simulate_uplink_outage(net, sc,
+                                                            radii=radii),
+    "per_user": lambda net, sc, radii: simulate_downlink_sir(
+        net, sc, "per_user", radii=radii),
+    "independent": lambda net, sc, radii: simulate_downlink_sir(
+        net, sc, "independent", radii=radii),
+}
+
+
+class TestSweep:
+    """One drop at the largest radius serves every radius of a sweep."""
+
+    @pytest.mark.parametrize("kind", sorted(_SWEEPS))
+    def test_largest_radius_is_the_single_radius_run(self, kind,
+                                                     monkeypatch):
+        net = make_net(coverage_radius=0.06)
+        sc = SpatialScenario.for_network(net, 400, seed=7)
+        run = _SWEEPS[kind]
+        _, single = _blocks(monkeypatch, lambda: run(net, sc, None))
+        _, outcomes = _blocks(monkeypatch,
+                              lambda: run(net, sc, (0.03, 0.06)))
+        half, full = run(net, sc, (0.03, 0.06))
+        assert (full,) == _SIMULATORS[kind](net, sc)
+        assert half != full
+        for sweep, one in zip(outcomes, single, strict=True):
+            assert np.array_equal(sweep[:, 1:], one)
+        # per replication the larger radius gains APs and beams: the
+        # uplink outage does not rise, signal and interference do not fall
+        if kind == "uplink":
+            outage, ap_count = outcomes
+            assert np.all(outage[:, 1] <= outage[:, 0])
+            assert np.all(ap_count[:, 0] <= ap_count[:, 1])
+            assert np.any(ap_count[:, 0] < ap_count[:, 1])
+        else:
+            for column in outcomes:
+                assert np.all(column[:, 0] <= column[:, 1])
+                assert np.any(column[:, 0] < column[:, 1])
+
+    @pytest.mark.parametrize("kind", sorted(_SWEEPS))
+    def test_window_fits_largest_radius(self, kind):
+        net = make_net(coverage_radius=0.06)
+        sc = SpatialScenario.for_network(make_net(coverage_radius=0.03), 10,
+                                         seed=1)
+        with pytest.raises(ValueError, match="half-width"):
+            _SWEEPS[kind](net, sc, (0.03, 0.06))
+
+    @pytest.mark.parametrize("kind", sorted(_SWEEPS))
+    @pytest.mark.parametrize("radii", [(0.06, 0.03), (0.03, 0.03, 0.06),
+                                       ()])
+    def test_radii_strictly_increasing(self, kind, radii):
+        net = make_net(coverage_radius=0.06)
+        sc = SpatialScenario.for_network(net, 10, seed=1)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _SWEEPS[kind](net, sc, radii)
+
+
 class TestUplink:
     def test_deterministic(self, fig_net):
         sc = SpatialScenario.for_network(fig_net, 400, seed=7)
-        a = simulate_uplink_outage(fig_net, sc)
-        b = simulate_uplink_outage(fig_net, sc)
+        (a,) = simulate_uplink_outage(fig_net, sc)
+        (b,) = simulate_uplink_outage(fig_net, sc)
         assert a.estimate == b.estimate
         assert a.ap_count_mean == b.ap_count_mean
 
     def test_seed_changes_stream(self, fig_net):
-        a = simulate_uplink_outage(
+        (a,) = simulate_uplink_outage(
             fig_net, SpatialScenario.for_network(fig_net, 400, seed=7))
-        b = simulate_uplink_outage(
+        (b,) = simulate_uplink_outage(
             fig_net, SpatialScenario.for_network(fig_net, 400, seed=8))
         assert a.ap_count_mean != b.ap_count_mean
 
     def test_ap_count_calibration(self, fig_net):
         sc = SpatialScenario.for_network(fig_net, 3000, seed=11)
-        out = simulate_uplink_outage(fig_net, sc)
+        (out,) = simulate_uplink_outage(fig_net, sc)
         nu = mean_connected_aps(fig_net)
         assert abs(out.ap_count_mean - nu) <= 4.0 * out.ap_count_se
 
@@ -229,14 +291,16 @@ class TestUplink:
     def test_matches_analytic(self, radius):
         net = make_net(coverage_radius=radius)
         sc = SpatialScenario.for_network(net, 3000, seed=3)
-        est, se = simulate_uplink_outage(net, sc)
-        assert abs(est - comm.uplink_outage(net)) <= 0.02 + 4.0 * se
+        (out,) = simulate_uplink_outage(net, sc)
+        assert abs(out.estimate - comm.uplink_outage(net)) \
+            <= 0.02 + 4.0 * out.stderr
 
 
 class TestDownlink:
     def test_independent_moments(self, fig_net):
         sc = SpatialScenario.for_network(fig_net, 20000, seed=5)
-        out = simulate_downlink_sir(fig_net, sc, beam_placement="independent")
+        (out,) = simulate_downlink_sir(fig_net, sc,
+                                       beam_placement="independent")
         params = comm.gamma_interference_params(fig_net)
         assert abs(out.i_mean - params.mean) <= 4.0 * out.i_mean_se
         # the variance estimator is heavy-tailed at this budget; its own
@@ -246,7 +310,7 @@ class TestDownlink:
     @pytest.mark.parametrize("placement", ["per_user", "independent"])
     def test_outage_bounded(self, fig_net, placement):
         sc = SpatialScenario.for_network(fig_net, 500, seed=9)
-        out = simulate_downlink_sir(fig_net, sc, beam_placement=placement)
+        (out,) = simulate_downlink_sir(fig_net, sc, beam_placement=placement)
         assert 0.0 <= out.outage <= 1.0
         assert out.outage_se >= 0.0
         assert math.isfinite(out.i_var)
