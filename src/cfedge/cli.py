@@ -9,7 +9,7 @@ and writes two artifacts next to each other:
   wall time and outcome; written even when the run fails
 
 Exit codes: 0 success, 2 unusable spec, 3 infeasible configuration
-(including queue overload), 4 numerical failure.
+(including queue overload), 4 any other failure.
 
 Identical spec and seed give byte-identical CSV output, whatever the
 worker count.
@@ -23,13 +23,13 @@ import csv
 import functools
 import json
 import math
-import numbers
 import os
 import platform
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -40,8 +40,8 @@ from . import energy as energy_mod
 # Direct submodule import; the package attribute `secp` is the function.
 from .secp import find_r_threshold as _find_r_threshold
 from .secp import secp as _secp_point
-from .errors import InfeasibilityError, NumericalError, StabilityError
-from .model import ComputeConfig, NetworkConfig, mean_connected_aps
+from .errors import InfeasibilityError, StabilityError
+from .model import ComputeConfig, NetworkConfig, is_real, mean_connected_aps
 from .presets import get_preset
 
 SCHEMA_VERSION = 1
@@ -82,6 +82,8 @@ class ExperimentSpec:
     sweep: dict
     replications: int
     seed: int
+    # each point's configs, built and checked by from_mapping
+    configs: tuple = field(default=(), init=False, compare=False, repr=False)
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentSpec":
@@ -91,33 +93,37 @@ class ExperimentSpec:
         if kind not in KINDS:
             raise SpecError(f"unknown kind {kind!r}; expected one of "
                             + ", ".join(KINDS))
-        sweep = data.get("sweep", {})
-        if not isinstance(sweep, dict):
-            raise SpecError("'sweep' must be an object")
-        _check_sweep(kind, sweep)
-        for section in ("network", "compute", "energy", "sim"):
+        for section in ("sweep", "network", "compute", "energy", "sim"):
             if not isinstance(data.get(section, {}), dict):
                 raise SpecError(f"'{section}' must be an object")
+        _check_sweep(kind, data.get("sweep", {}))
         if kind != "scmp_vs_R" and not data.get("compute"):
             raise SpecError(f"kind {kind} needs a 'compute' section")
         sim_section = data.get("sim", {})
-        try:
-            replications = int(sim_section.get("replications", 1000))
-            seed = int(sim_section.get("seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"bad sim section: {exc}") from None
-        if replications < 1:
-            raise SpecError("sim.replications must be at least 1")
-        return cls(
-            kind=kind,
-            label=_safe_label(data),
-            network=dict(data.get("network", {})),
-            compute=dict(data.get("compute", {})),
-            energy=dict(data.get("energy", {})),
-            sweep=dict(sweep),
-            replications=replications,
-            seed=seed,
-        )
+        replications = sim_section.get("replications", 1000)
+        seed = sim_section.get("seed", 0)
+        if not all(is_real(v) and v == int(v) for v in (replications, seed)) \
+                or replications < 1:
+            raise SpecError("sim.replications must be an integer of at least "
+                            "1 and sim.seed an integer")
+        spec = cls(kind, _safe_label(data), *(
+            dict(data.get(section, {}))
+            for section in ("network", "compute", "energy", "sweep")),
+            replications=int(replications), seed=int(seed))
+        # the configs own the field rules: a value none of them takes fails
+        # here, before any point is evaluated
+        configs = []
+        for point in _points(spec):
+            try:
+                configs.append(_configs(spec, point))
+            except SpecError as exc:
+                where = " and ".join(
+                    f"sweep.{_SWEEP_KEYS[key]} entry {value!r}"
+                    for key, value in point.items() if key in _SWEEP_KEYS)
+                raise SpecError(f"{exc} at {where}" if where else exc) \
+                    from None
+        spec.configs = tuple(configs)
+        return spec
 
     def resolved(self) -> dict:
         """Canonical mapping; round-trips through from_mapping."""
@@ -141,6 +147,12 @@ _SWEEP_GRIDS = {
     "energy_vs_xi": ("xi_grid",),
     "validate": ("radii_km",),
 }
+_CONFIGS = {"network": NetworkConfig, "compute": ComputeConfig,
+            "energy": energy_mod.EnergyConfig}
+_ROW_KEYS = {"antennas_per_ap", "lambda_b", "target_latency"}
+# the sweep list each point key is drawn from
+_SWEEP_KEYS = {"R": "radii_km", "theta": "theta_grid", "row": "rows",
+               "area": "areas_km2"}
 
 
 def _safe_label(data: dict) -> str:
@@ -151,36 +163,26 @@ def _safe_label(data: dict) -> str:
                    for c in label) or kind
 
 
-def _is_real(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _check_sweep(kind: str, sweep: dict) -> None:
+    """The sweep's shape, and the values that no config takes."""
     for key in _SWEEP_GRIDS[kind]:
         grid = sweep.get(key)
         if not isinstance(grid, (list, tuple)) or len(grid) == 0:
             raise SpecError(f"kind {kind} needs a non-empty sweep.{key}")
-        if key != "rows" and not all(map(_is_real, grid)):
-            raise SpecError(f"sweep.{key} entries must be numbers")
     if kind == "energy_vs_xi" and not all(
-            _is_real(xi) and 0 < xi < 1 for xi in sweep["xi_grid"]):
+            is_real(xi) and 0 < xi < 1 for xi in sweep["xi_grid"]):
         raise SpecError("sweep.xi_grid entries must be numbers strictly "
                         "between 0 and 1")
     if kind == "r_threshold" and not all(
-            isinstance(row, dict)
-            and all(_is_real(row.get(key)) for key in
-                    ("antennas_per_ap", "lambda_b", "target_latency"))
-            and row["antennas_per_ap"] == int(row["antennas_per_ap"])
+            isinstance(row, dict) and _ROW_KEYS <= row.keys()
             for row in sweep["rows"]):
-        raise SpecError("sweep.rows entries must be objects with numeric "
-                        "lambda_b and target_latency and an integral "
-                        "antennas_per_ap")
+        raise SpecError("sweep.rows entries must be objects with "
+                        + ", ".join(sorted(_ROW_KEYS)))
     if kind == "validate":
         for key in ("queue", "queue_cs"):
             section = sweep.get(key, {})
             if not isinstance(section, dict) or not all(
-                    _is_real(value) and value > 0
+                    is_real(value) and value > 0
                     for value in section.values()):
                 raise SpecError(f"sweep.{key} must be an object of "
                                 "positive numbers")
@@ -190,43 +192,67 @@ def _check_sweep(kind: str, sweep: dict) -> None:
     if kind in ("r_threshold", "energy_vs_xi"):
         bounds = sweep.get("r_bounds_km")
         if (not isinstance(bounds, (list, tuple)) or len(bounds) != 2
-                or not all(map(_is_real, bounds))
+                or not all(map(is_real, bounds))
                 or not 0 < bounds[0] < bounds[1]):
             raise SpecError("sweep.r_bounds_km must be [lo, hi] with "
                             "0 < lo < hi")
 
 
-def _config(cls, section: str, merged: dict):
-    # a missing, unknown or out-of-range field is a spec error
+def _config(spec: ExperimentSpec, section: str, merged=None, **overrides):
+    """The config of a spec section (merged, if given, in its place) with
+    overrides: a missing, unknown or out-of-range field is a spec error."""
+    if merged is None:
+        merged = getattr(spec, section)
     try:
-        return cls(**merged)
+        return _CONFIGS[section](**{**merged, **overrides})
     except (TypeError, ValueError) as exc:
         raise SpecError(f"bad {section} section: {exc}") from None
 
 
 def _network_for(spec: ExperimentSpec, **overrides) -> NetworkConfig:
+    """The network config; a SIR threshold in dB wins over a linear one."""
     merged = dict(spec.network)
     for side in ("ul", "dl"):
         db_key = f"sir_threshold_{side}_db"
         if db_key in merged:
             try:
-                merged[f"sir_threshold_{side}"] = \
-                    10.0 ** (merged.pop(db_key) / 10.0)
+                db = merged.pop(db_key)
+                if isinstance(db, bool):
+                    raise TypeError
+                merged[f"sir_threshold_{side}"] = 10.0 ** (db / 10.0)
             except (TypeError, OverflowError):
                 raise SpecError(f"bad network section: {db_key} must be a "
                                 "number of dB") from None
-    merged.update(overrides)
-    return _config(NetworkConfig, "network", merged)
+    return _config(spec, "network", merged, **overrides)
 
 
-def _compute_for(spec: ExperimentSpec, **overrides) -> ComputeConfig:
-    merged = dict(spec.compute)
-    merged.update(overrides)
-    return _config(ComputeConfig, "compute", merged)
-
-
-def _energy_for(spec: ExperimentSpec) -> energy_mod.EnergyConfig:
-    return _config(energy_mod.EnergyConfig, "energy", dict(spec.energy))
+def _configs(spec: ExperimentSpec, point: dict) -> tuple:
+    """The configs point is evaluated on: its network, its compute mix where
+    the evaluator reads one, and the energy config for energy_vs_xi."""
+    check = point.get("check", "")
+    if check in ("queue_pmf_tv_n1", "queue_pmf_tv_n4", "scp_mec_vs_des"):
+        return _queue_setup(spec, check.endswith("n1"))[:2]
+    if check == "scp_cs_vs_des":
+        lam_c = spec.sweep.get("queue_cs", {}).get("lambda_c", 50.0)
+        return (_network_for(spec, coverage_radius=0.05, lambda_d=lam_c,
+                             network_area=1.0),
+                _config(spec, "compute", offload_prob=1.0))
+    if spec.kind == "r_threshold":
+        row = point["row"]
+        return (_network_for(spec, antennas_per_ap=row["antennas_per_ap"],
+                             lambda_b=row["lambda_b"],
+                             network_area=point["area"]),
+                _config(spec, "compute", target_latency=row["target_latency"]))
+    if spec.kind == "energy_vs_xi":
+        comp, cfg = _config(spec, "compute"), _config(spec, "energy")
+        if len(cfg.f_cs_hz) != comp.num_types:
+            raise SpecError("bad energy section: f_cs_hz and f_mec_hz need "
+                            "one clock per compute task type")
+        return _network_for(spec), comp, cfg
+    net = _network_for(spec, coverage_radius=point["R"])
+    if "theta" in point:
+        return net, _config(spec, "compute", offload_prob=point["theta"])
+    return (net,)
 
 
 # ---------------------------------------------------------------------------
@@ -234,32 +260,30 @@ def _energy_for(spec: ExperimentSpec) -> energy_mod.EnergyConfig:
 
 
 def _points(spec: ExperimentSpec) -> list:
+    """The grid points, their values as the spec gives them: the configs
+    they build check and convert them."""
     sweep = spec.sweep
     if spec.kind == "scmp_vs_R":
-        return [{"R": float(r)} for r in sweep["radii_km"]]
+        return [{"R": r} for r in sweep["radii_km"]]
     if spec.kind in ("scp_surface", "secp_surface"):
-        return [{"R": float(r), "theta": float(th)}
+        return [{"R": r, "theta": th}
                 for r in sweep["radii_km"] for th in sweep["theta_grid"]]
     if spec.kind == "r_threshold":
-        return [{**row, "area": float(area)}
+        return [{"row": row, "area": area}
                 for row in sweep["rows"] for area in sweep["areas_km2"]]
     if spec.kind == "energy_vs_xi":
         return [{"xi": float(x)} for x in sweep["xi_grid"]]
-    if spec.kind == "validate":
-        pts = [{"check": "uplink_outage", "R": float(r)}
-               for r in sweep["radii_km"]]
-        pts += [{"check": "downlink_outage", "R": float(r)}
-                for r in sweep["radii_km"]]
-        r0 = float(sweep["radii_km"][-1])
-        pts += [{"check": "interference_mean", "R": r0},
-                {"check": "interference_var", "R": r0},
-                {"check": "queue_pmf_tv_n1"},
-                {"check": "queue_pmf_tv_n4"},
-                {"check": "scp_mec_vs_des"},
-                {"check": "scp_cs_vs_des"},
-                {"check": "uplink_outage_independent", "R": r0}]
-        return pts
-    raise SpecError(f"unknown kind {spec.kind!r}")
+    # validate
+    pts = [{"check": "uplink_outage", "R": r} for r in sweep["radii_km"]]
+    pts += [{"check": "downlink_outage", "R": r} for r in sweep["radii_km"]]
+    r0 = sweep["radii_km"][-1]
+    return pts + [{"check": "interference_mean", "R": r0},
+                  {"check": "interference_var", "R": r0},
+                  {"check": "queue_pmf_tv_n1"},
+                  {"check": "queue_pmf_tv_n4"},
+                  {"check": "scp_mec_vs_des"},
+                  {"check": "scp_cs_vs_des"},
+                  {"check": "uplink_outage_independent", "R": r0}]
 
 
 def _nan_row(kind: str, **known) -> dict:
@@ -289,13 +313,14 @@ def _sample(spec: ExperimentSpec, simulator: str, R: float, radii=None):
 
 
 def _eval_scmp(spec: ExperimentSpec, index: int, point: dict) -> dict:
-    net = _network_for(spec, coverage_radius=point["R"])
+    (net,) = spec.configs[index]
+    R = net.coverage_radius
     p_oul = comm.uplink_outage(net)
     dl = comm.downlink_outage(net)
-    ul_sample = _sample(spec, "uplink", point["R"])
-    dl_sample = _sample(spec, "per_user", point["R"])
+    ul_sample = _sample(spec, "uplink", R)
+    dl_sample = _sample(spec, "per_user", R)
     return {
-        "R_km": point["R"],
+        "R_km": R,
         "p_oul": p_oul,
         "p_odl_lo": dl.lower,
         "p_odl_hi": dl.upper,
@@ -311,8 +336,7 @@ def _eval_scmp(spec: ExperimentSpec, index: int, point: dict) -> dict:
 
 
 def _eval_scp_surface(spec: ExperimentSpec, index: int, point: dict) -> dict:
-    net = _network_for(spec, coverage_radius=point["R"])
-    comp = _compute_for(spec, offload_prob=point["theta"])
+    net, comp = spec.configs[index]
     p_oul = comm.uplink_outage(net)
     rates = offload.arrival_rates(net, comp, p_oul)
     # an overloaded path is NaN in its own column
@@ -325,34 +349,27 @@ def _eval_scp_surface(spec: ExperimentSpec, index: int, point: dict) -> dict:
     # a path the split never takes adds nothing, even where it is unstable
     total = (theta * cs if theta > 0.0 else 0.0) \
         + ((1.0 - theta) * mec if theta < 1.0 else 0.0)
-    return {"R_km": point["R"], "theta": theta, "scp_cs": cs,
+    return {"R_km": net.coverage_radius, "theta": theta, "scp_cs": cs,
             "scp_mec": mec, "scp": total}
 
 
 def _eval_secp_surface(spec: ExperimentSpec, index: int, point: dict) -> dict:
-    net = _network_for(spec, coverage_radius=point["R"])
-    comp = _compute_for(spec, offload_prob=point["theta"])
+    net, comp = spec.configs[index]
+    row = {"R_km": net.coverage_radius, "theta": comp.offload_prob}
     try:
         result = _secp_point(net, comp)
     except StabilityError:
         # An overloaded corner of the grid is data, not a run failure.
-        return _nan_row("secp_surface", R_km=point["R"], theta=point["theta"])
-    return {"R_km": point["R"], "theta": point["theta"], "secp": result.secp,
-            "comp_term": result.comp_term, "ul_term": result.ul_term,
-            "dl_term": result.dl_term}
+        return _nan_row("secp_surface", **row)
+    return {**row, "secp": result.secp, "comp_term": result.comp_term,
+            "ul_term": result.ul_term, "dl_term": result.dl_term}
 
 
 def _eval_r_threshold(spec: ExperimentSpec, index: int, point: dict) -> dict:
-    net = _network_for(spec,
-                       antennas_per_ap=int(point["antennas_per_ap"]),
-                       lambda_b=float(point["lambda_b"]),
-                       network_area=point["area"])
-    comp = _compute_for(spec, target_latency=float(point["target_latency"]))
+    net, comp = spec.configs[index]
     bounds = tuple(spec.sweep["r_bounds_km"])
-    row = {"M": int(point["antennas_per_ap"]),
-           "lambda_b": float(point["lambda_b"]),
-           "t_s": float(point["target_latency"]),
-           "area_km2": point["area"]}
+    row = {"M": net.antennas_per_ap, "lambda_b": net.lambda_b,
+           "t_s": comp.target_latency, "area_km2": net.network_area}
     try:
         best_r, best_theta, best_val = _find_r_threshold(net, comp, bounds)
     except InfeasibilityError:
@@ -364,9 +381,7 @@ def _eval_r_threshold(spec: ExperimentSpec, index: int, point: dict) -> dict:
 
 def _eval_energy(spec: ExperimentSpec, index: int, point: dict) -> dict:
     xi = point["xi"]
-    net = _network_for(spec)
-    comp = _compute_for(spec)
-    cfg = _energy_for(spec)
+    net, comp, cfg = spec.configs[index]
     bounds = tuple(spec.sweep["r_bounds_km"])
     try:
         r_star, theta_star, breakdown = energy_mod.minimize_energy(
@@ -374,7 +389,7 @@ def _eval_energy(spec: ExperimentSpec, index: int, point: dict) -> dict:
     except InfeasibilityError:
         return _nan_row("energy_vs_xi", xi=xi, _infeasible=True)
     net_star = _network_for(spec, coverage_radius=r_star)
-    comp_star = _compute_for(spec, offload_prob=theta_star)
+    comp_star = _config(spec, "compute", offload_prob=theta_star)
     achieved = _secp_point(net_star, comp_star).secp
     return {"xi": xi, "R_star_km": r_star, "theta_star": theta_star,
             "E_comp_J": breakdown.e_comp, "E_comm_J": breakdown.e_comm,
@@ -392,14 +407,14 @@ def _queue_setup(spec: ExperimentSpec, single: bool):
     """
     q = dict(spec.sweep.get("queue", {}))
     if single:
-        lam_d = float(q.get("lambda_d_n1", 16000.0))
+        lam_d = q.get("lambda_d_n1", 16000.0)
         duration = float(q.get("duration_n1_s", 2900.0))
     else:
-        lam_d = float(q.get("lambda_d", 2700.0))
+        lam_d = q.get("lambda_d", 2700.0)
         duration = float(q.get("duration_s", 4200.0))
-    net = _network_for(spec, coverage_radius=float(q.get("r_km", 0.1)),
+    net = _network_for(spec, coverage_radius=q.get("r_km", 0.1),
                        lambda_d=lam_d)
-    comp = _compute_for(spec, offload_prob=0.0)
+    comp = _config(spec, "compute", offload_prob=0.0)
     return net, comp, duration, int(q.get("n_mec", 4))
 
 
@@ -422,11 +437,12 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
     check = point["check"]
     if check in ("uplink_outage", "uplink_outage_independent",
                  "downlink_outage", "interference_mean", "interference_var"):
-        net = _network_for(spec, coverage_radius=point["R"])
-        name = f"{check}@R={point['R']:g}km"
+        (net,) = spec.configs[index]
+        R = net.coverage_radius
+        name = f"{check}@R={R:g}km"
         if check == "uplink_outage":
             ana = comm.uplink_outage(net)
-            sample = _sample(spec, "uplink", point["R"])
+            sample = _sample(spec, "uplink", R)
             delta = abs(ana - sample.estimate)
             return _vrow(name, ana, sample.estimate, delta,
                          0.02 + 3.0 * sample.stderr)
@@ -436,18 +452,18 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
             # the shared interferer field, so only an excess over it fails
             bound = math.exp(-mean_connected_aps(net)
                              * comm.per_ap_success(net))
-            sample = _sample(spec, "uplink", point["R"])
+            sample = _sample(spec, "uplink", R)
             return _vrow(name, bound, sample.estimate,
                          max(0.0, bound - sample.estimate),
                          3.0 * sample.stderr)
         if check == "downlink_outage":
             out = comm.downlink_outage(net)
-            sample = _sample(spec, "per_user", point["R"])
+            sample = _sample(spec, "per_user", R)
             delta = max(0.0, out.lower - sample.outage,
                         sample.outage - out.upper)
             return _vrow(name, out.point, sample.outage, delta,
                          0.03 + 3.0 * sample.outage_se)
-        sample = _sample(spec, "independent", point["R"], [point["R"]])
+        sample = _sample(spec, "independent", R, [R])
         params = comm.gamma_interference_params(net)
         if check == "interference_mean":
             return _vrow(name, params.mean, sample.i_mean,
@@ -457,14 +473,20 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
                      abs(params.variance - sample.i_var),
                      3.0 * sample.i_var_se)
 
-    if check in ("queue_pmf_tv_n1", "queue_pmf_tv_n4"):
+    if check in ("queue_pmf_tv_n1", "queue_pmf_tv_n4", "scp_mec_vs_des"):
         single = check.endswith("n1")
         net, comp, duration, n_group = _queue_setup(spec, single)
         n = 1 if single else n_group
-        log = sim.simulate_mlcm(net, comp, duration, seed=spec.seed + index,
-                                n_mec=n, p_oul=0.0)
+        # the closed form first: an overloaded queue fails before the DES
         rates = offload.arrival_rates(net, comp, 0.0)
         spectrum = offload.queue_spectrum(comp, rates.lambda_m)
+        log = sim.simulate_mlcm(net, comp, duration, seed=spec.seed + index,
+                                n_mec=n, p_oul=0.0)
+        if check == "scp_mec_vs_des":
+            ana = float(offload.mec_conditional_cdf(
+                spectrum, n, offload.mec_cache(comp))[n])
+            emp = log.sojourn_cdf(comp.target_latency, mec_only=True)
+            return _vrow(check, ana, emp, abs(ana - emp), 0.03)
         if n == 1:
             empirical = log.queue_length_pmf(server_id=1)
         else:
@@ -474,31 +496,14 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
         tv = _tv_distance(empirical, spectrum)
         return _vrow(check, 0.0, tv, tv, 0.02)
 
-    if check == "scp_mec_vs_des":
-        net, comp, duration, n = _queue_setup(spec, single=False)
-        log = sim.simulate_mlcm(net, comp, duration,
-                                seed=spec.seed + index, n_mec=n, p_oul=0.0)
-        rates = offload.arrival_rates(net, comp, 0.0)
-        spectrum = offload.queue_spectrum(comp, rates.lambda_m)
-        ana = float(offload.mec_conditional_cdf(
-            spectrum, n, offload.mec_cache(comp))[n])
-        emp = log.sojourn_cdf(comp.target_latency, mec_only=True)
-        return _vrow(check, ana, emp, abs(ana - emp), 0.03)
-
-    if check == "scp_cs_vs_des":
-        qcs = dict(spec.sweep.get("queue_cs", {}))
-        lam_c = float(qcs.get("lambda_c", 50.0))
-        net = _network_for(spec, coverage_radius=0.05, lambda_d=lam_c,
-                           network_area=1.0)
-        comp = _compute_for(spec, offload_prob=1.0)
-        log = sim.simulate_mlcm(net, comp,
-                                float(qcs.get("duration_s", 2400.0)),
-                                seed=spec.seed + index, n_mec=1, p_oul=0.0)
-        ana = offload.scp_cs(comp, lam_c)
-        emp = log.sojourn_cdf(comp.target_latency, server_id=0)
-        return _vrow(check, ana, emp, abs(ana - emp), 0.02)
-
-    raise SpecError(f"unknown validate check {check!r}")
+    # scp_cs_vs_des
+    net, comp = spec.configs[index]
+    duration = spec.sweep.get("queue_cs", {}).get("duration_s", 2400.0)
+    ana = offload.scp_cs(comp, net.lambda_d)
+    log = sim.simulate_mlcm(net, comp, float(duration),
+                            seed=spec.seed + index, n_mec=1, p_oul=0.0)
+    emp = log.sojourn_cdf(comp.target_latency, server_id=0)
+    return _vrow(check, ana, emp, abs(ana - emp), 0.02)
 
 
 _EVALUATORS = {
@@ -509,10 +514,6 @@ _EVALUATORS = {
     "energy_vs_xi": _eval_energy,
     "validate": _eval_validate,
 }
-
-
-def _eval_point(spec: ExperimentSpec, index: int, point: dict) -> dict:
-    return _EVALUATORS[spec.kind](spec, index, point)
 
 
 # Worker-pool plumbing. Each worker process rebuilds the spec once; rows
@@ -528,12 +529,13 @@ def _init_worker(payload: dict) -> None:
 
 def _worker_eval(task: tuple) -> dict:
     index, point = task
-    return _eval_point(_WORKER_SPEC, index, point)
+    return _EVALUATORS[_WORKER_SPEC.kind](_WORKER_SPEC, index, point)
 
 
 def _evaluate(spec: ExperimentSpec, points: list, workers: int) -> list:
     if workers <= 1 or len(points) <= 1:
-        return [_eval_point(spec, i, p) for i, p in enumerate(points)]
+        evaluate = _EVALUATORS[spec.kind]
+        return [evaluate(spec, i, p) for i, p in enumerate(points)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(spec.resolved(),)) as pool:
         return list(pool.map(_worker_eval, list(enumerate(points))))
@@ -560,66 +562,55 @@ def write_csv_rows(path: str, columns: list, rows: list) -> None:
             writer.writerow([_format_cell(row[c]) for c in columns])
 
 
-def write_manifest(path: str, manifest: dict) -> None:
-    if manifest["output_csv"] is None:
-        # no earlier run's CSV stays next to a run that wrote none
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(os.path.dirname(path),
-                                   manifest["label"] + ".csv"))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def run_experiment(spec: ExperimentSpec, out_dir: str = ".",
                    workers: int = 1) -> int:
     """Evaluate a spec; write CSV + manifest; return the exit code."""
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, spec.label + ".csv")
-    manifest_path = os.path.join(out_dir, spec.label + ".manifest.json")
+    csv_name = spec.label + ".csv"
     started = datetime.now(timezone.utc)
     t0 = time.monotonic()
-    rows = None
-    error = None
-    code = EXIT_OK
+    rows, error, code = None, None, EXIT_OK
     try:
-        rows = _evaluate(spec, _points(spec), workers)
-        flags = [row.pop("_infeasible", False) for row in rows]
-        if rows and all(flags):
-            error = ("InfeasibilityError",
-                     "no grid point admits a feasible configuration")
-            code = EXIT_INFEASIBLE
-    except (InfeasibilityError, StabilityError) as exc:
-        error = (type(exc).__name__, str(exc))
-        code = EXIT_INFEASIBLE
-    except NumericalError as exc:
-        error = (type(exc).__name__, str(exc))
-        code = EXIT_NUMERICAL
-    except SpecError as exc:
-        error = (type(exc).__name__, str(exc))
-        code = EXIT_USAGE
+        evaluated = _evaluate(spec, _points(spec), workers)
+        flags = [row.pop("_infeasible", False) for row in evaluated]
+        write_csv_rows(os.path.join(out_dir, csv_name), COLUMNS[spec.kind],
+                       evaluated)
+        rows = evaluated
+        if all(flags):
+            raise InfeasibilityError(
+                "no grid point admits a feasible configuration")
+    except Exception as exc:
+        code, error = _failure(exc)
 
-    if rows is not None:
-        write_csv_rows(csv_path, COLUMNS[spec.kind], rows)
-
-    manifest = _manifest(spec.kind, spec.label, spec.resolved(), error, code,
-                         started)
-    manifest.update(seed=spec.seed, replications=spec.replications,
-                    wall_time_s=time.monotonic() - t0)
-    if rows is not None:
-        manifest.update(output_csv=os.path.basename(csv_path),
-                        rows_written=len(rows))
+    fields = {} if rows is None else {"output_csv": csv_name,
+                                      "rows_written": len(rows)}
     if spec.kind == "validate" and rows is not None:
-        manifest["checks_failed"] = sum(r["status"] == "fail" for r in rows)
-    write_manifest(manifest_path, manifest)
+        fields["checks_failed"] = sum(r["status"] == "fail" for r in rows)
+    _write_manifest(out_dir, spec.label, spec.kind, spec.resolved(), started,
+                    code, error, seed=spec.seed,
+                    replications=spec.replications,
+                    wall_time_s=time.monotonic() - t0, **fields)
     return code
 
 
-def _manifest(kind, label: str, spec: dict, error, code: int,
-              started: datetime) -> dict:
-    """Manifest of a run that wrote no CSV; run_experiment fills in the
-    rest. error is None or (type name, message)."""
-    return {
+def _failure(exc: Exception) -> tuple:
+    """The exit code and manifest error of a failed run: a spec error is 2,
+    an overloaded queue or an empty feasible set 3, anything else 4, with
+    its traceback on stderr."""
+    code = (EXIT_USAGE if isinstance(exc, SpecError) else EXIT_INFEASIBLE
+            if isinstance(exc, (StabilityError, InfeasibilityError))
+            else EXIT_NUMERICAL)
+    if code == EXIT_NUMERICAL:
+        traceback.print_exc()
+    return code, (type(exc).__name__, str(exc))
+
+
+def _write_manifest(out_dir: str, label: str, kind, spec: dict,
+                    started: datetime, code: int, error, **fields) -> None:
+    """Write <label>.manifest.json: the spec echo, versions and outcome,
+    error being None or (type name, message), and the fields the run got
+    to. A run that wrote no CSV leaves no earlier CSV of its label."""
+    manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "label": label,
@@ -632,27 +623,21 @@ def _manifest(kind, label: str, spec: dict, error, code: int,
         "replications": None,
         "started_utc": started.isoformat(),
         "wall_time_s": 0.0,
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "cfedge": __version__,
-        },
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__,
+                     "cfedge": __version__},
         "output_csv": None,
         "rows_written": 0,
+        **fields,
     }
-
-
-def _write_spec_error_manifest(out_dir: str, mapping: dict,
-                               exc: SpecError) -> None:
-    """Failed manifest for a spec that does not validate, with the spec
-    echoed as given."""
     os.makedirs(out_dir, exist_ok=True)
-    label = _safe_label(mapping)
-    write_manifest(os.path.join(out_dir, label + ".manifest.json"),
-                   _manifest(mapping.get("kind"), label, mapping,
-                             (type(exc).__name__, str(exc)), EXIT_USAGE,
-                             datetime.now(timezone.utc)))
+    if manifest["output_csv"] is None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, label + ".csv"))
+    with open(os.path.join(out_dir, label + ".manifest.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _merge_spec(path: str | None, preset: str | None,
@@ -682,12 +667,10 @@ def _merge_spec(path: str | None, preset: str | None,
                 merged[key] = val
     if not merged:
         raise SpecError("give a spec file, --preset, or both")
-    sim_section = dict(merged.get("sim", {}))
-    if seed is not None:
-        sim_section["seed"] = seed
-    if reps is not None:
-        sim_section["replications"] = reps
-    merged["sim"] = sim_section
+    if isinstance(merged.get("sim", {}), dict):
+        merged["sim"] = {**merged.get("sim", {}), **{
+            k: v for k, v in (("seed", seed), ("replications", reps))
+            if v is not None}}
     return merged
 
 
@@ -718,16 +701,20 @@ def main(argv: list | None = None) -> int:
         mapping = _merge_spec(args.spec_file, args.preset, args.seed,
                               args.reps)
         spec = ExperimentSpec.from_mapping(mapping)
-    except SpecError as exc:
+    except Exception as exc:
+        code, error = _failure(exc)
         print(f"cfedge: {exc}", file=sys.stderr)
-        if mapping is not None:
-            _write_spec_error_manifest(args.out, mapping, exc)
-        return EXIT_USAGE
-    code = run_experiment(spec, out_dir=args.out, workers=args.workers)
+        if mapping is None:
+            return code
+        label = _safe_label(mapping)   # the manifest echoes the spec as given
+        _write_manifest(args.out, label, mapping.get("kind"), mapping,
+                        datetime.now(timezone.utc), code, error)
+    else:
+        label = spec.label
+        code = run_experiment(spec, out_dir=args.out, workers=args.workers)
     status, written = ("ok", ".csv") if code == EXIT_OK else (
         f"failed (exit {code})", ".manifest.json")
-    print(f"{spec.label}: {status} -> "
-          f"{os.path.join(args.out, spec.label + written)}")
+    print(f"{label}: {status} -> {os.path.join(args.out, label + written)}")
     return code
 
 

@@ -8,27 +8,40 @@ CLI converts dB at the boundary).
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 
-def check_numbers(config, tuple_fields: tuple = ()) -> None:
-    """Store tuple_fields of a frozen config as tuples of floats. ValueError
-    unless each is a list or tuple of numbers (so a string is not read
-    character by character) and every field is finite."""
-    for name in tuple_fields:
-        value = getattr(config, name)
-        if not isinstance(value, (list, tuple)) or any(
-                isinstance(v, str) for v in value):
-            raise ValueError(f"{name} must be a list of numbers")
-        object.__setattr__(config, name, tuple(map(float, value)))
+def is_real(value) -> bool:
+    """A real number within the float range, so finite, and not a bool."""
+    return ((type(value) in (float, int) or isinstance(value, numbers.Real)
+             and not isinstance(value, bool))
+            and abs(value) <= sys.float_info.max)
+
+
+def check_numbers(config, tuple_fields: tuple = (),
+                  int_fields: tuple = ()) -> None:
+    """Store the fields of a frozen config as floats, int_fields as ints and
+    tuple_fields as tuples of floats. ValueError unless each is is_real, of
+    integral value for int_fields; a tuple field must be a list or tuple of
+    them, so a string is not read character by character."""
     for name in config.__dataclass_fields__:
         value = getattr(config, name)
-        if not (all(map(math.isfinite, value)) if name in tuple_fields
-                else math.isfinite(value)):
-            raise ValueError(f"{name} must be finite")
+        kind = int if name in int_fields else float
+        if name in tuple_fields:
+            if not (isinstance(value, (list, tuple))
+                    and all(map(is_real, value))):
+                raise ValueError(f"{name} must be a list of finite numbers")
+            object.__setattr__(config, name, tuple(map(float, value)))
+        elif not is_real(value) or (kind is int and value != int(value)):
+            raise ValueError(f"{name} must be a finite "
+                             + ("integer" if kind is int else "number"))
+        elif type(value) is not kind:
+            object.__setattr__(config, name, kind(value))
 
 
 # ----------------------------------------------------------------------------
@@ -49,10 +62,10 @@ class NetworkConfig:
     network_area: float = 1.0       # total served area [km^2], scales CS load
 
     def __post_init__(self):
-        check_numbers(self)
+        check_numbers(self, int_fields=("antennas_per_ap",))
         if self.lambda_b < 0 or self.lambda_d < 0:
             raise ValueError("densities must be non-negative")
-        if int(self.antennas_per_ap) != self.antennas_per_ap or self.antennas_per_ap < 1:
+        if self.antennas_per_ap < 1:
             raise ValueError("antennas_per_ap must be a positive integer")
         if self.alpha <= 2:
             raise ValueError("alpha must exceed 2 for finite interference power")

@@ -1,11 +1,15 @@
 """Spec validation, artifact layout, exit codes and reproducibility."""
 
+import copy
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfedge import cli, comm
 from cfedge.cli import (COLUMNS, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
@@ -170,6 +174,7 @@ class TestSpecParsing:
     def test_grid_ordering(self):
         spec = ExperimentSpec.from_mapping({
             "kind": "secp_surface",
+            "network": {"lambda_b": 400.0, "lambda_d": 100.0},
             "compute": {"type_probs": [1.0], "mu_c": [MU_C[1]],
                         "mu_m": [MU_M[1]]},
             "sweep": {"radii_km": [0.04, 0.08], "theta_grid": [0.2, 0.8]}})
@@ -313,10 +318,11 @@ class TestRunExperiment:
                 assert r["scp"] == sum(w * p for w, p in paths)
 
     def test_bad_network_value_is_exit_2(self, tmp_path):
-        spec = ExperimentSpec.from_mapping(
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(
             _scmp_spec(network={"lambda_b": 400.0, "lambda_d": 100.0,
-                                "alpha": 1.5}))
-        code = run_experiment(spec, out_dir=str(tmp_path))
+                                "alpha": 1.5})))
+        code = cli.main(["run", str(p), "--out", str(tmp_path)])
         assert code == EXIT_USAGE
         manifest = json.loads((tmp_path / "tiny.manifest.json").read_text())
         assert manifest["status"] == "failed"
@@ -349,7 +355,8 @@ class TestRunExperiment:
     ])
     def test_bad_section_value_is_exit_2(self, tmp_path, preset, overrides,
                                          needle):
-        # these fail when a point builds its configs, not at spec time
+        # these fail when the spec is parsed, which builds every point's
+        # configs
         p = tmp_path / "s.json"
         p.write_text(json.dumps(overrides))
         code = cli.main(["run", str(p), "--preset", preset, "--out",
@@ -405,6 +412,7 @@ class TestRunExperiment:
         monkeypatch.setitem(cli._EVALUATORS, "validate", stub)
         spec = ExperimentSpec.from_mapping({
             "kind": "validate",
+            "network": {"lambda_b": 400.0, "lambda_d": 100.0},
             "compute": {"type_probs": [1.0], "mu_c": [MU_C[1]],
                         "mu_m": [MU_M[1]]},
             "sweep": {"radii_km": [0.04]}})
@@ -474,6 +482,8 @@ class TestMain:
         ("scmp-sweep", {"network": [1, 2]}, None, "network"),
         ("scp-surface-single", {"compute": 3}, None, "compute"),
         ("energy-sweep", {"energy": 7}, None, "energy"),
+        ("scmp-sweep", {"sim": 5}, None, "sim"),
+        ("scmp-sweep", {"sim": "x"}, "7", "sim"),
     ])
     def test_bad_spec_is_exit_2_with_manifest(self, tmp_path, capsys, preset,
                                               overrides, reps, needle):
@@ -547,3 +557,190 @@ def test_format_cell_types():
     assert cli._format_cell(np.int64(4)) == "4"
     assert cli._format_cell(0.25) == "0.25"
     assert cli._format_cell(float("nan")) == "nan"
+
+
+# One preset per kind, cut down to a budget that runs in well under a
+# second: the input-contract tests run each many times.
+_TINY = {
+    "scmp-sweep": {"sweep": {"radii_km": [0.03, 0.05]}},
+    "scp-surface-mix": {"sweep": {"radii_km": [0.04],
+                                  "theta_grid": [0.0, 0.5]}},
+    "secp-surface": {"sweep": {"radii_km": [0.04], "theta_grid": [0.5]}},
+    "r-threshold": {"sweep": {"rows": [{"antennas_per_ap": 4,
+                                        "lambda_b": 400.0,
+                                        "target_latency": 0.012}],
+                              "areas_km2": [1.0],
+                              "r_bounds_km": [0.02, 0.2]}},
+    "energy-sweep": {"sweep": {"xi_grid": [0.5],
+                               "r_bounds_km": [0.01, 0.25]}},
+    "validate": {"sweep": {"radii_km": [0.04],
+                           "queue": {"r_km": 0.1, "n_mec": 4,
+                                     "lambda_d_n1": 16000.0,
+                                     "duration_n1_s": 5.0,
+                                     "lambda_d": 2700.0, "duration_s": 5.0},
+                           "queue_cs": {"lambda_c": 50.0,
+                                        "duration_s": 5.0}}},
+}
+# leaves that set how long a run takes, not whether the spec is valid
+_RUN_SIZE = {("sim", "replications"), ("sweep", "queue", "duration_n1_s"),
+             ("sweep", "queue", "duration_s"),
+             ("sweep", "queue_cs", "duration_s"), ("sweep", "queue", "n_mec")}
+_DROP = object()
+_BAD = [math.nan, math.inf, -math.inf, "x", [], {}, None, -1, True, _DROP]
+
+
+def _tiny(preset: str) -> dict:
+    spec = _merge_spec(None, preset, None, None)
+    spec.update(copy.deepcopy(_TINY[preset]))
+    spec["sim"] = {"replications": 50, "seed": 3}
+    return spec
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield path
+        return
+    for key, value in items:
+        yield from _leaves(value, path + (key,))
+
+
+def _mutated(spec: dict, path: tuple, value) -> dict:
+    spec = copy.deepcopy(spec)
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return spec
+
+
+_CASES = [(preset, path, value)
+          for preset in _TINY
+          for path in _leaves(_tiny(preset))
+          if path[0] not in ("kind", "label")
+          for value in _BAD + ([] if path in _RUN_SIZE else [1e308])]
+
+
+def _run(out: Path, spec: dict, *extra) -> tuple:
+    """cli.main on spec; the exit code and the manifest."""
+    out.mkdir(parents=True, exist_ok=True)
+    p = out / "spec.json"
+    p.write_text(json.dumps(spec))
+    code = cli.main(["run", str(p), "--out", str(out), *extra])
+    label = cli._safe_label(spec)
+    return code, json.loads((out / f"{label}.manifest.json").read_text())
+
+
+class TestInputContract:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(_CASES))
+    def test_one_bad_leaf_keeps_the_exit_contract(self, case):
+        # any value in any one leaf: a documented exit code, a manifest
+        # that records it, a CSV exactly on success
+        preset, path, value = case
+        spec = _mutated(_tiny(preset), path, value)
+        with tempfile.TemporaryDirectory() as out:
+            code, manifest = _run(Path(out), spec)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE,
+                            EXIT_NUMERICAL)
+            assert manifest["exit_code"] == code
+            has_csv = (Path(out) / f"{cli._safe_label(spec)}.csv").exists()
+            if code == EXIT_OK:
+                assert has_csv
+            if code in (EXIT_USAGE, EXIT_NUMERICAL):
+                assert not has_csv
+
+    def test_integral_float_antenna_count_runs_as_int(self, tmp_path):
+        # a network of its own and the float first: 4.0 == 4, so a cache
+        # filled by an int run would serve the float one
+        spec = _tiny("secp-surface")
+        spec["network"]["alpha"] = 3.77
+        spec["network"]["antennas_per_ap"] = 4.0
+        assert _run(tmp_path / "float", spec)[0] == EXIT_OK
+        spec["network"]["antennas_per_ap"] = 4
+        assert _run(tmp_path / "int", spec)[0] == EXIT_OK
+        assert ((tmp_path / "int" / "secp-surface.csv").read_bytes()
+                == (tmp_path / "float" / "secp-surface.csv").read_bytes())
+
+    def test_numeric_overflow_is_exit_4_with_manifest(self, tmp_path,
+                                                      capsys):
+        # M = 200 overflows the uplink derivative scale
+        spec = _tiny("secp-surface")
+        spec["network"]["antennas_per_ap"] = 200
+        code, manifest = _run(tmp_path, spec)
+        assert code == EXIT_NUMERICAL
+        assert manifest["error"]["type"] == "OverflowError"
+        assert manifest["output_csv"] is None
+        assert not (tmp_path / "secp-surface.csv").exists()
+        assert "Traceback" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("network", "lambda_b", True),
+        ("network", "d0", True),
+        ("compute", "target_latency", True),
+        ("sim", "seed", math.inf),
+        ("sim", "seed", -math.inf),
+        ("sim", "seed", 1.7),
+        ("sim", "seed", "100"),
+        ("sim", "seed", True),
+        ("sim", "replications", 1.7),
+        ("sim", "replications", "100"),
+        ("sim", "replications", True),
+    ])
+    def test_bool_or_non_integer_is_exit_2(self, tmp_path, section, key,
+                                           value):
+        spec = _tiny("secp-surface")
+        spec[section][key] = value
+        code, manifest = _run(tmp_path, spec)
+        assert code == EXIT_USAGE
+        assert manifest["error"]["type"] == "SpecError"
+        assert key in manifest["error"]["message"]
+
+    def test_integral_float_seed_is_accepted(self):
+        spec = _tiny("scmp-sweep")
+        spec["sim"] = {"replications": 5000.0, "seed": 7.0}
+        parsed = ExperimentSpec.from_mapping(spec)
+        assert (parsed.replications, parsed.seed) == (5000, 7)
+
+    @pytest.mark.parametrize("preset, key, bad", [
+        ("secp-surface", "radii_km", -0.01),
+        ("secp-surface", "theta_grid", 1.5),
+        ("scmp-sweep", "radii_km", True),
+        ("r-threshold", "areas_km2", 0.0),
+        ("validate", "radii_km", "0.04"),
+    ])
+    def test_bad_grid_value_names_its_sweep_key(self, preset, key, bad):
+        # the configs' range rules apply to the grid values at parse time
+        spec = _tiny(preset)
+        spec["sweep"][key] = spec["sweep"][key] + [bad]
+        with pytest.raises(SpecError, match=f"sweep.{key}"):
+            ExperimentSpec.from_mapping(spec)
+
+    @pytest.mark.parametrize("row", [
+        {"antennas_per_ap": 0, "lambda_b": 400.0, "target_latency": 0.012},
+        {"antennas_per_ap": 4, "lambda_b": -1.0, "target_latency": 0.012},
+        {"antennas_per_ap": 4, "lambda_b": 400.0, "target_latency": True},
+    ])
+    def test_bad_r_threshold_row_value_names_rows(self, row):
+        spec = _tiny("r-threshold")
+        spec["sweep"]["rows"].append(row)
+        with pytest.raises(SpecError, match="sweep.rows"):
+            ExperimentSpec.from_mapping(spec)
+
+    def test_clock_type_mismatch_is_exit_2_before_any_point(
+            self, tmp_path, monkeypatch):
+        evaluated = []
+        monkeypatch.setitem(cli._EVALUATORS, "energy_vs_xi",
+                            lambda spec, index, point: evaluated.append(point))
+        spec = _tiny("energy-sweep")
+        spec["energy"] = {"f_cs_hz": [4e9, 5e9], "f_mec_hz": [1e9, 3.4e9]}
+        code, manifest = _run(tmp_path, spec)
+        assert code == EXIT_USAGE
+        assert "f_cs_hz" in manifest["error"]["message"]
+        assert evaluated == []

@@ -32,10 +32,26 @@ class TestNetworkConfig:
         ("alpha", math.nan),
         ("coverage_radius", math.inf),
         ("antennas_per_ap", math.inf),
+        # a bool is not a number: JSON true would run as 1
+        ("lambda_b", True),
+        ("d0", True),
+        ("antennas_per_ap", True),
+        ("alpha", "4"),
+        ("lambda_d", None),
+        ("network_area", [1.0]),
+        # an int beyond the float range
+        ("lambda_b", 10 ** 400),
     ])
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ValueError):
             make_net(**{field: value})
+
+    def test_fields_stored_as_floats_and_antennas_as_int(self):
+        net = make_net(lambda_b=400, antennas_per_ap=4.0,
+                       coverage_radius=np.float64(0.05))
+        assert type(net.antennas_per_ap) is int and net.antennas_per_ap == 4
+        assert type(net.lambda_b) is float and net.lambda_b == 400.0
+        assert type(net.coverage_radius) is float
 
     def test_zero_radius_allowed(self):
         assert make_net(coverage_radius=0.0).coverage_radius == 0.0
@@ -108,6 +124,8 @@ class TestComputeConfig:
         dict(type_probs=(1.0,), mu_c=(1.0,), mu_m=(math.inf,)),
         dict(type_probs=(1.0,), mu_c=(1.0,), mu_m=(1.0,),
              target_latency=math.nan),
+        dict(type_probs=(1.0,), mu_c=(True,), mu_m=(1.0,)),
+        dict(type_probs=(1.0,), mu_c=(1.0,), mu_m=(1.0,), offload_prob=False),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
