@@ -39,7 +39,7 @@ from . import __version__, comm, offload, sim
 from . import energy as energy_mod
 # Direct submodule import; the package attribute `secp` is the function.
 from .secp import find_r_threshold as _find_r_threshold
-from .secp import secp as _secp_point
+from .secp import secp as _secp_point, secp_splits
 from .errors import InfeasibilityError, StabilityError
 from .model import ComputeConfig, NetworkConfig, is_real, mean_connected_aps
 from .presets import get_preset
@@ -112,16 +112,22 @@ class ExperimentSpec:
             replications=int(replications), seed=int(seed))
         # the configs own the field rules: a value none of them takes fails
         # here, before any point is evaluated
-        configs = []
+        configs, nets = [], {}
         for point in _points(spec):
             try:
-                configs.append(_configs(spec, point))
+                configs.append(_configs(spec, point, nets))
             except SpecError as exc:
                 where = " and ".join(
                     f"sweep.{_SWEEP_KEYS[key]} entry {value!r}"
                     for key, value in point.items() if key in _SWEEP_KEYS)
                 raise SpecError(f"{exc} at {where}" if where else exc) \
                     from None
+        if kind == "r_threshold":
+            # the rows and areas override these base fields, which must pass
+            # all the same; the first row and area fill those not given
+            row = {**spec.sweep["rows"][0], "network_area": spec.sweep[
+                "areas_km2"][0], **spec.network, **spec.compute}
+            _configs(spec, {"row": row, "area": row["network_area"]}, {})
         spec.configs = tuple(configs)
         return spec
 
@@ -226,9 +232,10 @@ def _network_for(spec: ExperimentSpec, **overrides) -> NetworkConfig:
     return _config(spec, "network", merged, **overrides)
 
 
-def _configs(spec: ExperimentSpec, point: dict) -> tuple:
+def _configs(spec: ExperimentSpec, point: dict, nets: dict) -> tuple:
     """The configs point is evaluated on: its network, its compute mix where
-    the evaluator reads one, and the energy config for energy_vs_xi."""
+    the evaluator reads one, and the energy config for energy_vs_xi. nets
+    maps a radius entry's id to its network: a surface row builds one."""
     check = point.get("check", "")
     if check in ("queue_pmf_tv_n1", "queue_pmf_tv_n4", "scp_mec_vs_des"):
         return _queue_setup(spec, check.endswith("n1"))[:2]
@@ -249,7 +256,9 @@ def _configs(spec: ExperimentSpec, point: dict) -> tuple:
             raise SpecError("bad energy section: f_cs_hz and f_mec_hz need "
                             "one clock per compute task type")
         return _network_for(spec), comp, cfg
-    net = _network_for(spec, coverage_radius=point["R"])
+    if id(point["R"]) not in nets:
+        nets[id(point["R"])] = _network_for(spec, coverage_radius=point["R"])
+    net = nets[id(point["R"])]
     if "theta" in point:
         return net, _config(spec, "compute", offload_prob=point["theta"])
     return (net,)
@@ -335,34 +344,21 @@ def _eval_scmp(spec: ExperimentSpec, index: int, point: dict) -> dict:
     }
 
 
-def _eval_scp_surface(spec: ExperimentSpec, index: int, point: dict) -> dict:
-    net, comp = spec.configs[index]
-    p_oul = comm.uplink_outage(net)
-    rates = offload.arrival_rates(net, comp, p_oul)
-    # an overloaded path is NaN in its own column
-    cs = mec = float("nan")
-    with contextlib.suppress(StabilityError):
-        cs = offload.scp_cs(comp, rates.lambda_c)
-    with contextlib.suppress(StabilityError):
-        mec = offload.scp_mec(net, comp, rates)
-    theta = comp.offload_prob
-    # a path the split never takes adds nothing, even where it is unstable
-    total = (theta * cs if theta > 0.0 else 0.0) \
-        + ((1.0 - theta) * mec if theta < 1.0 else 0.0)
-    return {"R_km": net.coverage_radius, "theta": theta, "scp_cs": cs,
-            "scp_mec": mec, "scp": total}
-
-
-def _eval_secp_surface(spec: ExperimentSpec, index: int, point: dict) -> dict:
-    net, comp = spec.configs[index]
-    row = {"R_km": net.coverage_radius, "theta": comp.offload_prob}
-    try:
-        result = _secp_point(net, comp)
-    except StabilityError:
-        # An overloaded corner of the grid is data, not a run failure.
-        return _nan_row("secp_surface", **row)
-    return {**row, "secp": result.secp, "comp_term": result.comp_term,
-            "ul_term": result.ul_term, "dl_term": result.dl_term}
+def _eval_surface(spec: ExperimentSpec, indices: list) -> list:
+    """The rows of a surface's radius row, its points' indices given. An
+    overloaded path, or split of secp_surface, is NaN in its columns: a
+    corner of the grid is data, not a run failure."""
+    net, comp = spec.configs[indices[0]]
+    thetas = [spec.configs[i][1].offload_prob for i in indices]
+    scorer = offload.scp_splits if spec.kind == "scp_surface" else secp_splits
+    rows = []
+    for theta, values in zip(thetas, scorer(net, comp, thetas)):
+        if isinstance(values, StabilityError):
+            values = (values,) * (len(COLUMNS[spec.kind]) - 2)
+        rows.append(dict(zip(COLUMNS[spec.kind], [
+            net.coverage_radius, theta, *(math.nan if isinstance(
+                v, StabilityError) else v for v in values)])))
+    return rows
 
 
 def _eval_r_threshold(spec: ExperimentSpec, index: int, point: dict) -> dict:
@@ -506,39 +502,36 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
     return _vrow(check, ana, emp, abs(ana - emp), 0.02)
 
 
+# the surfaces are scored one radius row at a time, by _eval_surface
 _EVALUATORS = {
     "scmp_vs_R": _eval_scmp,
-    "scp_surface": _eval_scp_surface,
-    "secp_surface": _eval_secp_surface,
     "r_threshold": _eval_r_threshold,
     "energy_vs_xi": _eval_energy,
     "validate": _eval_validate,
 }
 
 
-# Worker-pool plumbing. Each worker process rebuilds the spec once; rows
-# come back through ``map`` so output order equals grid order no matter
-# which worker finishes first.
-_WORKER_SPEC: ExperimentSpec | None = None
-
-
-def _init_worker(payload: dict) -> None:
-    global _WORKER_SPEC
-    _WORKER_SPEC = ExperimentSpec.from_mapping(payload)
-
-
-def _worker_eval(task: tuple) -> dict:
-    index, point = task
-    return _EVALUATORS[_WORKER_SPEC.kind](_WORKER_SPEC, index, point)
+def _eval_task(spec: ExperimentSpec, task: list) -> list:
+    """The rows of a unit of work, [(index, point), ...]."""
+    if spec.kind not in _EVALUATORS:
+        return _eval_surface(spec, [i for i, _ in task])
+    return [_EVALUATORS[spec.kind](spec, i, point) for i, point in task]
 
 
 def _evaluate(spec: ExperimentSpec, points: list, workers: int) -> list:
-    if workers <= 1 or len(points) <= 1:
-        evaluate = _EVALUATORS[spec.kind]
-        return [evaluate(spec, i, p) for i, p in enumerate(points)]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(spec.resolved(),)) as pool:
-        return list(pool.map(_worker_eval, list(enumerate(points))))
+    """The rows of points, in order. A unit of work is a surface's radius row
+    (its points are radius-major) or else a point; --workers splits them,
+    but not scmp_vs_R's or validate's, whose points share spatial drops."""
+    width = 1 if spec.kind in _EVALUATORS else len(spec.sweep["theta_grid"])
+    indexed = list(enumerate(points))
+    tasks = [indexed[i:i + width] for i in range(0, len(indexed), width)]
+    evaluate = functools.partial(_eval_task, spec)
+    if workers > 1 and len(tasks) > 1 and \
+            spec.kind not in ("scmp_vs_R", "validate"):
+        # map returns the rows in grid order, whichever worker ends first
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return [row for rows in pool.map(evaluate, tasks) for row in rows]
+    return [row for task in tasks for row in evaluate(task)]
 
 
 # ---------------------------------------------------------------------------

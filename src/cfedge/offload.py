@@ -107,6 +107,17 @@ class QueueSpectrum:
         return max(abs(r) for r in self.roots)
 
 
+def edge_load(comp: ComputeConfig, lambda_m: float) -> float:
+    """Utilization rho_m of an edge server at arrival rate lambda_m;
+    StabilityError if the queue is overloaded (rho_m >= 1)."""
+    if lambda_m < 0:
+        raise ValueError("arrival rate cannot be negative")
+    rho = lambda_m * comp.mean_service_time_mec
+    if rho >= 1.0:
+        raise StabilityError(f"edge server unstable: rho_m = {rho:.4f} >= 1")
+    return rho
+
+
 def queue_spectrum(comp: ComputeConfig, lambda_m: float) -> QueueSpectrum:
     """Roots and weights of the edge-server queue-length distribution.
 
@@ -118,15 +129,11 @@ def queue_spectrum(comp: ComputeConfig, lambda_m: float) -> QueueSpectrum:
     offset from the pole on its left. Each weight is the residue of the
     queue-length generating function at z = 1/omega.
     """
-    if lambda_m < 0:
-        raise ValueError("arrival rate cannot be negative")
+    rho = edge_load(comp, lambda_m)
     n = comp.num_types
     if lambda_m == 0.0:
         return QueueSpectrum(roots=(0.0,) * n,
                              weights=(1.0,) + (0.0,) * (n - 1), rho_m=0.0)
-    rho = lambda_m * comp.mean_service_time_mec
-    if rho >= 1.0:
-        raise StabilityError(f"edge server unstable: rho_m = {rho:.4f} >= 1")
     if n == 1:
         return QueueSpectrum(roots=(rho,), weights=(1.0 - rho,), rho_m=rho)
     if rho < 1e-6:
@@ -255,6 +262,14 @@ def scp_cs(comp: ComputeConfig, lambda_c):
         return (1.0 - rho) * s * b / (s - lam + lam * b)
 
     return invert_laplace_cdf(sojourn, comp.target_latency)
+
+
+def scp_cs_each(comp: ComputeConfig, rates: list) -> list:
+    """scp_cs at each of rates in one call: the array form for more than
+    one rate, the float form, which skips the array set-up, for one."""
+    if len(rates) > 1:
+        return scp_cs(comp, np.array(rates)).tolist()
+    return [scp_cs(comp, lam) for lam in rates]
 
 
 class MecCdfCache:
@@ -402,23 +417,24 @@ def running_sum(terms: np.ndarray) -> float:
     return reduce(operator.add, terms.tolist(), 0.0)
 
 
-def scp_mec(net: NetworkConfig, comp: ComputeConfig,
-            rates: ArrivalRates | None = None) -> float:
+def scp_mec(net: NetworkConfig, comp: ComputeConfig, rates=None):
     """Unconditional P[edge sojourn <= target latency].
 
     Mixes the conditional CDF over the Poisson number of connected servers;
-    the no-server event contributes zero.
+    the no-server event contributes zero. rates is one split's ArrivalRates
+    (arrival_rates(net, comp) by default), giving a float, or a 1-D numpy
+    array of edge arrival rates, giving an array from one walk over the
+    queue length. StabilityError if a rate overloads the server.
     """
     if rates is None:
         rates = arrival_rates(net, comp)
-    spectrum = queue_spectrum(comp, rates.lambda_m)
-    nu = mean_connected_aps(net)
-    if nu == 0.0:
-        return 0.0
-    weights = poisson_weights(nu)
-    terms = weights * mec_conditional_cdf(spectrum, len(weights) - 1,
-                                          mec_cache(comp))
-    return min(1.0, max(0.0, running_sum(terms)))
+    one = not isinstance(rates, np.ndarray)
+    spectra = [queue_spectrum(comp, lam)
+               for lam in ([rates.lambda_m] if one else rates.tolist())]
+    weights = poisson_weights(mean_connected_aps(net))
+    values = [min(1.0, max(0.0, running_sum(weights * cdf))) for cdf in
+              mec_conditional_cdfs(spectra, len(weights) - 1, mec_cache(comp))]
+    return values[0] if one else np.array(values)
 
 
 # ----------------------------------------------------------------------------
@@ -426,17 +442,55 @@ def scp_mec(net: NetworkConfig, comp: ComputeConfig,
 # ----------------------------------------------------------------------------
 
 
+def scp_splits(net: NetworkConfig, comp: ComputeConfig, thetas,
+               p_oul: float | None = None) -> list:
+    """(scp_cs, scp_mec, scp) at each offload split of thetas, at one radius,
+    from one scp_cs and one scp_mec call over the stable rates, with the
+    bits of one-split calls. A path whose queue the split overloads is its
+    StabilityError, in its own place and in scp's where the split takes it,
+    the central one first."""
+    if p_oul is None:
+        p_oul = comm.uplink_outage(net)
+    dispatch = min_dispatch_prob(mean_connected_aps(net))
+    rates = [split_rates(net, theta, 1.0 - p_oul, dispatch)
+             for theta in thetas]
+    lam_c, lam_m = [r[0] for r in rates], [r[2] for r in rates]
+    cs = [_overload(central_load, comp, lam) for lam in lam_c]
+    mec = [_overload(edge_load, comp, lam) for lam in lam_m]
+    ok = iter(scp_cs_each(comp, [x for x, e in zip(lam_c, cs) if e is None]))
+    cs = [next(ok) if e is None else e for e in cs]
+    ok = iter(scp_mec(net, comp, np.array(
+        [x for x, e in zip(lam_m, mec) if e is None])).tolist())
+    mec = [next(ok) if e is None else e for e in mec]
+    points = []
+    for theta, *parts in zip(thetas, cs, mec):
+        # the paths the split takes; one it never takes adds nothing
+        taken = [(w, part) for w, part in zip((theta, 1.0 - theta), parts)
+                 if w > 0.0]
+        failed = [part for _, part in taken
+                  if isinstance(part, StabilityError)]
+        points.append((*parts, failed[0] if failed else
+                       sum(w * part for w, part in taken)))
+    return points
+
+
+def _overload(load, comp: ComputeConfig, lam: float):
+    """The StabilityError of arrival rate lam at load's queue, or None."""
+    try:
+        load(comp, lam)
+    except StabilityError as exc:
+        return exc
+
+
 def scp(net: NetworkConfig, comp: ComputeConfig,
         p_oul: float | None = None) -> float:
     """P[computation finishes within the latency target].
 
     Mixture of the central-server and edge paths weighted by the offload
-    split, with arrival rates thinned by uplink success. A path the split
-    takes raises StabilityError if its queue is overloaded.
+    split, with arrival rates thinned by uplink success: the one-split case
+    of scp_splits. StabilityError if a path the split takes is overloaded.
     """
-    rates = arrival_rates(net, comp, p_oul)
-    theta = comp.offload_prob
-    cs_part = scp_cs(comp, rates.lambda_c) if theta > 0.0 else 0.0
-    mec_part = scp_mec(net, comp, rates=rates) if theta < 1.0 else 0.0
-    return theta * cs_part + (1.0 - theta) * mec_part
-
+    (_, _, total), = scp_splits(net, comp, (comp.offload_prob,), p_oul)
+    if isinstance(total, StabilityError):
+        raise total
+    return total

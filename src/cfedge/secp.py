@@ -23,7 +23,7 @@ from .errors import InfeasibilityError, StabilityError
 from .model import ComputeConfig, NetworkConfig
 from .offload import (central_load, mec_cache, mec_conditional_cdfs,
                       min_dispatch_prob, poisson_weights, queue_spectrum,
-                      running_sum, scp_cs, split_rates)
+                      running_sum, scp_cs_each, split_rates)
 
 # offload splits scanned before the golden-section refinement
 THETA_GRID = tuple(float(th) for th in np.linspace(0.0, 1.0, 21))
@@ -51,7 +51,6 @@ class SecpPoint:
 class _Link:
     """The split-independent terms of secp at one network (one radius)."""
 
-    net: NetworkConfig
     weights: np.ndarray      # Poisson weights of n = 1..n_max connected APs
     ul_given_n: np.ndarray   # P[some AP decodes | n APs], n = 1..n_max
     ul_term: float           # Poisson-aggregated uplink term over n >= 1
@@ -80,23 +79,24 @@ def _link(net: NetworkConfig) -> _Link:
     weights, ul_given_n = weights[1:], ul_given_n[1:]
     weights.setflags(write=False)
     ul_given_n.setflags(write=False)
-    return _Link(net, weights, ul_given_n, running_sum(weights * ul_given_n),
+    return _Link(weights, ul_given_n, running_sum(weights * ul_given_n),
                  1.0 - comm.downlink_outage(net).point, 1.0 - uplink.outage,
                  min_dispatch_prob(uplink.mean_aps))
 
 
-def _split_points(link: _Link, comp: ComputeConfig, thetas) -> list:
-    """(secp, comp_term) at each offload split of thetas, or the
-    StabilityError of a split that overloads a queue.
-
-    The queues decide stability split by split; then one scp_cs call and
-    one walk over the queue length serve all stable splits, and each
-    split's sums over n add left to right, as a loop over n = 1..n_max.
-    """
+def secp_splits(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
+    """(secp, comp_term, ul_term, dl_term) at each offload split of thetas,
+    or the StabilityError of a split that overloads a queue: the link terms
+    once per network (cached), one scp_cs call and one walk over the queue
+    length for all stable splits, and each split's sums over n added left
+    to right, as a loop over n = 1..n_max."""
+    if net.coverage_radius <= 0.0:
+        return [(0.0, 0.0, 0.0, 1.0)] * len(thetas)
+    link = _link(net)
     points = [None] * len(thetas)
-    stable, splits, lam_c, spectra = [], [], [], []
+    stable, lam_c, spectra = [], [], []
     for k, theta in enumerate(thetas):
-        rates = split_rates(link.net, theta, link.success, link.dispatch)
+        rates = split_rates(net, theta, link.success, link.dispatch)
         try:
             # the central queue raises first, as in scp
             if theta > 0.0:
@@ -106,45 +106,32 @@ def _split_points(link: _Link, comp: ComputeConfig, thetas) -> list:
         except StabilityError as exc:
             points[k] = exc
             continue
-        stable.append(k)
-        splits.append(theta)
+        stable.append((k, theta))
         if theta > 0.0:
             lam_c.append(rates[0])
         if theta < 1.0:
             spectra.append(spectrum)
-    # one rate takes scp_cs's float form, which skips the array set-up
-    cs_part = iter(scp_cs(comp, np.array(lam_c)).tolist() if len(lam_c) > 1
-                   else [scp_cs(comp, lam) for lam in lam_c])
+    cs_part = iter(scp_cs_each(comp, lam_c))
     mec = iter(mec_conditional_cdfs(spectra, link.n_max, mec_cache(comp)))
-    for k, theta in zip(stable, splits):
+    for k, theta in stable:
         cs = next(cs_part) if theta > 0.0 else 0.0
         mec_n = next(mec) if theta < 1.0 else np.zeros(link.n_max + 1)
         # per n >= 1: computation success, then its products with the weights
         w_comp = link.weights * (theta * cs + (1.0 - theta) * mec_n[1:])
         points[k] = (running_sum(w_comp * link.ul_given_n) * link.dl_success,
-                     running_sum(w_comp))
+                     running_sum(w_comp), link.ul_term, link.dl_success)
     return points
 
 
 def secp(net: NetworkConfig, comp: ComputeConfig) -> SecpPoint:
-    """Probability that upload, computation and download all succeed in time.
-
-    The one-split case of the split evaluator: the link terms are cached
-    per network, so a search at one radius computes them once; the sums
-    over n run elementwise, in the order of a loop over n = 1..n_max.
-    StabilityError if the split overloads a queue.
-    """
-    theta = comp.offload_prob
-    t = comp.target_latency
-    R = net.coverage_radius
-    if R <= 0.0:
-        return SecpPoint(R, theta, t, 0.0, 0.0, 0.0, 1.0)
-    link = _link(net)
-    point, = _split_points(link, comp, (theta,))
+    """Probability that upload, computation and download all succeed in time:
+    the one-split case of secp_splits. StabilityError if the split
+    overloads a queue."""
+    point, = secp_splits(net, comp, (comp.offload_prob,))
     if isinstance(point, StabilityError):
         raise point
-    return SecpPoint(R, theta, t, point[0], point[1], link.ul_term,
-                     link.dl_success)
+    return SecpPoint(net.coverage_radius, comp.offload_prob,
+                     comp.target_latency, *point)
 
 
 def _split_scorer(net: NetworkConfig, comp: ComputeConfig):
@@ -152,14 +139,12 @@ def _split_scorer(net: NetworkConfig, comp: ComputeConfig):
     takes: a function mapping a list of offload splits to their secp, None
     where a split overloads a queue. comp's fields other than the split
     passed ComputeConfig's checks; the splits are checked here."""
-    link = _link(net)
-
     def score(thetas) -> list:
         thetas = [float(theta) for theta in thetas]
         if not all(0.0 <= theta <= 1.0 for theta in thetas):
             raise ValueError("offload_prob must lie in [0, 1]")
         return [None if isinstance(point, StabilityError) else point[0]
-                for point in _split_points(link, comp, thetas)]
+                for point in secp_splits(net, comp, thetas)]
 
     return score
 

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfedge import cli, comm
+from cfedge import cli, comm, offload
 from cfedge.cli import (COLUMNS, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                         EXIT_USAGE, ExperimentSpec, SpecError, _merge_spec,
                         _network_for, _points, run_experiment)
-from cfedge.errors import NumericalError
+from cfedge.errors import NumericalError, StabilityError
 from cfedge.model import mean_connected_aps
+from cfedge.presets import COMPUTE_MIX, COMPUTE_SINGLE
+from cfedge.secp import secp as secp_point
 
 from conftest import MU_C, MU_M
 
@@ -48,6 +50,14 @@ def _validate_spec(radii_km, replications=200):
                   "queue_cs": {"duration_s": 20.0}},
         "sim": {"replications": replications, "seed": 5},
     }
+
+
+def _or_nan(closed_form, *args):
+    """closed_form(*args), or NaN where a queue it reads is overloaded."""
+    try:
+        return closed_form(*args)
+    except StabilityError:
+        return math.nan
 
 
 def _energy_spec(xi_grid):
@@ -170,6 +180,21 @@ class TestSpecParsing:
         spec["sweep"][key] = section
         with pytest.raises(SpecError, match="sweep.queue"):
             ExperimentSpec.from_mapping(spec)
+
+    def test_r_threshold_base_fields_may_be_left_to_rows(self):
+        # the rows give lambda_b, antennas_per_ap and target_latency, and
+        # areas_km2 the network area, so the base sections may leave them out
+        spec = _merge_spec(None, "r-threshold", None, None)
+        for key in ("lambda_b", "antennas_per_ap", "network_area"):
+            spec["network"].pop(key, None)
+        spec["compute"].pop("target_latency", None)
+        parsed = ExperimentSpec.from_mapping(spec)
+        net, comp = parsed.configs[0]
+        row = spec["sweep"]["rows"][0]
+        assert (net.lambda_b, net.antennas_per_ap, comp.target_latency,
+                net.network_area) == (row["lambda_b"], row["antennas_per_ap"],
+                                      row["target_latency"],
+                                      spec["sweep"]["areas_km2"][0])
 
     def test_grid_ordering(self):
         spec = ExperimentSpec.from_mapping({
@@ -317,6 +342,60 @@ class TestRunExperiment:
             if math.isfinite(r["scp"]):
                 assert r["scp"] == sum(w * p for w, p in paths)
 
+    @pytest.mark.parametrize("kind", ["scp_surface", "secp_surface"])
+    @pytest.mark.parametrize("mix", ["single", "two-type", "slow"])
+    @pytest.mark.parametrize("antennas", [1, 8])
+    def test_surface_rows_equal_one_split_results(self, kind, mix, antennas):
+        # each split of a radius row, scored with the whole row, has the bits
+        # of the one-split closed forms; the slow servers overload the edge
+        # queue at small splits and the central one at large splits
+        compute = {"single": COMPUTE_SINGLE, "two-type": COMPUTE_MIX,
+                   "slow": {"type_probs": [1.0], "mu_c": [70.0],
+                            "mu_m": [0.2], "target_latency": 5.0}}[mix]
+        spec = ExperimentSpec.from_mapping({
+            "kind": kind,
+            "network": {"lambda_b": 400.0, "lambda_d": 100.0,
+                        "antennas_per_ap": antennas},
+            "compute": dict(compute),
+            "sweep": {"radii_km": [0.04, 0.1],
+                      "theta_grid": [0.0, 0.05, 0.35, 0.5, 0.95, 1.0]}})
+        rows = cli._evaluate(spec, _points(spec), 1)
+        assert len(rows) == 12
+        for (net, comp), row in zip(spec.configs, rows):
+            if kind == "scp_surface":
+                rates = offload.arrival_rates(net, comp,
+                                              comm.uplink_outage(net))
+                want = [_or_nan(offload.scp_cs, comp, rates.lambda_c),
+                        _or_nan(offload.scp_mec, net, comp, rates),
+                        _or_nan(offload.scp, net, comp)]
+            else:
+                point = _or_nan(secp_point, net, comp)
+                want = [math.nan] * 4 if point is math.nan else [
+                    point.secp, point.comp_term, point.ul_term,
+                    point.dl_term]
+            # repr tells NaN apart from numbers and -0.0 from 0.0
+            assert list(map(repr, row.values())) == list(map(repr, [
+                net.coverage_radius, comp.offload_prob, *want]))
+        overloaded = [math.isnan(row[COLUMNS[kind][-1]]) for row in rows]
+        assert any(overloaded) == (mix == "slow")
+
+    @pytest.mark.parametrize("mapping, simulators", [
+        (_scmp_spec(), 2), (_validate_spec([0.03, 0.05]), 3)])
+    def test_shared_drop_kinds_run_in_process(self, tmp_path, mapping,
+                                              simulators):
+        # a worker process would draw the run's spatial drops again, so
+        # under --workers 2 this process draws each simulator's drop once
+        spec = ExperimentSpec.from_mapping(mapping)
+        name = spec.label + ".csv"
+        cli._drop.cache_clear()
+        assert run_experiment(spec, out_dir=str(tmp_path / "two"),
+                              workers=2) == EXIT_OK
+        assert cli._drop.cache_info().misses == simulators
+        cli._drop.cache_clear()
+        assert run_experiment(spec, out_dir=str(tmp_path / "one")) == EXIT_OK
+        assert (tmp_path / "two" / name).read_bytes() \
+            == (tmp_path / "one" / name).read_bytes()
+
     def test_bad_network_value_is_exit_2(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_text(json.dumps(
@@ -352,6 +431,14 @@ class TestRunExperiment:
         ("scp-surface-single", {"compute": {"target_latency": float("nan")}},
          "target_latency"),
         ("energy-sweep", {"energy": {"kappa_m": float("nan")}}, "kappa_m"),
+        # the rows and areas override these fields, which are checked all
+        # the same
+        ("r-threshold", {"network": {"lambda_b": "x"}}, "lambda_b"),
+        ("r-threshold", {"network": {"antennas_per_ap": 2.5}},
+         "antennas_per_ap"),
+        ("r-threshold", {"network": {"network_area": -1.0}}, "network_area"),
+        ("r-threshold", {"compute": {"target_latency": "x"}},
+         "target_latency"),
     ])
     def test_bad_section_value_is_exit_2(self, tmp_path, preset, overrides,
                                          needle):
