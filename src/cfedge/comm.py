@@ -501,10 +501,6 @@ class DownlinkOutage:
     lower: float
     upper: float
     point: float
-    degenerate: bool = False
-
-    def __iter__(self):
-        return iter((self.lower, self.upper, self.point))
 
 
 def _truncated_outage_sum(k0: int, net: NetworkConfig,
@@ -530,7 +526,7 @@ def downlink_outage(net: NetworkConfig) -> DownlinkOutage:
     params = gamma_interference_params(net)
     zeta = params.zeta
     if zeta == 0.0:
-        return DownlinkOutage(0.0, 0.0, 0.0, degenerate=True)
+        return DownlinkOutage(0.0, 0.0, 0.0)
     if zeta > 2000.0:
         raise NumericalError(f"interference shape {zeta:.1f} too large to truncate")
     k_lo = math.floor(zeta)

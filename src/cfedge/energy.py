@@ -166,8 +166,7 @@ def energy_breakdown(net: NetworkConfig, comp: ComputeConfig,
 
 def minimize_energy(net: NetworkConfig, comp: ComputeConfig, cfg: EnergyConfig,
                     xi: float,
-                    r_bounds: tuple = (0.005, 0.3),
-                    theta_grid=THETA_GRID):
+                    r_bounds: tuple = (0.005, 0.3)):
     """Minimize per-task energy subject to joint success probability >= xi.
 
     Communication energy is increasing in R and computation energy is affine
@@ -184,7 +183,7 @@ def minimize_energy(net: NetworkConfig, comp: ComputeConfig, cfg: EnergyConfig,
     splits = {}
 
     def meets_floor(R: float) -> bool:
-        best = _secp_best_theta(net, comp, R, theta_grid)
+        best = _secp_best_theta(net, comp, R, THETA_GRID)
         if best is None or best[1] < xi:
             return False
         splits[R] = best[0]
@@ -194,7 +193,7 @@ def minimize_energy(net: NetworkConfig, comp: ComputeConfig, cfg: EnergyConfig,
     first = next((i for i, R in enumerate(scan) if meets_floor(R)), None)
     if first is None:
         best_r, best_th, best_val = _secp_find_r_threshold(
-            net, comp, (r_lo, r_hi), theta_grid)
+            net, comp, (r_lo, r_hi), THETA_GRID)
         raise InfeasibilityError(
             f"success floor {xi} unreachable: best achievable is "
             f"{best_val:.4f} at R = {best_r * 1000:.1f} m, split = {best_th:.3f}")
@@ -208,7 +207,7 @@ def minimize_energy(net: NetworkConfig, comp: ComputeConfig, cfg: EnergyConfig,
     net_star = replace(net, coverage_radius=r_star)
     theta_star = _cheapest_feasible_theta(
         _split_scorer(net_star, comp), xi, splits[r_star],
-        theta_energy_slope(comp, cfg), theta_grid)
+        theta_energy_slope(comp, cfg), THETA_GRID)
     comp_star = replace(comp, offload_prob=theta_star)
     return r_star, theta_star, energy_breakdown(net_star, comp_star, cfg)
 

@@ -7,6 +7,11 @@ hyperexponential service; its stationary queue length is a mixture of
 geometric terms, with roots bracketed between the poles of a rational
 function and weights from residues in closed form. The latency CDFs come
 from numerical transform inversion.
+
+One pass, split_cdfs, scores a radius's row of offload splits for both
+scp_splits and secp.secp_splits, reading the split-independent terms from
+one per-network cache, radius_terms; scp_mec mixes one of its edge CDF
+rows over the Poisson server count.
 """
 
 from __future__ import annotations
@@ -264,14 +269,6 @@ def scp_cs(comp: ComputeConfig, lambda_c):
     return invert_laplace_cdf(sojourn, comp.target_latency)
 
 
-def scp_cs_each(comp: ComputeConfig, rates: list) -> list:
-    """scp_cs at each of rates in one call: the array form for more than
-    one rate, the float form, which skips the array set-up, for one."""
-    if len(rates) > 1:
-        return scp_cs(comp, np.array(rates)).tolist()
-    return [scp_cs(comp, lam) for lam in rates]
-
-
 class MecCdfCache:
     """Caches CDF values at latency t of (v+1)-fold sums of edge service
     times, whose law is given by type_probs and mu_m."""
@@ -417,24 +414,54 @@ def running_sum(terms: np.ndarray) -> float:
     return reduce(operator.add, terms.tolist(), 0.0)
 
 
-def scp_mec(net: NetworkConfig, comp: ComputeConfig, rates=None):
-    """Unconditional P[edge sojourn <= target latency].
+@lru_cache(maxsize=64)
+def radius_terms(net: NetworkConfig) -> tuple:
+    """(uplink success, min_dispatch_prob, Poisson weights) at net's radius:
+    the terms every split there shares, computed once per network. The
+    weights, of n = 0..n_max connected servers, are read-only."""
+    nu = mean_connected_aps(net)
+    weights = poisson_weights(nu)
+    weights.setflags(write=False)
+    return 1.0 - comm.uplink_outage(net), min_dispatch_prob(nu), weights
 
-    Mixes the conditional CDF over the Poisson number of connected servers;
-    the no-server event contributes zero. rates is one split's ArrivalRates
-    (arrival_rates(net, comp) by default), giving a float, or a 1-D numpy
-    array of edge arrival rates, giving an array from one walk over the
-    queue length. StabilityError if a rate overloads the server.
-    """
-    if rates is None:
-        rates = arrival_rates(net, comp)
-    one = not isinstance(rates, np.ndarray)
-    spectra = [queue_spectrum(comp, lam)
-               for lam in ([rates.lambda_m] if one else rates.tolist())]
-    weights = poisson_weights(mean_connected_aps(net))
-    values = [min(1.0, max(0.0, running_sum(weights * cdf))) for cdf in
-              mec_conditional_cdfs(spectra, len(weights) - 1, mec_cache(comp))]
-    return values[0] if one else np.array(values)
+
+def split_cdfs(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
+    """(central CDF value, edge CDF row) at each offload split of thetas,
+    at one radius: P[central sojourn <= t], and mec_conditional_cdf's row
+    over n = 0..n_max; a path the split overloads is its StabilityError. A
+    path the split never takes is scored at arrival rate 0. One scp_cs call
+    and one walk over the queue length serve every stable path, with the
+    bits of one-split calls."""
+    success, dispatch, weights = radius_terms(net)
+    cs, mec, rates, spectra = [], [], [], []
+    for theta in thetas:
+        lam_c, _, lam_m = split_rates(net, theta, success, dispatch)
+        try:
+            central_load(comp, lam_c)
+            rates.append(lam_c)
+            cs.append(None)
+        except StabilityError as exc:
+            cs.append(exc)
+        try:
+            spectra.append(queue_spectrum(comp, lam_m))
+            mec.append(None)
+        except StabilityError as exc:
+            mec.append(exc)
+    # the float form for one rate: the array set-up costs about as much as
+    # inverting one rate, and the searches send one split per step
+    rates = iter(scp_cs(comp, np.array(rates)).tolist() if len(rates) > 1
+                 else [scp_cs(comp, lam) for lam in rates])
+    rows = iter(mec_conditional_cdfs(spectra, len(weights) - 1,
+                                     mec_cache(comp)))
+    return [(next(rates) if c is None else c, next(rows) if m is None else m)
+            for c, m in zip(cs, mec)]
+
+
+def scp_mec(net: NetworkConfig, cdf: np.ndarray) -> float:
+    """Unconditional P[edge sojourn <= target latency] from an edge CDF row
+    of split_cdfs at net's radius: the row mixed over the Poisson number of
+    connected servers, whose no-server term is zero."""
+    return min(1.0, max(0.0, running_sum(radius_terms(net)[2] * cdf)))
 
 
 # ----------------------------------------------------------------------------
@@ -442,55 +469,33 @@ def scp_mec(net: NetworkConfig, comp: ComputeConfig, rates=None):
 # ----------------------------------------------------------------------------
 
 
-def scp_splits(net: NetworkConfig, comp: ComputeConfig, thetas,
-               p_oul: float | None = None) -> list:
+def scp_splits(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
     """(scp_cs, scp_mec, scp) at each offload split of thetas, at one radius,
-    from one scp_cs and one scp_mec call over the stable rates, with the
-    bits of one-split calls. A path whose queue the split overloads is its
+    from split_cdfs. A path whose queue the split overloads is its
     StabilityError, in its own place and in scp's where the split takes it,
     the central one first."""
-    if p_oul is None:
-        p_oul = comm.uplink_outage(net)
-    dispatch = min_dispatch_prob(mean_connected_aps(net))
-    rates = [split_rates(net, theta, 1.0 - p_oul, dispatch)
-             for theta in thetas]
-    lam_c, lam_m = [r[0] for r in rates], [r[2] for r in rates]
-    cs = [_overload(central_load, comp, lam) for lam in lam_c]
-    mec = [_overload(edge_load, comp, lam) for lam in lam_m]
-    ok = iter(scp_cs_each(comp, [x for x, e in zip(lam_c, cs) if e is None]))
-    cs = [next(ok) if e is None else e for e in cs]
-    ok = iter(scp_mec(net, comp, np.array(
-        [x for x, e in zip(lam_m, mec) if e is None])).tolist())
-    mec = [next(ok) if e is None else e for e in mec]
     points = []
-    for theta, *parts in zip(thetas, cs, mec):
+    for theta, (cs, mec) in zip(thetas, split_cdfs(net, comp, thetas)):
+        if not isinstance(mec, StabilityError):
+            mec = scp_mec(net, mec)
         # the paths the split takes; one it never takes adds nothing
-        taken = [(w, part) for w, part in zip((theta, 1.0 - theta), parts)
+        taken = [(w, part) for w, part in zip((theta, 1.0 - theta), (cs, mec))
                  if w > 0.0]
         failed = [part for _, part in taken
                   if isinstance(part, StabilityError)]
-        points.append((*parts, failed[0] if failed else
+        points.append((cs, mec, failed[0] if failed else
                        sum(w * part for w, part in taken)))
     return points
 
 
-def _overload(load, comp: ComputeConfig, lam: float):
-    """The StabilityError of arrival rate lam at load's queue, or None."""
-    try:
-        load(comp, lam)
-    except StabilityError as exc:
-        return exc
-
-
-def scp(net: NetworkConfig, comp: ComputeConfig,
-        p_oul: float | None = None) -> float:
+def scp(net: NetworkConfig, comp: ComputeConfig) -> float:
     """P[computation finishes within the latency target].
 
     Mixture of the central-server and edge paths weighted by the offload
     split, with arrival rates thinned by uplink success: the one-split case
     of scp_splits. StabilityError if a path the split takes is overloaded.
     """
-    (_, _, total), = scp_splits(net, comp, (comp.offload_prob,), p_oul)
+    (_, _, total), = scp_splits(net, comp, (comp.offload_prob,))
     if isinstance(total, StabilityError):
         raise total
     return total

@@ -9,6 +9,11 @@ outage that thins the task arrivals are both taken from it, so at a relaxed
 latency target the joint probability reduces to comm.scmp. The threshold
 search finds the smallest-latency-feasible radius maximizing that joint
 probability over the offload split.
+
+secp_splits sends only its stable splits to offload.split_cdfs, the one
+pass that scores split rows, so the searches never walk the edge queues of
+splits that overload the central server. Its per-network uplink and
+downlink terms are cached here; offload.radius_terms caches the rest.
 """
 
 from __future__ import annotations
@@ -21,9 +26,8 @@ import numpy as np
 from . import comm, search
 from .errors import InfeasibilityError, StabilityError
 from .model import ComputeConfig, NetworkConfig
-from .offload import (central_load, mec_cache, mec_conditional_cdfs,
-                      min_dispatch_prob, poisson_weights, queue_spectrum,
-                      running_sum, scp_cs_each, split_rates)
+from .offload import (central_load, edge_load, radius_terms, running_sum,
+                      split_cdfs, split_rates)
 
 # offload splits scanned before the golden-section refinement
 THETA_GRID = tuple(float(th) for th in np.linspace(0.0, 1.0, 21))
@@ -47,79 +51,52 @@ class SecpPoint:
     dl_term: float
 
 
-@dataclass(frozen=True)
-class _Link:
-    """The split-independent terms of secp at one network (one radius)."""
-
-    weights: np.ndarray      # Poisson weights of n = 1..n_max connected APs
-    ul_given_n: np.ndarray   # P[some AP decodes | n APs], n = 1..n_max
-    ul_term: float           # Poisson-aggregated uplink term over n >= 1
-    dl_success: float
-    success: float           # uplink success, which thins the arrivals
-    dispatch: float          # min_dispatch_prob of the mean AP count
-
-    @property
-    def n_max(self) -> int:
-        return len(self.weights)
-
-
 @lru_cache(maxsize=64)
-def _link(net: NetworkConfig) -> _Link:
-    """The _Link of net, so a search computes it once per radius.
-
-    The uplink terms come from comm.uplink_mixture; the downlink success is
-    cached here rather than on comm.downlink_outage, so every call of the
-    closed form itself is still a real evaluation.
-    """
+def _coupling(net: NetworkConfig) -> tuple:
+    """(ul_given_n, ul_term, dl_success) of net: P[some AP decodes | n APs]
+    for n = 1..n_max from comm.uplink_mixture, its Poisson aggregate, and
+    the downlink success, cached here so that every comm.downlink_outage
+    call is still a real evaluation."""
     uplink = comm.uplink_mixture(net)
-    weights = poisson_weights(uplink.mean_aps)
+    weights = radius_terms(net)[2]
     # P[some AP decodes | n APs] = 1 - sum_k w_k (1 - q_k)^n
-    ul_given_n = 1.0 - uplink.weights @ (
-        1.0 - uplink.success[:, None]) ** np.arange(len(weights))
-    weights, ul_given_n = weights[1:], ul_given_n[1:]
-    weights.setflags(write=False)
+    ul_given_n = (1.0 - uplink.weights @ (1.0 - uplink.success[:, None])
+                  ** np.arange(len(weights)))[1:]
     ul_given_n.setflags(write=False)
-    return _Link(weights, ul_given_n, running_sum(weights * ul_given_n),
-                 1.0 - comm.downlink_outage(net).point, 1.0 - uplink.outage,
-                 min_dispatch_prob(uplink.mean_aps))
+    return (ul_given_n, running_sum(weights[1:] * ul_given_n),
+            1.0 - comm.downlink_outage(net).point)
 
 
 def secp_splits(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
     """(secp, comp_term, ul_term, dl_term) at each offload split of thetas,
-    or the StabilityError of a split that overloads a queue: the link terms
-    once per network (cached), one scp_cs call and one walk over the queue
-    length for all stable splits, and each split's sums over n added left
-    to right, as a loop over n = 1..n_max."""
+    or the StabilityError of a split that overloads a queue it takes (one
+    it never takes has arrival rate 0), the central one first. Only the
+    stable splits go to offload.split_cdfs; each one's sums over n are
+    added left to right, as a loop over n = 1..n_max."""
     if net.coverage_radius <= 0.0:
         return [(0.0, 0.0, 0.0, 1.0)] * len(thetas)
-    link = _link(net)
-    points = [None] * len(thetas)
-    stable, lam_c, spectra = [], [], []
-    for k, theta in enumerate(thetas):
-        rates = split_rates(net, theta, link.success, link.dispatch)
+    success, dispatch, weights = radius_terms(net)
+    ul_given_n, ul_term, dl_success = _coupling(net)
+    points = []
+    for theta in thetas:
+        lam_c, _, lam_m = split_rates(net, theta, success, dispatch)
         try:
-            # the central queue raises first, as in scp
-            if theta > 0.0:
-                central_load(comp, rates[0])
-            if theta < 1.0:
-                spectrum = queue_spectrum(comp, rates[2])
+            central_load(comp, lam_c)
+            edge_load(comp, lam_m)
+            points.append(theta)
         except StabilityError as exc:
-            points[k] = exc
+            points.append(exc)
+    stable = [theta for theta in points
+              if not isinstance(theta, StabilityError)]
+    scored = iter(split_cdfs(net, comp, stable))
+    for k, theta in enumerate(points):
+        if isinstance(theta, StabilityError):
             continue
-        stable.append((k, theta))
-        if theta > 0.0:
-            lam_c.append(rates[0])
-        if theta < 1.0:
-            spectra.append(spectrum)
-    cs_part = iter(scp_cs_each(comp, lam_c))
-    mec = iter(mec_conditional_cdfs(spectra, link.n_max, mec_cache(comp)))
-    for k, theta in stable:
-        cs = next(cs_part) if theta > 0.0 else 0.0
-        mec_n = next(mec) if theta < 1.0 else np.zeros(link.n_max + 1)
+        cs, mec_n = next(scored)
         # per n >= 1: computation success, then its products with the weights
-        w_comp = link.weights * (theta * cs + (1.0 - theta) * mec_n[1:])
-        points[k] = (running_sum(w_comp * link.ul_given_n) * link.dl_success,
-                     running_sum(w_comp), link.ul_term, link.dl_success)
+        w_comp = weights[1:] * (theta * cs + (1.0 - theta) * mec_n[1:])
+        points[k] = (running_sum(w_comp * ul_given_n) * dl_success,
+                     running_sum(w_comp), ul_term, dl_success)
     return points
 
 

@@ -86,6 +86,11 @@ def _sweep(net: NetworkConfig, scenario: SpatialScenario, radii) -> tuple:
 # Expected elements (per-replication counts, points, index cells and
 # candidate pairs) of one block: keeps block temporaries to a few MB.
 _BLOCK_ELEMENTS = 2 ** 15
+# Expected elements of one replication above which a run fails before it
+# draws: a replication is never split across blocks, and one this large
+# would not fit in memory. The largest any preset, test or benchmark
+# workload reaches is 2.2e5 (scmp-sweep-m1, per_user at 200 m).
+_REPLICATION_ELEMENTS = 2 ** 22
 
 # Philox key word 1 of each spatial simulator; the DES uses 1.
 _UPLINK, _DOWNLINK_PER_USER, _DOWNLINK_INDEPENDENT = 2, 3, 4
@@ -102,7 +107,11 @@ def _replicate(scenario: SpatialScenario, stream: int, per_rep: float,
     """Per-replication outcome arrays of a run, drawn by `draw(rng, n)` a
     block at a time. A block holds _BLOCK_ELEMENTS // per_rep replications
     (at least one), per_rep being the expected elements of one; only the
-    last block of a run may be shorter."""
+    last block of a run may be shorter. ValueError if per_rep exceeds
+    _REPLICATION_ELEMENTS."""
+    if per_rep > _REPLICATION_ELEMENTS:
+        raise ValueError(f"one replication expects {per_rep:.3g} elements, "
+                         f"above the {_REPLICATION_ELEMENTS} a drop may hold")
     size = max(1, int(_BLOCK_ELEMENTS // per_rep))
     n = scenario.replications
     blocks = [draw(_block_rng(scenario.seed, stream, b), min(size, n - first))

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from cfedge.model import ComputeConfig, NetworkConfig
+from cfedge import offload
+from cfedge.model import ComputeConfig, NetworkConfig, mean_connected_aps
 
 # Exact-fraction service rates implied by the default hardware constants:
 # 8 f / (330 * 0.5e6) with f in {4, 5} GHz centrally and {1, 3.4} GHz at
 # the edge.
 MU_C = (6400.0 / 33.0, 8000.0 / 33.0)
 MU_M = (1600.0 / 33.0, 5440.0 / 33.0)
+
+
+# slow servers: the edge queue overloads at small splits and the central
+# one at large splits on the default network
+SLOW_COMP = ComputeConfig(type_probs=(0.6, 0.4), mu_c=(50.0, 80.0),
+                          mu_m=(0.1, 0.2), target_latency=0.012)
 
 
 def make_net(**overrides) -> NetworkConfig:
@@ -61,3 +68,13 @@ def walk_reference(spectrum, n_max, cache):
         powers = powers_next[:active]
     np.maximum(total, 0.0, out=total)
     return np.minimum(total, 1.0, out=total)
+
+
+def edge_row_reference(net, comp):
+    """Reference for an edge row of offload.split_cdfs: walk_reference of
+    the edge queue of comp's split alone at net's radius, over the counts
+    of its Poisson weights. StabilityError if the split overloads it."""
+    rates = offload.arrival_rates(net, comp)
+    n_max = len(offload.poisson_weights(mean_connected_aps(net))) - 1
+    return walk_reference(offload.queue_spectrum(comp, rates.lambda_m),
+                          n_max, offload.mec_cache(comp))

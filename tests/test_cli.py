@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfedge import cli, comm, offload
+from cfedge import cli, comm, offload, sim
 from cfedge.cli import (COLUMNS, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
                         EXIT_USAGE, ExperimentSpec, SpecError, _merge_spec,
                         _network_for, _points, run_experiment)
@@ -20,7 +21,7 @@ from cfedge.model import mean_connected_aps
 from cfedge.presets import COMPUTE_MIX, COMPUTE_SINGLE
 from cfedge.secp import secp as secp_point
 
-from conftest import MU_C, MU_M
+from conftest import MU_C, MU_M, edge_row_reference
 
 
 def _scmp_spec(**extra):
@@ -363,10 +364,10 @@ class TestRunExperiment:
         assert len(rows) == 12
         for (net, comp), row in zip(spec.configs, rows):
             if kind == "scp_surface":
-                rates = offload.arrival_rates(net, comp,
-                                              comm.uplink_outage(net))
+                rates = offload.arrival_rates(net, comp)
+                cdf = _or_nan(edge_row_reference, net, comp)
                 want = [_or_nan(offload.scp_cs, comp, rates.lambda_c),
-                        _or_nan(offload.scp_mec, net, comp, rates),
+                        cdf if cdf is math.nan else offload.scp_mec(net, cdf),
                         _or_nan(offload.scp, net, comp)]
             else:
                 point = _or_nan(secp_point, net, comp)
@@ -766,6 +767,19 @@ class TestInputContract:
         assert manifest["output_csv"] is None
         assert not (tmp_path / "secp-surface.csv").exists()
         assert "Traceback" in capsys.readouterr().err
+
+    def test_oversized_drop_is_exit_4_before_drawing(self, tmp_path,
+                                                     monkeypatch):
+        # one replication at d0 = 4 km would need gigabytes; the run fails
+        # at once, and its manifest names the expected element count
+        monkeypatch.setattr(sim, "_block_rng", None)
+        spec = _tiny("validate")
+        spec["network"]["d0"] = 4.0
+        code, manifest = _run(tmp_path, spec)
+        assert code == EXIT_NUMERICAL
+        assert manifest["error"]["type"] == "ValueError"
+        assert re.search(r"expects \d\.\d+e\+\d+ elements",
+                         manifest["error"]["message"])
 
     @pytest.mark.parametrize("section, key, value", [
         ("network", "lambda_b", True),

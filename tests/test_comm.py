@@ -260,12 +260,7 @@ class TestDownlinkOutage:
 
     def test_degenerate_zero_radius(self):
         out = comm.downlink_outage(make_net(coverage_radius=0.0))
-        assert out.degenerate
         assert (out.lower, out.upper, out.point) == (0.0, 0.0, 0.0)
-
-    def test_tuple_protocol(self, fig_net):
-        lower, upper, point = comm.downlink_outage(fig_net)
-        assert lower <= point <= upper
 
     def test_truncation_increasing_in_shape(self, fig_net):
         params = comm.gamma_interference_params(fig_net)

@@ -8,6 +8,7 @@ a single service type.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -18,8 +19,10 @@ from cfedge import offload
 from cfedge.errors import NumericalError, StabilityError
 from cfedge.model import ComputeConfig
 from cfedge.presets import COMPUTE_MIX
+from cfedge.secp import THETA_GRID
 
-from conftest import MU_C, MU_M, make_net, walk_reference
+from conftest import (MU_C, MU_M, SLOW_COMP, edge_row_reference, make_net,
+                      walk_reference)
 
 mp.mp.dps = 40
 
@@ -480,27 +483,108 @@ def test_running_sum_adds_left_to_right(values):
 
 
 def test_scp_mixes_paths(fig_net, mix_comp):
-    p_oul = 0.3
-    rates = offload.arrival_rates(fig_net, mix_comp, p_oul)
+    rates = offload.arrival_rates(fig_net, mix_comp)
     cs = offload.scp_cs(mix_comp, rates.lambda_c)
-    mec = offload.scp_mec(fig_net, mix_comp, rates=rates)
-    got = offload.scp(fig_net, mix_comp, p_oul=p_oul)
-    assert got == pytest.approx(0.5 * cs + 0.5 * mec, rel=1e-9)
+    mec = offload.scp_mec(fig_net, edge_row_reference(fig_net, mix_comp))
+    assert 0.0 < cs < 1.0 and 0.0 < mec < 1.0
+    assert offload.scp(fig_net, mix_comp) == 0.5 * cs + 0.5 * mec
 
 
 def test_scp_pure_paths(fig_net, mix_comp):
-    from dataclasses import replace
     all_cs = replace(mix_comp, offload_prob=1.0)
-    rates = offload.arrival_rates(fig_net, all_cs, 0.3)
-    assert offload.scp(fig_net, all_cs, p_oul=0.3) == pytest.approx(
-        offload.scp_cs(all_cs, rates.lambda_c), rel=1e-9)
+    rates = offload.arrival_rates(fig_net, all_cs)
+    assert offload.scp(fig_net, all_cs) == \
+        offload.scp_cs(all_cs, rates.lambda_c)
     all_mec = replace(mix_comp, offload_prob=0.0)
-    assert offload.scp(fig_net, all_mec, p_oul=0.3) == pytest.approx(
-        offload.scp_mec(fig_net, all_mec,
-                        rates=offload.arrival_rates(fig_net, all_mec, 0.3)),
-        rel=1e-9)
+    assert offload.scp(fig_net, all_mec) == offload.scp_mec(
+        fig_net, edge_row_reference(fig_net, all_mec))
 
 
 def test_scp_mec_no_servers(mix_comp):
+    # no server within reach: the one count is n = 0, which adds nothing
     net = make_net(coverage_radius=0.0)
-    assert offload.scp_mec(net, mix_comp) == 0.0
+    for theta in (0.0, 0.5):
+        (_, row), = offload.split_cdfs(net, mix_comp, [theta])
+        assert row.tolist() == [0.0]
+        assert offload.scp_mec(net, row) == 0.0
+        assert offload.scp_splits(net, mix_comp, [theta])[0][1] == 0.0
+
+
+_THETAS = list(THETA_GRID) + [0.013, 0.4142, 0.987]
+
+
+def _or_error(f, *args):
+    try:
+        return f(*args)
+    except StabilityError as exc:
+        return exc
+
+
+def _same(got, want):
+    """got is want: the same error type and message, or the same floats
+    by ==, with the sign of zero."""
+    if isinstance(want, StabilityError):
+        return type(got) is type(want) and str(got) == str(want)
+    if isinstance(got, StabilityError):
+        return False
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    return got.tolist() == want.tolist() and \
+        np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+class TestSplitCdfs:
+    """split_cdfs scores a radius's row of splits in one pass."""
+
+    @pytest.mark.parametrize("radius", [0.05, 0.12])
+    @pytest.mark.parametrize("mix", ["single", "two-type", "slow"])
+    def test_values_equal_one_split_references(self, single_comp, mix_comp,
+                                               radius, mix):
+        comp = {"single": single_comp, "two-type": mix_comp,
+                "slow": SLOW_COMP}[mix]
+        net = make_net(coverage_radius=radius)
+        got = offload.split_cdfs(net, comp, _THETAS)
+        assert len(got) == len(_THETAS)
+        overloaded = set()
+        for theta, (cs, row) in zip(_THETAS, got):
+            one = replace(comp, offload_prob=theta)
+            rates = offload.arrival_rates(net, one)
+            want_cs = _or_error(offload.scp_cs, comp, rates.lambda_c)
+            want_row = _or_error(edge_row_reference, net, one)
+            assert _same(cs, want_cs), (theta, cs, want_cs)
+            assert _same(row, want_row), theta
+            overloaded.update(path for path, part in (("central", cs),
+                                                      ("edge", row))
+                              if isinstance(part, StabilityError))
+        # the slow servers overload both queues somewhere on the row
+        assert overloaded == ({"central", "edge"} if mix == "slow" else set())
+
+    def test_untaken_path_is_scored_at_rate_zero(self, fig_net, mix_comp):
+        # the SCP surface reports both paths, also the one a split never takes
+        got = offload.split_cdfs(fig_net, mix_comp, [0.0, 1.0])
+        assert got[0][0] == offload.scp_cs(mix_comp, 0.0)
+        zero = offload.queue_spectrum(mix_comp, 0.0)
+        n_max = len(got[1][1]) - 1
+        assert got[1][1].tolist() == walk_reference(
+            zero, n_max, offload.mec_cache(mix_comp)).tolist()
+        (cs0, mec0, scp0), (cs1, mec1, scp1) = offload.scp_splits(
+            fig_net, mix_comp, [0.0, 1.0])
+        assert (cs0, mec1) == (got[0][0],
+                               offload.scp_mec(fig_net, got[1][1]))
+        assert (scp0, scp1) == (mec0, cs1)
+
+    def test_one_inversion_and_one_walk_per_row(self, monkeypatch, fig_net,
+                                                mix_comp):
+        calls = []
+        for name in ("scp_cs", "mec_conditional_cdfs"):
+            original = getattr(offload, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(offload, name, counted)
+        offload.split_cdfs(fig_net, mix_comp, _THETAS)
+        assert sorted(calls) == ["mec_conditional_cdfs", "scp_cs"]
+
+    def test_no_splits(self, fig_net, mix_comp):
+        assert offload.split_cdfs(fig_net, mix_comp, []) == []

@@ -1,6 +1,7 @@
 """Joint end-to-end success probability and the radius threshold search."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from cfedge.model import ComputeConfig
 from cfedge.presets import COMPUTE_SINGLE
 from cfedge.secp import THETA_GRID, _split_scorer, find_r_threshold, secp
 
-from conftest import MU_C, MU_M, make_net, walk_reference
+from conftest import MU_C, MU_M, SLOW_COMP, make_net, walk_reference
 
 
 def test_zero_radius_degenerate(fig_net, mix_comp):
@@ -85,12 +86,6 @@ def test_monotone_in_latency_target(fig_net, mix_comp):
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-# slow servers: the edge queue overloads at small splits and the central
-# one at large splits on the default network
-_SLOW = ComputeConfig(type_probs=(0.6, 0.4), mu_c=(50.0, 80.0),
-                      mu_m=(0.1, 0.2), target_latency=0.012)
-
-
 def _per_split_secp(net, comp, theta):
     """secp at split theta, None where a queue overloads, with the split
     scored alone: its own arrival rates and scp_cs call, the reference walk
@@ -128,7 +123,7 @@ def test_split_scorer_equals_per_split_code(fig_net, mix_comp):
                            mu_m=COMPUTE_SINGLE["mu_m"])
     thetas = list(THETA_GRID) + [0.013, 0.4142, 0.987]
     overloaded = 0
-    for comp in (mix_comp, _SLOW, single):
+    for comp in (mix_comp, SLOW_COMP, single):
         for radius in (0.01, 0.05, 0.12, 0.2):
             net = replace(fig_net, coverage_radius=radius)
             got = _split_scorer(net, comp)(thetas)
@@ -149,10 +144,30 @@ def test_split_scorer_equals_per_split_code(fig_net, mix_comp):
             _split_scorer(fig_net, mix_comp)([0.5, theta])
 
 
+def test_only_stable_splits_reach_the_shared_pass(monkeypatch, fig_net):
+    # a split that overloads either queue is the queue's error before the
+    # shared pass, which then walks no edge queue of a central overload
+    module = sys.modules["cfedge.secp"]
+    sent = []
+
+    def recorded(net, comp, thetas):
+        sent.extend(thetas)
+        return offload.split_cdfs(net, comp, thetas)
+
+    monkeypatch.setattr(module, "split_cdfs", recorded)
+    points = module.secp_splits(fig_net, SLOW_COMP, list(THETA_GRID))
+    errors = {str(p).split()[0] for p in points
+              if isinstance(p, StabilityError)}
+    assert errors == {"central", "edge"}
+    assert sent == [theta for theta, p in zip(THETA_GRID, points)
+                    if not isinstance(p, StabilityError)]
+    assert sent
+
+
 def test_secp_is_the_one_split_case(fig_net):
     for theta in THETA_GRID:
-        comp = replace(_SLOW, offload_prob=theta)
-        value, = _split_scorer(fig_net, _SLOW)([theta])
+        comp = replace(SLOW_COMP, offload_prob=theta)
+        value, = _split_scorer(fig_net, SLOW_COMP)([theta])
         if value is None:
             with pytest.raises(StabilityError):
                 secp(fig_net, comp)
@@ -164,7 +179,7 @@ def test_secp_is_the_one_split_case(fig_net):
                                           (0.8, "central"), (1.0, "central")])
 def test_overloaded_queue_raises(fig_net, theta, queue):
     with pytest.raises(StabilityError, match=queue):
-        secp(fig_net, replace(_SLOW, offload_prob=theta))
+        secp(fig_net, replace(SLOW_COMP, offload_prob=theta))
 
 
 class TestRadiusThreshold:

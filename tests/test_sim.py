@@ -123,6 +123,18 @@ class TestNeighbourCounts:
 
 class TestBlocks:
     @pytest.mark.parametrize("kind", sorted(_SIMULATORS))
+    def test_oversized_replication_fails_before_drawing(self, monkeypatch,
+                                                        kind):
+        # d0 = 4 km puts the far-field guard some 600 km out, so that one
+        # replication expects 5e8 elements or more; drawing a block fails
+        monkeypatch.setattr(sim, "_block_rng", None)
+        net = make_net(d0=4.0)
+        sc = SpatialScenario.for_network(net, 10, seed=1)
+        with pytest.raises(ValueError,
+                           match=r"expects \d\.\d+e\+0[89] elements"):
+            _SIMULATORS[kind](net, sc)
+
+    @pytest.mark.parametrize("kind", sorted(_SIMULATORS))
     def test_reruns_equal(self, fig_net, kind):
         sc = SpatialScenario.for_network(fig_net, 300, seed=7)
         run = _SIMULATORS[kind]
