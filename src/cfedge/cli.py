@@ -28,7 +28,6 @@ import platform
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -528,7 +527,9 @@ def _evaluate(spec: ExperimentSpec, points: list, workers: int) -> list:
     evaluate = functools.partial(_eval_task, spec)
     if workers > 1 and len(tasks) > 1 and \
             spec.kind not in ("scmp_vs_R", "validate"):
+        # imported here: multiprocessing is of no use to a one-worker run;
         # map returns the rows in grid order, whichever worker ends first
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return [row for rows in pool.map(evaluate, tasks) for row in rows]
     return [row for task in tasks for row in evaluate(task)]

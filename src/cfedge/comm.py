@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.special as sp
-from scipy import integrate
 
 from .errors import NumericalError
 from .model import NetworkConfig, mean_connected_aps, pathloss
@@ -109,7 +108,12 @@ def _single_ap_success_at(r: float, net: NetworkConfig) -> float:
 
 
 def per_ap_success(net: NetworkConfig) -> float:
-    """Success probability of a single AP at uniform distance in the disc."""
+    """Success probability of a single AP at uniform distance in the disc.
+
+    Past the pathloss plateau: 12-node Gauss-Legendre on 2n geometric
+    panels from d0 to R, n the least count of panels of ratio at most 4.
+    The gap to the rule on n panels is its error, NumericalError above 1e-7.
+    """
     R = net.coverage_radius
     if R <= 0.0:
         return 0.0
@@ -117,8 +121,19 @@ def per_ap_success(net: NetworkConfig) -> float:
     if R <= net.d0:
         return _clamp_probability(plateau, "per_ap_success")
     inner = plateau * net.d0 ** 2 / 2.0
-    val, err = integrate.quad(lambda r: r * _single_ap_success_at(r, net),
-                              net.d0, R, epsabs=1e-9, epsrel=1e-9, limit=200)
+    x, w = np.polynomial.legendre.leggauss(12)
+
+    def radial(panels):
+        # int_d0^R r q(r) dr, the rule on each of `panels` equal-ratio panels
+        edges = np.geomspace(net.d0, R, panels + 1)
+        half = np.diff(edges)[:, None] / 2.0
+        r = edges[:-1, None] + half * (x + 1.0)
+        q = [_single_ap_success_at(ri, net) for ri in r.ravel().tolist()]
+        return float((half * w * r).ravel() @ q)
+
+    n = max(1, math.ceil(math.log(R / net.d0) / math.log(4.0)))
+    val = radial(2 * n)
+    err = abs(val - radial(n))
     if err > 1e-7:
         raise NumericalError(f"radial success integral did not converge (err {err:.2e})")
     return _clamp_probability((inner + val) * 2.0 / R ** 2, "per_ap_success")

@@ -23,12 +23,11 @@ from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.special as sp
-from scipy.optimize import brentq
 
 from . import comm
 from .errors import NumericalError, StabilityError
 from .model import ComputeConfig, NetworkConfig, mean_connected_aps
-from .specfun import _euler_nodes, invert_laplace_cdf
+from .specfun import _euler_nodes, brent_root, invert_laplace_cdf
 
 _POISSON_TAIL = 1e-10
 _GEO_TAIL = 1e-10
@@ -130,9 +129,10 @@ def queue_spectrum(comp: ComputeConfig, lambda_m: float) -> QueueSpectrum:
     ((mu_l + lam)(x - x_l)) = a - lam sum_l p_l x_l^2 / (x - x_l), with one
     pole x_l = 1/(mu_l + lam) per distinct edge rate of a type with p_l > 0.
     h rises from -inf to +inf between consecutive poles and to
-    h(1/lam) = 1 - rho past the last: one root per bracket, found as its
-    offset from the pole on its left. Each weight is the residue of the
-    queue-length generating function at z = 1/omega.
+    h(1/lam) = 1 - rho past the last: one root per bracket, found by
+    specfun.brent_root (NumericalError if it fails) as its offset from the
+    pole on its left. Each weight is the residue of the queue-length
+    generating function at z = 1/omega.
     """
     rho = edge_load(comp, lambda_m)
     n = comp.num_types
@@ -176,12 +176,8 @@ def queue_spectrum(comp: ComputeConfig, lambda_m: float) -> QueueSpectrum:
             far = sum(b_l / (u + g_l) for b_l, g_l in others)
             return u * v * (a - lam * far) - lam * (b[k] * v - b_next * u)
 
-        try:
-            # an absolute tolerance so small that the relative one decides
-            u = brentq(cleared, 0.0, w, xtol=np.finfo(float).tiny)
-        except (RuntimeError, ValueError) as exc:  # no convergence, bad sign
-            raise NumericalError(f"queue-length root not found: {exc}") \
-                from exc
+        # an absolute tolerance so small that the relative one decides
+        u = brent_root(cleared, 0.0, w, xtol=float(np.finfo(float).tiny))
         omega = lam * (x_k + u)
         # (1 - rho)(1 - omega) / (omega (D - 1)), with D =
         # lam x^2 sum_l p_l mu_l / ((mu_l + lam)(x - x_l))^2

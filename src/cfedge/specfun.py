@@ -1,8 +1,8 @@
 """Numeric backends used by the analytic layers.
 
 Wraps the Gauss hypergeometric function the closed forms need, provides
-expectations against the Gamma(M, 1) antenna gain law and numerical
-inversion of Laplace-transformed CDFs.
+expectations against the Gamma(M, 1) antenna gain law, numerical
+inversion of Laplace-transformed CDFs and a bracketed root solver.
 """
 
 from __future__ import annotations
@@ -146,3 +146,51 @@ def invert_laplace_cdf(transform: Callable, t: float):
     cdf = [min(1.0, max(0.0, x)) for x in est]
     return np.array(cdf) if partial.ndim > 1 else cdf[0]
 
+
+# ----------------------------------------------------------------------------
+# bracketed root finding
+# ----------------------------------------------------------------------------
+
+_BRENT_RTOL = 4.0 * 2.0 ** -52     # 4 eps
+
+
+def brent_root(f: Callable, a: float, b: float, xtol: float) -> float:
+    """Root of f between a and b by Brent's method (Brent 1973, ch. 4):
+    scipy's brentq.c ported operation for operation, at its rtol = 4 eps and
+    100 iterations, so it returns scipy.optimize.brentq's float. Raises
+    NumericalError on a bracket without sign change, NaN or no convergence."""
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if not (fpre < 0.0 < fcur or fcur < 0.0 < fpre):   # NaN fails both
+        raise NumericalError(f"root search: no sign change on [{a}, {b}]")
+    for _ in range(100):    # the first pass sets xblk, fblk, spre and scur
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = abs(spre) > delta and abs(fcur) < abs(fpre)
+        try:    # where C divides by 0, its inf or NaN step bisects
+            if short and xpre == xblk:      # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            elif short:                     # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = short and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        except ZeroDivisionError:
+            short = False
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise NumericalError(f"root search: f({xcur}) is NaN")
+    raise NumericalError("root search did not converge in 100 iterations")

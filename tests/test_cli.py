@@ -4,7 +4,10 @@ import copy
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -637,6 +640,22 @@ class TestMain:
         assert code == EXIT_OK
         assert "tiny: ok" in capsys.readouterr().out
         assert (tmp_path / "tiny.csv").exists()
+
+
+def test_import_leaves_out_unused_packages():
+    # scipy.optimize and scipy.integrate cost about 0.3 s of import and
+    # the closed forms do not use them; the process pool is imported only
+    # when a run asks for more than one worker
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, cfedge.cli; print(cfedge.cli.__file__); "
+             "print(*sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
+             "'concurrent.futures.process') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split("\n")
+    assert Path(out[0]).resolve() == Path(cli.__file__).resolve()
+    assert out[1] == ""
 
 
 def test_format_cell_types():

@@ -15,6 +15,7 @@ from scipy import integrate
 import scipy.special as sp
 
 from cfedge import comm
+from cfedge.errors import NumericalError
 from cfedge.model import NetworkConfig, mean_connected_aps, pathloss
 
 from conftest import make_net
@@ -121,6 +122,44 @@ class TestPerApSuccess:
         net = make_net(coverage_radius=0.0005, d0=0.001)
         assert comm.per_ap_success(net) == pytest.approx(
             comm._single_ap_success_at(0.0, net))
+
+    @staticmethod
+    def _quad_reference(net):
+        # the radial integral by adaptive quadrature at tight tolerances
+        R, d0 = net.coverage_radius, net.d0
+        val, err = integrate.quad(
+            lambda r: r * comm._single_ap_success_at(r, net), d0, R,
+            epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert err < 1e-12 * max(val, 1e-300) + 1e-14
+        inner = comm._single_ap_success_at(0.0, net) * d0 ** 2 / 2.0
+        return (inner + val) * 2.0 / R ** 2
+
+    @pytest.mark.parametrize("M", [1, 2, 4, 8, 16, 24])
+    def test_radial_rule_matches_tight_quadrature(self, M):
+        for lambda_b in (50.0, 200.0, 400.0, 1600.0):
+            for R in (0.005, 0.013, 0.04, 0.1, 0.25):
+                net = make_net(antennas_per_ap=M, lambda_b=lambda_b,
+                               coverage_radius=R)
+                assert comm.per_ap_success(net) == pytest.approx(
+                    self._quad_reference(net), rel=1e-9), (lambda_b, R)
+
+    def test_radius_at_and_just_above_plateau(self):
+        plateau = comm._single_ap_success_at(0.0, make_net())
+        at = make_net(coverage_radius=0.001, d0=0.001)
+        assert comm.per_ap_success(at) == plateau
+        for R in (0.001 * (1.0 + 1e-9), 0.001 * (1.0 + 1e-4), 0.00101):
+            net = make_net(coverage_radius=R, d0=0.001)
+            assert comm.per_ap_success(net) == pytest.approx(
+                self._quad_reference(net), rel=1e-9), R
+
+    def test_unresolved_integrand_raises(self, monkeypatch):
+        # a success that jumps inside a panel: the rule on half the panels
+        # disagrees by more than 1e-7 and the run fails instead of guessing
+        real = comm._single_ap_success_at
+        monkeypatch.setattr(comm, "_single_ap_success_at",
+                            lambda r, net: real(r, net) * (r < 0.0317))
+        with pytest.raises(NumericalError, match="radial success"):
+            comm.per_ap_success(make_net(coverage_radius=0.05))
 
 
 def test_uplink_outage_composition(fig_net):

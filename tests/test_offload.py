@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from cfedge import offload
 from cfedge.errors import NumericalError, StabilityError
@@ -176,6 +177,58 @@ class TestQueueSpectrum:
     def test_negative_rate_rejected(self, mix_comp):
         with pytest.raises(ValueError):
             offload.queue_spectrum(mix_comp, -1.0)
+
+
+def _random_mixes(seed, count):
+    # 2-4 types, a type of probability 0 now and then, edge rates 5-500/s,
+    # at edge loads drawn from [0.01, 0.98]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        p = rng.uniform(0.01, 1.0, n) * (rng.uniform(size=n) > 0.15)
+        p[0] = p[0] or 1.0
+        mus = tuple(rng.uniform(5.0, 500.0, n).tolist())
+        comp = ComputeConfig(type_probs=tuple((p / p.sum()).tolist()),
+                             mu_c=mus, mu_m=mus)
+        yield comp, float(rng.uniform(0.01, 0.98)) / comp.mean_service_time_mec
+
+
+class TestQueueRootSolver:
+    def test_roots_equal_scipy_brentq(self, monkeypatch):
+        # every root the in-repo solver finds for queue_spectrum is the
+        # float scipy.optimize.brentq finds on the same bracket and xtol
+        solve, pairs = offload.brent_root, []
+
+        def both(f, a, b, xtol):
+            pairs.append((solve(f, a, b, xtol), brentq(f, a, b, xtol=xtol)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(offload, "brent_root", both)
+        mixes = list(_random_mixes(20261019, 1200))
+        for comp, lam in mixes:
+            offload.queue_spectrum(comp, lam)
+        assert len(pairs) > 2 * len(mixes)
+        differ = [(ours, theirs) for ours, theirs in pairs if ours != theirs]
+        assert not differ, (len(differ), differ[:5])
+
+    def test_same_sign_bracket_is_numerical_error(self, mix_comp,
+                                                  monkeypatch):
+        # the bracket [0, 0]: the cleared h is negative at both ends
+        solve = offload.brent_root
+        monkeypatch.setattr(offload, "brent_root",
+                            lambda f, a, b, xtol: solve(f, a, a, xtol))
+        with pytest.raises(NumericalError, match="sign change"):
+            offload.queue_spectrum(mix_comp, 40.0)
+
+    def test_no_convergence_is_numerical_error(self, mix_comp, monkeypatch):
+        # a sign change at 0 itself, which xtol = tiny cannot reach in 100
+        # iterations
+        solve = offload.brent_root
+        step = lambda u: 1.0 if u >= 0.0 else -1.0     # noqa: E731
+        monkeypatch.setattr(offload, "brent_root",
+                            lambda f, a, b, xtol: solve(step, -b, b, xtol))
+        with pytest.raises(NumericalError, match="did not converge"):
+            offload.queue_spectrum(mix_comp, 40.0)
 
 
 class TestMinDispatch:

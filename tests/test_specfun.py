@@ -5,10 +5,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import gammainc
 
 from cfedge.errors import NumericalError
-from cfedge.specfun import gamma_expectation, hyp2f1, invert_laplace_cdf
+from cfedge.specfun import (brent_root, gamma_expectation, hyp2f1,
+                             invert_laplace_cdf)
 
 mp.mp.dps = 40
 
@@ -108,3 +110,55 @@ class TestLaplaceInversion:
             invert_laplace_cdf(
                 lambda s: np.stack([50.0 / (s + 50.0), delay(s)]), 0.01)
 
+
+TINY = float(np.finfo(float).tiny)
+
+
+def _step(x):
+    # a sign change at 0 and no zero: from [-1, 1] at xtol = tiny, bisection
+    # needs about 1075 halvings to close in on 0
+    return 1.0 if x >= 0.0 else -1.0
+
+
+class TestBrentRoot:
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda x: x * x - 2.0, 0.0, 2.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 1e-300, -800.0, 1.0),
+        (lambda x: x ** 3 - 1e-3, -1.0, 2.0),
+        (lambda x: 1.0 if x > 0.25 else -1.0, 0.0, 1.0),
+        (lambda x: (x - 0.5) ** 5 + 1e-12, 0.0, 3.0),
+        (lambda x: 1e-200 * (x - 0.7), 0.0, 3.0),
+        (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
+    ])
+    def test_equals_scipy_brentq(self, f, a, b):
+        for xtol in (TINY, 1e-12):
+            assert brent_root(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+
+    def test_zero_at_an_end_is_returned(self):
+        assert brent_root(lambda x: x - 1.0, 1.0, 3.0, TINY) == 1.0
+        assert brent_root(lambda x: x - 3.0, 1.0, 3.0, TINY) == 3.0
+
+    def test_same_sign_bracket_raises(self):
+        f = lambda x: x * x + 1.0                     # noqa: E731
+        with pytest.raises(ValueError):               # scipy's failure too
+            brentq(f, -1.0, 1.0, xtol=TINY)
+        with pytest.raises(NumericalError, match="sign change"):
+            brent_root(f, -1.0, 1.0, TINY)
+
+    def test_no_convergence_raises(self):
+        with pytest.raises(RuntimeError):             # scipy's failure too
+            brentq(_step, -1.0, 1.0, xtol=TINY)
+        with pytest.raises(NumericalError, match="did not converge"):
+            brent_root(_step, -1.0, 1.0, TINY)
+        # the same function converges once xtol lets it stop
+        assert abs(brent_root(_step, -1.0, 1.0, 1e-12)) < 1e-12
+
+    @pytest.mark.parametrize("f", [
+        lambda x: math.nan,
+        lambda x: x if x != 1.0 else math.nan,
+        lambda x: x if abs(x) > 0.1 else math.nan,
+    ])
+    def test_nan_raises(self, f):
+        with pytest.raises(NumericalError):
+            brent_root(f, -0.7, 1.0, TINY)
