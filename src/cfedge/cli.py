@@ -630,8 +630,8 @@ def _write_manifest(out_dir: str, label: str, kind, spec: dict,
             os.remove(os.path.join(out_dir, label + ".csv"))
     with open(os.path.join(out_dir, label + ".manifest.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # dumps without indent is the one form json's C encoder writes
+        fh.write(json.dumps(manifest, sort_keys=True) + "\n")
 
 
 def _merge_spec(path: str | None, preset: str | None,

@@ -8,10 +8,10 @@ geometric terms, with roots bracketed between the poles of a rational
 function and weights from residues in closed form. The latency CDFs come
 from numerical transform inversion.
 
-One pass, split_cdfs, scores a radius's row of offload splits for both
-scp_splits and secp.secp_splits, reading the split-independent terms from
-one per-network cache, radius_terms; scp_mec mixes one of its edge CDF
-rows over the Poisson server count.
+One pass, rate_cdfs, scores a row of offload splits from the arrival rates
+and central loads its callers compute once per split: split_cdfs (for
+scp_splits, from one per-network cache, radius_terms) and
+secp.secp_splits. scp_mec mixes an edge CDF row over the server count.
 """
 
 from __future__ import annotations
@@ -102,7 +102,10 @@ class QueueSpectrum:
         return float(sum(w * r ** v for w, r in zip(self.weights, self.roots)))
 
     def tail(self, v: int) -> float:
-        """P[N >= v]."""
+        """P[N >= v]; with one root, the float sum's 0 + x, no generator."""
+        if len(self.roots) == 1:
+            (w,), (r,) = self.weights, self.roots
+            return 0.0 + w * r ** v / (1.0 - r)
         return float(sum(w * r ** v / (1.0 - r)
                          for w, r in zip(self.weights, self.roots)))
 
@@ -136,15 +139,13 @@ def queue_spectrum(comp: ComputeConfig, lambda_m: float) -> QueueSpectrum:
     """
     rho = edge_load(comp, lambda_m)
     n = comp.num_types
-    if lambda_m == 0.0:
-        return QueueSpectrum(roots=(0.0,) * n,
-                             weights=(1.0,) + (0.0,) * (n - 1), rho_m=0.0)
     if n == 1:
         return QueueSpectrum(roots=(rho,), weights=(1.0 - rho,), rho_m=rho)
     if rho < 1e-6:
-        # the roots sit ever closer to their poles, where the root search
-        # starts, and it converges ever more slowly; the queue is empty up
-        # to O(rho), which is below every tolerance this value feeds
+        # exact at rate 0. Above it the roots sit ever closer to their
+        # poles, where the root search starts, and it converges ever more
+        # slowly; the queue is empty up to O(rho), which is below every
+        # tolerance this value feeds
         return QueueSpectrum(roots=(0.0,) * n,
                              weights=(1.0,) + (0.0,) * (n - 1), rho_m=rho)
 
@@ -222,12 +223,18 @@ def service_transform(rates, weights):
 
 
 @lru_cache(maxsize=64)
-def _cs_service_values(mu_c: tuple, type_probs: tuple, t: float) -> np.ndarray:
-    # the CS service transform at the Euler nodes invert_laplace_cdf reads
-    # at t; it does not depend on the arrival rate
+def _cs_law(mu_c: tuple, type_probs: tuple, t: float) -> tuple:
+    # (cdf, cdf(0.0, 0.0)): cdf(lam, rho) is scp_cs at rate lam of checked
+    # load rho, floats or (K, 1) arrays of K rates sharing one inversion,
+    # each with one rate's bits. The CS service transform at the Euler
+    # nodes invert_laplace_cdf reads at t does not depend on the rate.
     b = service_transform(mu_c, type_probs)(_euler_nodes(t)[0])
-    b.setflags(write=False)
-    return b
+
+    def cdf(lam, rho):
+        return invert_laplace_cdf(
+            lambda s: (1.0 - rho) * s * b / (s - lam + lam * b), t)
+
+    return cdf, cdf(0.0, 0.0)
 
 
 def central_load(comp: ComputeConfig, lambda_c: float) -> float:
@@ -241,28 +248,11 @@ def central_load(comp: ComputeConfig, lambda_c: float) -> float:
     return rho
 
 
-def scp_cs(comp: ComputeConfig, lambda_c):
-    """P[central-server sojourn <= target latency] from the P-K transform.
-
-    lambda_c is one arrival rate, giving a float, or a 1-D numpy array of
-    them, giving an array: all rates share one inversion, each with the
-    float operations of its one-rate call. StabilityError if a rate
-    overloads the server.
-    """
-    if isinstance(lambda_c, np.ndarray):
-        # one column per rate: the transform has one row per rate
-        lam = np.asarray(lambda_c, dtype=float)[:, None]
-        rho = np.array([central_load(comp, x)
-                        for x in lam[:, 0].tolist()])[:, None]
-    else:
-        lam, rho = lambda_c, central_load(comp, lambda_c)
-    b = _cs_service_values(comp.mu_c, comp.type_probs, comp.target_latency)
-
-    def sojourn(s):
-        # s is the node array b was computed at
-        return (1.0 - rho) * s * b / (s - lam + lam * b)
-
-    return invert_laplace_cdf(sojourn, comp.target_latency)
+def scp_cs(comp: ComputeConfig, lambda_c: float) -> float:
+    """P[central-server sojourn <= target latency] from the P-K transform;
+    StabilityError if lambda_c overloads the server."""
+    cdf, _ = _cs_law(comp.mu_c, comp.type_probs, comp.target_latency)
+    return cdf(lambda_c, central_load(comp, lambda_c))
 
 
 class MecCdfCache:
@@ -405,8 +395,8 @@ def poisson_weights(nu: float):
 def running_sum(terms: np.ndarray) -> float:
     """0.0 + terms[0] + terms[1] + ..., added left to right; np.sum adds
     pairwise and builtin sum may compensate, so neither gives these bits.
-    np.cumsum would too, but costs more than this for the short arrays
-    the per-split sums pass."""
+    np.cumsum would too, but costs more than this for the once-per-network
+    and once-per-SCP-split mixtures over n that pass it."""
     return reduce(operator.add, terms.tolist(), 0.0)
 
 
@@ -421,23 +411,19 @@ def radius_terms(net: NetworkConfig) -> tuple:
     return 1.0 - comm.uplink_outage(net), min_dispatch_prob(nu), weights
 
 
-def split_cdfs(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
-    """(central CDF value, edge CDF row) at each offload split of thetas,
-    at one radius: P[central sojourn <= t], and mec_conditional_cdf's row
-    over n = 0..n_max; a path the split overloads is its StabilityError. A
-    path the split never takes is scored at arrival rate 0. One scp_cs call
-    and one walk over the queue length serve every stable path, with the
-    bits of one-split calls."""
-    success, dispatch, weights = radius_terms(net)
-    cs, mec, rates, spectra = [], [], [], []
-    for theta in thetas:
-        lam_c, _, lam_m = split_rates(net, theta, success, dispatch)
-        try:
-            central_load(comp, lam_c)
-            rates.append(lam_c)
+def rate_cdfs(comp: ComputeConfig, rates, n_max: int) -> list:
+    """(scp_cs, mec_conditional_cdf row over n = 0..n_max) at each split's
+    (lambda_c, rho_c, lambda_m) of rates, rho_c being central_load or its
+    StabilityError, as is a path the split overloads. Rate 0 reads a cached
+    value; one inversion and one walk serve the rest, with one-split bits."""
+    cdf, idle = _cs_law(comp.mu_c, comp.type_probs, comp.target_latency)
+    cs, mec, live, spectra = [], [], [], []
+    for lam_c, rho_c, lam_m in rates:
+        if lam_c == 0.0 or isinstance(rho_c, StabilityError):
+            cs.append(idle if lam_c == 0.0 else rho_c)
+        else:
             cs.append(None)
-        except StabilityError as exc:
-            cs.append(exc)
+            live.append((lam_c, rho_c))
         try:
             spectra.append(queue_spectrum(comp, lam_m))
             mec.append(None)
@@ -445,12 +431,25 @@ def split_cdfs(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
             mec.append(exc)
     # the float form for one rate: the array set-up costs about as much as
     # inverting one rate, and the searches send one split per step
-    rates = iter(scp_cs(comp, np.array(rates)).tolist() if len(rates) > 1
-                 else [scp_cs(comp, lam) for lam in rates])
-    rows = iter(mec_conditional_cdfs(spectra, len(weights) - 1,
-                                     mec_cache(comp)))
-    return [(next(rates) if c is None else c, next(rows) if m is None else m)
+    live = iter(cdf(*np.array(live).T[:, :, None]).tolist()
+                if len(live) > 1 else [cdf(*pair) for pair in live])
+    rows = iter(mec_conditional_cdfs(spectra, n_max, mec_cache(comp)))
+    return [(next(live) if c is None else c, next(rows) if m is None else m)
             for c, m in zip(cs, mec)]
+
+
+def split_cdfs(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
+    """rate_cdfs at each offload split of thetas, at one radius: every path
+    is scored, one the split never takes at arrival rate 0."""
+    success, dispatch, weights = radius_terms(net)
+    rates = []
+    for theta in thetas:
+        lam_c, _, lam_m = split_rates(net, theta, success, dispatch)
+        try:
+            rates.append((lam_c, central_load(comp, lam_c), lam_m))
+        except StabilityError as exc:
+            rates.append((lam_c, exc, lam_m))
+    return rate_cdfs(comp, rates, len(weights) - 1)
 
 
 def scp_mec(net: NetworkConfig, cdf: np.ndarray) -> float:

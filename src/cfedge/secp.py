@@ -10,10 +10,10 @@ latency target the joint probability reduces to comm.scmp. The threshold
 search finds the smallest-latency-feasible radius maximizing that joint
 probability over the offload split.
 
-secp_splits sends only its stable splits to offload.split_cdfs, the one
-pass that scores split rows, so the searches never walk the edge queues of
-splits that overload the central server. Its per-network uplink and
-downlink terms are cached here; offload.radius_terms caches the rest.
+secp_splits computes each split's rates once and sends only its stable
+splits to offload.rate_cdfs, the one pass that scores split rows, so the
+searches never walk the edge queues of splits that overload the central
+server. A row reads its network from one cache here, _coupling.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 from . import comm, search
 from .errors import InfeasibilityError, StabilityError
 from .model import ComputeConfig, NetworkConfig
-from .offload import (central_load, edge_load, radius_terms, running_sum,
-                      split_cdfs, split_rates)
+from .offload import (central_load, edge_load, radius_terms, rate_cdfs,
+                      running_sum, split_rates)
 
 # offload splits scanned before the golden-section refinement
 THETA_GRID = tuple(float(th) for th in np.linspace(0.0, 1.0, 21))
@@ -53,17 +53,17 @@ class SecpPoint:
 
 @lru_cache(maxsize=64)
 def _coupling(net: NetworkConfig) -> tuple:
-    """(ul_given_n, ul_term, dl_success) of net: P[some AP decodes | n APs]
-    for n = 1..n_max from comm.uplink_mixture, its Poisson aggregate, and
-    the downlink success, cached here so that every comm.downlink_outage
-    call is still a real evaluation."""
+    """radius_terms' first two terms, lists of the Poisson weights and of
+    P[some AP decodes | n APs] (comm.uplink_mixture) for n = 1..n_max, its
+    Poisson aggregate and the downlink success of net; cached here so that
+    every comm.downlink_outage call is still a real evaluation."""
+    success, dispatch, weights = radius_terms(net)
     uplink = comm.uplink_mixture(net)
-    weights = radius_terms(net)[2]
     # P[some AP decodes | n APs] = 1 - sum_k w_k (1 - q_k)^n
     ul_given_n = (1.0 - uplink.weights @ (1.0 - uplink.success[:, None])
                   ** np.arange(len(weights)))[1:]
-    ul_given_n.setflags(write=False)
-    return (ul_given_n, running_sum(weights[1:] * ul_given_n),
+    return (success, dispatch, weights[1:].tolist(), ul_given_n.tolist(),
+            running_sum(weights[1:] * ul_given_n),
             1.0 - comm.downlink_outage(net).point)
 
 
@@ -71,32 +71,33 @@ def secp_splits(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
     """(secp, comp_term, ul_term, dl_term) at each offload split of thetas,
     or the StabilityError of a split that overloads a queue it takes (one
     it never takes has arrival rate 0), the central one first. Only the
-    stable splits go to offload.split_cdfs; each one's sums over n are
-    added left to right, as a loop over n = 1..n_max."""
+    stable splits go to offload.rate_cdfs; each one's sums over n are
+    added left to right, in a loop over n = 1..n_max."""
     if net.coverage_radius <= 0.0:
         return [(0.0, 0.0, 0.0, 1.0)] * len(thetas)
-    success, dispatch, weights = radius_terms(net)
-    ul_given_n, ul_term, dl_success = _coupling(net)
-    points = []
+    success, dispatch, weights, ul_n, ul_term, dl_success = _coupling(net)
+    points, rates = [], []
     for theta in thetas:
         lam_c, _, lam_m = split_rates(net, theta, success, dispatch)
         try:
-            central_load(comp, lam_c)
+            load = lam_c, central_load(comp, lam_c), lam_m
             edge_load(comp, lam_m)
+            rates.append(load)
             points.append(theta)
         except StabilityError as exc:
             points.append(exc)
-    stable = [theta for theta in points
-              if not isinstance(theta, StabilityError)]
-    scored = iter(split_cdfs(net, comp, stable))
+    scored = iter(rate_cdfs(comp, rates, len(weights)))
     for k, theta in enumerate(points):
-        if isinstance(theta, StabilityError):
-            continue
-        cs, mec_n = next(scored)
-        # per n >= 1: computation success, then its products with the weights
-        w_comp = weights[1:] * (theta * cs + (1.0 - theta) * mec_n[1:])
-        points[k] = (running_sum(w_comp * ul_given_n) * dl_success,
-                     running_sum(w_comp), ul_term, dl_success)
+        if not isinstance(theta, StabilityError):
+            cs, mec_n = next(scored)
+            # per n >= 1: computation success times P[n], then the uplink
+            central, edge = theta * cs, 1.0 - theta
+            joint = comp_term = 0.0
+            for w, mec, ul in zip(weights, mec_n[1:].tolist(), ul_n):
+                term = w * (central + edge * mec)
+                joint += term * ul
+                comp_term += term
+            points[k] = (joint * dl_success, comp_term, ul_term, dl_success)
     return points
 
 

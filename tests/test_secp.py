@@ -146,21 +146,26 @@ def test_split_scorer_equals_per_split_code(fig_net, mix_comp):
 
 def test_only_stable_splits_reach_the_shared_pass(monkeypatch, fig_net):
     # a split that overloads either queue is the queue's error before the
-    # shared pass, which then walks no edge queue of a central overload
+    # shared pass, which then walks no edge queue of a central overload;
+    # a stable split reaches it as its rates and central load
     module = sys.modules["cfedge.secp"]
     sent = []
 
-    def recorded(net, comp, thetas):
-        sent.extend(thetas)
-        return offload.split_cdfs(net, comp, thetas)
+    def recorded(comp, rates, n_max):
+        sent.extend(rates)
+        return offload.rate_cdfs(comp, rates, n_max)
 
-    monkeypatch.setattr(module, "split_cdfs", recorded)
+    monkeypatch.setattr(module, "rate_cdfs", recorded)
     points = module.secp_splits(fig_net, SLOW_COMP, list(THETA_GRID))
     errors = {str(p).split()[0] for p in points
               if isinstance(p, StabilityError)}
     assert errors == {"central", "edge"}
-    assert sent == [theta for theta, p in zip(THETA_GRID, points)
-                    if not isinstance(p, StabilityError)]
+    want = [offload.arrival_rates(fig_net, replace(SLOW_COMP,
+                                                   offload_prob=theta))
+            for theta, p in zip(THETA_GRID, points)
+            if not isinstance(p, StabilityError)]
+    assert sent == [(r.lambda_c, offload.central_load(SLOW_COMP, r.lambda_c),
+                     r.lambda_m) for r in want]
     assert sent
 
 
