@@ -223,18 +223,12 @@ def service_transform(rates, weights):
 
 
 @lru_cache(maxsize=64)
-def _cs_law(mu_c: tuple, type_probs: tuple, t: float) -> tuple:
-    # (cdf, cdf(0.0, 0.0)): cdf(lam, rho) is scp_cs at rate lam of checked
-    # load rho, floats or (K, 1) arrays of K rates sharing one inversion,
-    # each with one rate's bits. The CS service transform at the Euler
-    # nodes invert_laplace_cdf reads at t does not depend on the rate.
+def _cs_service_values(mu_c: tuple, type_probs: tuple, t: float) -> np.ndarray:
+    # the CS service transform at the Euler nodes invert_laplace_cdf reads
+    # at t; it does not depend on the arrival rate
     b = service_transform(mu_c, type_probs)(_euler_nodes(t)[0])
-
-    def cdf(lam, rho):
-        return invert_laplace_cdf(
-            lambda s: (1.0 - rho) * s * b / (s - lam + lam * b), t)
-
-    return cdf, cdf(0.0, 0.0)
+    b.setflags(write=False)
+    return b
 
 
 def central_load(comp: ComputeConfig, lambda_c: float) -> float:
@@ -251,8 +245,15 @@ def central_load(comp: ComputeConfig, lambda_c: float) -> float:
 def scp_cs(comp: ComputeConfig, lambda_c: float) -> float:
     """P[central-server sojourn <= target latency] from the P-K transform;
     StabilityError if lambda_c overloads the server."""
-    cdf, _ = _cs_law(comp.mu_c, comp.type_probs, comp.target_latency)
-    return cdf(lambda_c, central_load(comp, lambda_c))
+    return _cs_cdf(comp, lambda_c, central_load(comp, lambda_c))
+
+
+def _cs_cdf(comp: ComputeConfig, lam, rho):
+    # scp_cs at rate lam of checked load rho: floats, or (K, 1) arrays of
+    # K rates sharing one inversion, each with its one-rate bits
+    b = _cs_service_values(comp.mu_c, comp.type_probs, comp.target_latency)
+    return invert_laplace_cdf(lambda s: (1.0 - rho) * s * b
+                              / (s - lam + lam * b), comp.target_latency)
 
 
 class MecCdfCache:
@@ -414,13 +415,12 @@ def radius_terms(net: NetworkConfig) -> tuple:
 def rate_cdfs(comp: ComputeConfig, rates, n_max: int) -> list:
     """(scp_cs, mec_conditional_cdf row over n = 0..n_max) at each split's
     (lambda_c, rho_c, lambda_m) of rates, rho_c being central_load or its
-    StabilityError, as is a path the split overloads. Rate 0 reads a cached
-    value; one inversion and one walk serve the rest, with one-split bits."""
-    cdf, idle = _cs_law(comp.mu_c, comp.type_probs, comp.target_latency)
+    StabilityError, as is a path the split overloads. One inversion and
+    one walk serve every stable path, with the bits of one-split calls."""
     cs, mec, live, spectra = [], [], [], []
     for lam_c, rho_c, lam_m in rates:
-        if lam_c == 0.0 or isinstance(rho_c, StabilityError):
-            cs.append(idle if lam_c == 0.0 else rho_c)
+        if isinstance(rho_c, StabilityError):
+            cs.append(rho_c)
         else:
             cs.append(None)
             live.append((lam_c, rho_c))
@@ -431,8 +431,8 @@ def rate_cdfs(comp: ComputeConfig, rates, n_max: int) -> list:
             mec.append(exc)
     # the float form for one rate: the array set-up costs about as much as
     # inverting one rate, and the searches send one split per step
-    live = iter(cdf(*np.array(live).T[:, :, None]).tolist()
-                if len(live) > 1 else [cdf(*pair) for pair in live])
+    live = iter(_cs_cdf(comp, *np.array(live).T[:, :, None]).tolist()
+                if len(live) > 1 else [_cs_cdf(comp, *pair) for pair in live])
     rows = iter(mec_conditional_cdfs(spectra, n_max, mec_cache(comp)))
     return [(next(live) if c is None else c, next(rows) if m is None else m)
             for c, m in zip(cs, mec)]

@@ -53,10 +53,10 @@ class SecpPoint:
 
 @lru_cache(maxsize=64)
 def _coupling(net: NetworkConfig) -> tuple:
-    """radius_terms' first two terms, lists of the Poisson weights and of
-    P[some AP decodes | n APs] (comm.uplink_mixture) for n = 1..n_max, its
-    Poisson aggregate and the downlink success of net; cached here so that
-    every comm.downlink_outage call is still a real evaluation."""
+    """(success, dispatch, w_pos, ul_n, ul_term, dl_success) of net: w_pos
+    and ul_n list the Poisson weights and P[some AP decodes | n APs] over
+    n = 1..n_max (comm.uplink_mixture), ul_term is their weighted sum;
+    cached here so that every comm.downlink_outage call is real."""
     success, dispatch, weights = radius_terms(net)
     uplink = comm.uplink_mixture(net)
     # P[some AP decodes | n APs] = 1 - sum_k w_k (1 - q_k)^n
@@ -75,7 +75,7 @@ def secp_splits(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
     added left to right, in a loop over n = 1..n_max."""
     if net.coverage_radius <= 0.0:
         return [(0.0, 0.0, 0.0, 1.0)] * len(thetas)
-    success, dispatch, weights, ul_n, ul_term, dl_success = _coupling(net)
+    success, dispatch, w_pos, ul_n, ul_term, dl_success = _coupling(net)
     points, rates = [], []
     for theta in thetas:
         lam_c, _, lam_m = split_rates(net, theta, success, dispatch)
@@ -86,14 +86,14 @@ def secp_splits(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
             points.append(theta)
         except StabilityError as exc:
             points.append(exc)
-    scored = iter(rate_cdfs(comp, rates, len(weights)))
+    scored = iter(rate_cdfs(comp, rates, len(w_pos)))  # n_max
     for k, theta in enumerate(points):
         if not isinstance(theta, StabilityError):
             cs, mec_n = next(scored)
             # per n >= 1: computation success times P[n], then the uplink
             central, edge = theta * cs, 1.0 - theta
             joint = comp_term = 0.0
-            for w, mec, ul in zip(weights, mec_n[1:].tolist(), ul_n):
+            for w, mec, ul in zip(w_pos, mec_n[1:].tolist(), ul_n):
                 term = w * (central + edge * mec)
                 joint += term * ul
                 comp_term += term

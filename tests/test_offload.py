@@ -20,7 +20,7 @@ from cfedge import offload
 from cfedge.errors import NumericalError, StabilityError
 from cfedge.model import ComputeConfig
 from cfedge.presets import COMPUTE_MIX
-from cfedge.secp import THETA_GRID, secp_splits
+from cfedge.secp import THETA_GRID
 
 from conftest import (MU_C, MU_M, SLOW_COMP, edge_row_reference, make_net,
                       walk_reference)
@@ -628,8 +628,8 @@ class TestSplitCdfs:
 
     def test_one_inversion_and_one_walk_per_row(self, monkeypatch, fig_net,
                                                 mix_comp):
-        # once the caches are warm: theta = 0 reads the cached central
-        # value, the other central rates share one inversion
+        # once the edge CDF cache is warm, the row's central rates share
+        # one inversion
         offload.split_cdfs(fig_net, mix_comp, _THETAS)
         calls = []
         for name in ("invert_laplace_cdf", "mec_conditional_cdfs"):
@@ -647,56 +647,14 @@ class TestSplitCdfs:
         assert offload.split_cdfs(fig_net, mix_comp, []) == []
 
 
-class TestIdleFastPaths:
-    """The cached central value at rate 0 and the one-root queue tail."""
-
-    def test_idle_central_cdf_is_scp_cs_at_rate_zero(self, single_comp,
-                                                     mix_comp):
-        for comp in (single_comp, mix_comp, SLOW_COMP):
-            _, got = offload._cs_law(comp.mu_c, comp.type_probs,
-                                     comp.target_latency)
-            want = offload.scp_cs(comp, 0.0)
-            assert got == want
+def test_one_root_tail_equals_the_generic_sum(single_comp):
+    for load in np.geomspace(1e-6, 0.99, 40).tolist() + [0.0]:
+        spec = offload.queue_spectrum(
+            single_comp, load / single_comp.mean_service_time_mec)
+        assert len(spec.roots) == 1
+        for v in range(201):
+            want = float(sum(w * r ** v / (1.0 - r)
+                             for w, r in zip(spec.weights, spec.roots)))
+            got = spec.tail(v)
+            assert got == want and type(got) is float, (load, v)
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
-
-    def test_idle_entry_is_keyed_by_the_central_law(self, fig_net, mix_comp):
-        # the entry is shared by splits and configs that differ only in
-        # offload_prob, and a latency target of its own gets its own value
-        comp = replace(mix_comp, target_latency=0.0123)
-        first = offload.split_cdfs(fig_net, comp, [0.0])[0][0]
-        before = offload._cs_law.cache_info()
-        values = [offload.split_cdfs(fig_net, replace(comp, offload_prob=p),
-                                     [0.0])[0][0] for p in (0.3, 1.0)]
-        after = offload._cs_law.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) \
-            == (0, 2)
-        assert values == [first] * 2 and first == offload.scp_cs(comp, 0.0)
-        later = replace(comp, target_latency=0.0246)
-        assert offload.split_cdfs(fig_net, later, [0.0])[0][0] \
-            == offload.scp_cs(later, 0.0) != first
-
-    def test_warm_theta_zero_row_inverts_nothing(self, monkeypatch, fig_net,
-                                                single_comp):
-        want = secp_splits(fig_net, single_comp, [0.0])
-        calls = []
-        original = offload.invert_laplace_cdf
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(offload, "invert_laplace_cdf", counted)
-        assert secp_splits(fig_net, single_comp, [0.0]) == want
-        assert calls == []
-
-    def test_one_root_tail_equals_the_generic_sum(self, single_comp):
-        for load in np.geomspace(1e-6, 0.99, 40).tolist() + [0.0]:
-            spec = offload.queue_spectrum(
-                single_comp, load / single_comp.mean_service_time_mec)
-            assert len(spec.roots) == 1
-            for v in range(201):
-                want = float(sum(w * r ** v / (1.0 - r)
-                                 for w, r in zip(spec.weights, spec.roots)))
-                got = spec.tail(v)
-                assert got == want and type(got) is float, (load, v)
-                assert math.copysign(1.0, got) == math.copysign(1.0, want)
