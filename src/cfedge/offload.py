@@ -164,11 +164,13 @@ def queue_spectrum(comp: ComputeConfig, lambda_m: float) -> QueueSpectrum:
         # x_k - x_l without the cancellation of subtracting the poles
         gaps = [(mu - mu_k) * x_k * x for mu, x in zip(mus, poles)]
         last = k == len(mus) - 1
-        # the bracket's right end as an offset: the next pole or 1/lam
+        # the bracket's right end as an offset: the next pole, with every
+        # later pole whose offset rounds onto it, or 1/lam
         w = mu_k * x_k / lam if last else -gaps[k + 1]
-        b_next = 0.0 if last else b[k + 1]
+        b_next = 0.0 if last else sum(
+            b_l for b_l, g_l in zip(b, gaps) if -w <= g_l < 0.0)
         others = [(b_l, g_l) for l, (b_l, g_l) in enumerate(zip(b, gaps))
-                  if l != k and (last or l != k + 1)]
+                  if l != k and (last or not -w <= g_l < 0.0)]
 
         def cleared(u):
             # h(x_k + u) times u (w - u), or times u in the last bracket:

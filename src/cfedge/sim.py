@@ -1,21 +1,23 @@
 """Monte Carlo oracles for the analytic layers.
 
-Spatial simulations draw Poisson fields in a finite window sized so that
-the truncated far field contributes a negligible fraction of the mean
+Spatial simulations draw Poisson fields in a finite window sized so that the
+truncated far field contributes a negligible fraction of the mean
 interference. Replications are drawn a block at a time from counter-based
 streams: the Philox key is (run seed, simulator) and the counter is the
 block index. A block's length depends only on the network and the window,
-so reruns are byte-identical and a longer run starts with the blocks of a
-shorter one. A spatial run samples strictly increasing radii from one drop
-at the largest, thinned to each smaller radius, so its sample at the
+and the blocks, drawn on threads, are joined in block order, so reruns are
+byte-identical at any thread count and a longer run starts with the blocks
+of a shorter one. A spatial run samples strictly increasing radii from one
+drop at the largest, thinned to each smaller radius, so its sample at the
 largest radius is that of a run at that radius alone. The queueing
-simulation runs one central FIFO queue plus a group of edge FIFO queues
-fed by minimum-load dispatch, drawing its task stream a chunk at a time.
+simulation runs one central FIFO queue plus a group of edge FIFO queues fed
+by minimum-load dispatch, drawing its task stream a chunk at a time.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -107,15 +109,22 @@ def _replicate(scenario: SpatialScenario, stream: int, per_rep: float,
     """Per-replication outcome arrays of a run, drawn by `draw(rng, n)` a
     block at a time. A block holds _BLOCK_ELEMENTS // per_rep replications
     (at least one), per_rep being the expected elements of one; only the
-    last block of a run may be shorter. ValueError if per_rep exceeds
-    _REPLICATION_ELEMENTS."""
+    last block of a run may be shorter. The blocks run on threads, one per
+    CPU the process may run on and at most one per block, that end with the
+    call; joined in block order, the arrays are the same at any thread
+    count. ValueError if per_rep exceeds _REPLICATION_ELEMENTS."""
     if per_rep > _REPLICATION_ELEMENTS:
         raise ValueError(f"one replication expects {per_rep:.3g} elements, "
                          f"above the {_REPLICATION_ELEMENTS} a drop may hold")
+    from concurrent.futures import ThreadPoolExecutor
     size = max(1, int(_BLOCK_ELEMENTS // per_rep))
-    n = scenario.replications
-    blocks = [draw(_block_rng(scenario.seed, stream, b), min(size, n - first))
-              for b, first in enumerate(range(0, n, size))]
+    firsts = range(0, scenario.replications, size)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ThreadPoolExecutor(min(cpus, len(firsts))) as pool:
+        blocks = list(pool.map(lambda first: draw(
+            _block_rng(scenario.seed, stream, first // size),
+            min(size, scenario.replications - first)), firsts))
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
@@ -143,6 +152,15 @@ def _sums(owner: np.ndarray, weights: list, n: int) -> np.ndarray:
     array is summed in element order, whatever the other arrays."""
     return np.column_stack([np.bincount(owner, w, minlength=n)
                             for w in weights])
+
+
+def _ring_counts(owner, value, bounds, n: int) -> np.ndarray:
+    """Elements of each of n runs at most each increasing bound, run-major."""
+    k = len(bounds) + 1
+    key = owner * k
+    for b in bounds:
+        key += value > b
+    return np.bincount(key, minlength=n * k).reshape(n, k).cumsum(1)[:, :-1]
 
 
 def _neighbour_counts(ap_xy: np.ndarray, n_ap: np.ndarray, u_xy: np.ndarray,
@@ -181,21 +199,18 @@ def _neighbour_counts(ap_xy: np.ndarray, n_ap: np.ndarray, u_xy: np.ndarray,
              + (a_cell[:, 1] - 1)[:, None]).ravel()
     lo = start[first]
     length = start[first + 3] - lo
-    run_first = np.cumsum(length) - length
-    cand = np.arange(int(length.sum())) + np.repeat(lo - run_first, length)
-    per_ap = length[0::3] + length[1::3] + length[2::3]
-    dx = ux[cand] - np.repeat(ap_xy[:, 0], per_ap)
-    dy = uy[cand] - np.repeat(ap_xy[:, 1], per_ap)
-    # from the largest radius down, count each AP's pairs within the
-    # radius and keep only those, still AP-major, for the next
-    d2, counts = dx * dx + dy * dy, [per_ap]
-    for r in radii[::-1]:
-        inside = d2 <= r * r
-        hits = np.zeros(len(d2) + 1, dtype=np.int64)
-        np.cumsum(inside, out=hits[1:])
-        counts.append(np.diff(hits[np.cumsum(counts[-1])], prepend=0))
-        d2 = d2[inside]
-    return np.stack(counts[:0:-1])
+    per_ap = length.reshape(-1, 3).sum(axis=1)
+    # squared pair distances, AP-major, few arrays alive: fresh pages are dear
+    cand = np.repeat(lo - (np.cumsum(length) - length), length)
+    cand += np.arange(len(cand))
+    d2, dy = ux[cand], uy[cand]
+    del cand
+    d2 -= np.repeat(ap_xy[:, 0], per_ap)
+    dy -= np.repeat(ap_xy[:, 1], per_ap)
+    d2 *= d2
+    d2 += np.square(dy, out=dy)
+    del dy
+    return _ring_counts(_owner(per_ap), d2, radii * radii, len(ap_xy)).T
 
 
 # ----------------------------------------------------------------------------
@@ -241,9 +256,8 @@ def _uplink_block(net: NetworkConfig, W: float, radii: np.ndarray,
     signal = rng.gamma(net.antennas_per_ap, size=len(ap_rep)) \
         * pathloss(ap_r, net)
     decoded = signal >= net.sir_threshold_ul * interference
-    within = [ap_r <= r for r in radii]
-    return (_sums(ap_rep, [decoded & w for w in within], n) == 0,
-            _sums(ap_rep, within, n).astype(np.int64))
+    return (_ring_counts(ap_rep[decoded], ap_r[decoded], radii, n) == 0,
+            _ring_counts(ap_rep, ap_r, radii, n))
 
 
 def simulate_uplink_outage(net: NetworkConfig, scenario: SpatialScenario,
@@ -297,14 +311,13 @@ def _downlink_block(net: NetworkConfig, W: float, radii: np.ndarray,
         n_u = rng.poisson(net.lambda_d * (2.0 * Wu) ** 2, n)
         u_xy = rng.uniform(-Wu, Wu, size=(int(n_u.sum()), 2))
         served = _neighbour_counts(ap_xy, n_ap, u_xy, n_u, radii, Wu)
-        gains = [rng.gamma(served[-1].astype(float))]
-        # Gamma(a + b) times an independent Beta(a, b) is Gamma(a): from
-        # the largest radius down, each gain is split off the last one
-        for inner, outer in zip(served[-2::-1], served[:0:-1]):
-            split = np.flatnonzero((inner > 0) & (inner < outer))
-            gains.append(gains[-1] * (inner > 0))
-            gains[-1][split] *= rng.beta(inner[split], (outer - inner)[split])
-        gains.reverse()
+        # Gamma(a + b) times an independent Beta(a, b) is Gamma(a): from the
+        # largest radius down, Beta draws split each gain off the last one
+        inner, outer = served[-2::-1], served[:0:-1]
+        steps = np.vstack([rng.gamma(served[-1].astype(float)), inner > 0])
+        split = (inner > 0) & (inner < outer)
+        steps[1:][split] = rng.beta(inner[split], (outer - inner)[split])
+        gains = np.multiply.accumulate(steps)[::-1]
         owner, xy = _owner(n_ap), ap_xy
     else:
         # One Poisson field of beams, each at its own location with an

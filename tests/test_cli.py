@@ -645,13 +645,15 @@ class TestMain:
 def test_import_leaves_out_unused_packages():
     # scipy.optimize and scipy.integrate cost about 0.3 s of import and
     # the closed forms do not use them; the process pool is imported only
-    # when a run asks for more than one worker
+    # when a run asks for more than one worker, and the thread pool the
+    # first time a spatial drop is drawn
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     probe = ("import sys, cfedge.cli; print(cfedge.cli.__file__); "
              "print(*sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
-             "'concurrent.futures.process') if m in sys.modules))")
+             "'concurrent.futures.process', 'concurrent.futures.thread') "
+             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split("\n")
     assert Path(out[0]).resolve() == Path(cli.__file__).resolve()

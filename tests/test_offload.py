@@ -107,6 +107,15 @@ class TestQueueSpectrum:
     def test_roots_match_mpmath_on_drawn_mixes(self, comp, log_load):
         _assert_matches_mpmath(comp, 10.0 ** log_load)
 
+    def test_rates_a_few_ulp_apart(self):
+        # at this load the poles of 5.0 and 5.000000000000001 are equal in
+        # floating point, so in the first bracket the offset of the pole
+        # of 5.0 rounds onto the bracket's end: this divided by zero
+        mus = (5.0, 5.0, 14.0, 5.000000000000001)
+        comp = ComputeConfig(type_probs=(0.0, 1 / 3, 1 / 3, 1 / 3),
+                             mu_c=mus, mu_m=mus)
+        _assert_matches_mpmath(comp, 10.0 ** -0.5)
+
     def test_zero_and_repeated_types_merge(self):
         # a type of probability 0 adds no pole, and types of one edge rate
         # share one: the spectrum is that of the merged two-type mix

@@ -9,6 +9,7 @@ import hashlib
 import heapq
 import itertools
 import math
+import threading
 import tracemalloc
 from collections import deque
 from dataclasses import replace
@@ -47,14 +48,16 @@ class TestScenario:
 
 
 def _blocks(monkeypatch, run):
-    """Block sizes and per-replication outcome arrays of one simulator run,
-    read off the block driver."""
-    sizes, outcomes = [], []
+    """Block sizes in block order and per-replication outcome arrays of one
+    simulator run, read off the block driver. Blocks may be drawn in any
+    order, so each size is keyed by the block index, which is the last
+    word of the Philox counter its generator starts from."""
+    sizes, outcomes = {}, []
     real = sim._replicate
 
     def spy(scenario, stream, per_rep, draw):
         def sized(rng, n):
-            sizes.append(n)
+            sizes[int(rng.bit_generator.state["state"]["counter"][3])] = n
             return draw(rng, n)
 
         out = real(scenario, stream, per_rep, sized)
@@ -64,7 +67,8 @@ def _blocks(monkeypatch, run):
     monkeypatch.setattr(sim, "_replicate", spy)
     run()
     monkeypatch.undo()
-    return sizes, outcomes[0]
+    assert sorted(sizes) == list(range(len(sizes)))
+    return [sizes[b] for b in range(len(sizes))], outcomes[0]
 
 
 _SIMULATORS = {
@@ -72,6 +76,16 @@ _SIMULATORS = {
     "per_user": lambda net, sc: simulate_downlink_sir(net, sc, "per_user"),
     "independent": lambda net, sc: simulate_downlink_sir(net, sc,
                                                          "independent"),
+}
+
+
+_SWEEPS = {
+    "uplink": lambda net, sc, radii: simulate_uplink_outage(net, sc,
+                                                            radii=radii),
+    "per_user": lambda net, sc, radii: simulate_downlink_sir(
+        net, sc, "per_user", radii=radii),
+    "independent": lambda net, sc, radii: simulate_downlink_sir(
+        net, sc, "independent", radii=radii),
 }
 
 
@@ -210,6 +224,75 @@ class TestBlocks:
             assert dl.outage == 1.0
             assert dl.i_mean == dl.i_var == 0.0
 
+    @pytest.mark.parametrize("kind", sorted(_SWEEPS))
+    @pytest.mark.parametrize("radii", [None, (0.03, 0.04, 0.05)])
+    def test_outputs_equal_at_any_cpu_count(self, fig_net, monkeypatch, kind,
+                                            radii):
+        # a run draws one block per thread, one thread per CPU it may use
+        sc = SpatialScenario.for_network(fig_net, 300, seed=9)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(sim.os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)))
+            runs.append(_blocks(monkeypatch,
+                                lambda: _SWEEPS[kind](fig_net, sc, radii)))
+            monkeypatch.undo()
+        (sizes, first), *rest = runs
+        assert len(sizes) > 1
+        for other_sizes, other in rest:
+            assert other_sizes == sizes
+            for a, b in zip(first, other, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_first_block_comes_first_when_it_finishes_last(self,
+                                                           monkeypatch):
+        # block 0 waits until block 2, the last, has finished
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+        last_done, finished = threading.Event(), []
+
+        def draw(rng, n):
+            b = int(rng.bit_generator.state["state"]["counter"][3])
+            if b == 0:
+                assert last_done.wait(timeout=30.0)
+            finished.append(b)
+            if b == 2:
+                last_done.set()
+            return (np.full(n, b),)
+
+        sc = SpatialScenario(half_width=1.0, guard=0.0, replications=6,
+                             seed=1)
+        (out,) = sim._replicate(sc, 2, sim._BLOCK_ELEMENTS / 2, draw)
+        assert finished == [1, 2, 0]
+        assert out.tolist() == [0, 0, 1, 1, 2, 2]
+
+    def test_block_error_reaches_caller(self, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        def draw(rng, n):
+            if int(rng.bit_generator.state["state"]["counter"][3]) == 1:
+                raise Boom("block 1")
+            return (np.zeros(n),)
+
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+        sc = SpatialScenario(half_width=1.0, guard=0.0, replications=8,
+                             seed=1)
+        threads = threading.active_count()
+        with pytest.raises(Boom, match="block 1"):
+            sim._replicate(sc, 2, sim._BLOCK_ELEMENTS / 2, draw)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("kind", sorted(_SIMULATORS))
+    def test_no_thread_outlives_a_run(self, fig_net, monkeypatch, kind):
+        # so that a process pool started later never forks with live
+        # threads
+        monkeypatch.setattr(sim.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2})
+        threads = threading.active_count()
+        _SIMULATORS[kind](fig_net,
+                          SpatialScenario.for_network(fig_net, 300, seed=5))
+        assert threading.active_count() == threads
+
     def test_no_users_means_success(self, monkeypatch):
         # APs but no interferers: exactly the replications without an AP
         # are outages
@@ -219,16 +302,6 @@ class TestBlocks:
             monkeypatch, lambda: simulate_uplink_outage(net, sc))
         assert np.array_equal(outage, ap_count == 0)
         assert 0 < outage.sum() < len(outage)
-
-
-_SWEEPS = {
-    "uplink": lambda net, sc, radii: simulate_uplink_outage(net, sc,
-                                                            radii=radii),
-    "per_user": lambda net, sc, radii: simulate_downlink_sir(
-        net, sc, "per_user", radii=radii),
-    "independent": lambda net, sc, radii: simulate_downlink_sir(
-        net, sc, "independent", radii=radii),
-}
 
 
 class TestSweep:
@@ -259,6 +332,30 @@ class TestSweep:
             for column in outcomes:
                 assert np.all(column[:, 0] <= column[:, 1])
                 assert np.any(column[:, 0] < column[:, 1])
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("independent", "7807093d7bf29a4073793bacf29e4282"
+                        "6680cd7145855233eb81cb8a9574089b"),
+        ("per_user", "a1e153cb4f6d2b8d036304143db91693"
+                     "e5399345fc4e7539a679f9e4f487f8f7"),
+        ("uplink", "5cd5f2c94d7800037c2b540feacf114e"
+                   "d3f596d6ae3f282c6bad03162545e1cf"),
+    ])
+    def test_sweep_outcomes_pinned(self, monkeypatch, kind, digest):
+        # SHA-256 of the per-replication outcome arrays of a three-radius
+        # sweep, as drawn when each radius step was its own pass: the
+        # ring counts and the one Beta draw over all steps keep its bits
+        net = make_net(coverage_radius=0.06)
+        sc = SpatialScenario.for_network(net, 300, seed=7)
+        radii = (0.02, 0.04, 0.06)
+        _, outcomes = _blocks(monkeypatch,
+                              lambda: _SWEEPS[kind](net, sc, radii))
+        h = hashlib.sha256()
+        for column in outcomes:
+            assert column.shape == (300, 3)
+            h.update(column.dtype.str.encode())
+            h.update(np.ascontiguousarray(column).tobytes())
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("kind", sorted(_SWEEPS))
     def test_window_fits_largest_radius(self, kind):
