@@ -5,19 +5,23 @@ truncated far field contributes a negligible fraction of the mean
 interference. Replications are drawn a block at a time from counter-based
 streams: the Philox key is (run seed, simulator) and the counter is the
 block index. A block's length depends only on the network and the window,
-and the blocks, drawn on threads, are joined in block order, so reruns are
-byte-identical at any thread count and a longer run starts with the blocks
-of a shorter one. A spatial run samples strictly increasing radii from one
-drop at the largest, thinned to each smaller radius, so its sample at the
-largest radius is that of a run at that radius alone. The queueing
+and the blocks, drawn by forked processes, are joined in block order, so
+reruns are byte-identical at any CPU count and a longer run starts with the
+blocks of a shorter one. A spatial run samples strictly increasing radii
+from one drop at the largest, thinned to each smaller radius, so its sample
+at the largest radius is that of a run at that radius alone. The queueing
 simulation runs one central FIFO queue plus a group of edge FIFO queues fed
 by minimum-load dispatch, drawing its task stream a chunk at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
+import signal
+import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -109,23 +113,48 @@ def _replicate(scenario: SpatialScenario, stream: int, per_rep: float,
     """Per-replication outcome arrays of a run, drawn by `draw(rng, n)` a
     block at a time. A block holds _BLOCK_ELEMENTS // per_rep replications
     (at least one), per_rep being the expected elements of one; only the
-    last block of a run may be shorter. The blocks run on threads, one per
-    CPU the process may run on and at most one per block, that end with the
-    call; joined in block order, the arrays are the same at any thread
-    count. ValueError if per_rep exceeds _REPLICATION_ELEMENTS."""
+    last block of a run may be shorter. Share j of k, one per usable CPU and
+    at most one per block, holds blocks j, j + k, ...; a caller that runs
+    one thread forks a child for each share but 0, and reaps it before the
+    call ends. The caller draws share 0 and any block no child delivered.
+    Joined in block order, the arrays are the same at any CPU count.
+    ValueError if per_rep exceeds _REPLICATION_ELEMENTS."""
     if per_rep > _REPLICATION_ELEMENTS:
         raise ValueError(f"one replication expects {per_rep:.3g} elements, "
                          f"above the {_REPLICATION_ELEMENTS} a drop may hold")
-    from concurrent.futures import ThreadPoolExecutor
     size = max(1, int(_BLOCK_ELEMENTS // per_rep))
-    firsts = range(0, scenario.replications, size)
+    count = -(-scenario.replications // size)
+
+    def block(b: int):
+        return draw(_block_rng(scenario.seed, stream, b),
+                    min(size, scenario.replications - b * size))
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    with ThreadPoolExecutor(min(cpus, len(firsts))) as pool:
-        blocks = list(pool.map(lambda first: draw(
-            _block_rng(scenario.seed, stream, first // size),
-            min(size, scenario.replications - first)), firsts))
-    return [np.concatenate(column) for column in zip(*blocks)]
+    shares = (min(cpus, count) if hasattr(os, "fork")
+              and threading.active_count() == 1 else 1)
+    blocks, children = {}, {}
+    try:
+        for k in range(1, shares):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.write(w, pickle.dumps({
+                        b: block(b) for b in range(k, count, shares)}))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        blocks.update((b, block(b)) for b in range(0, count, shares))
+        for pipe in children.values():  # a failed child sent a cut pickle
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                blocks.update(pickle.loads(pipe.read()))
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [np.concatenate(column) for column in zip(*(
+        blocks[b] if b in blocks else block(b) for b in range(count)))]
 
 
 def _frequency(flags: np.ndarray) -> tuple:
@@ -313,11 +342,13 @@ def _downlink_block(net: NetworkConfig, W: float, radii: np.ndarray,
         served = _neighbour_counts(ap_xy, n_ap, u_xy, n_u, radii, Wu)
         # Gamma(a + b) times an independent Beta(a, b) is Gamma(a): from the
         # largest radius down, Beta draws split each gain off the last one
-        inner, outer = served[-2::-1], served[:0:-1]
-        steps = np.vstack([rng.gamma(served[-1].astype(float)), inner > 0])
-        split = (inner > 0) & (inner < outer)
-        steps[1:][split] = rng.beta(inner[split], (outer - inner)[split])
-        gains = np.multiply.accumulate(steps)[::-1]
+        gains = rng.gamma(served[-1].astype(float))[None]
+        if len(radii) > 1:
+            inner, outer = served[-2::-1], served[:0:-1]
+            steps = np.vstack([gains, inner > 0])
+            split = (inner > 0) & (inner < outer)
+            steps[1:][split] = rng.beta(inner[split], (outer - inner)[split])
+            gains = np.multiply.accumulate(steps)[::-1]
         owner, xy = _owner(n_ap), ap_xy
     else:
         # One Poisson field of beams, each at its own location with an
@@ -530,8 +561,7 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
     if p_oul is None:
         p_oul = comm.uplink_outage(net)
     rates = arrival_rates(net, comp, p_oul)
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 1], dtype=np.uint64)))
+    rng = _block_rng(seed, 1, 0)
 
     lam_cs = rates.lambda_c
     lam_group = rates.lambda_m * n_mec

@@ -645,12 +645,15 @@ class TestMain:
 def test_import_leaves_out_unused_packages():
     # scipy.optimize and scipy.integrate cost about 0.3 s of import and
     # the closed forms do not use them; the process pool is imported only
-    # when a run asks for more than one worker, and the thread pool the
-    # first time a spatial drop is drawn
+    # when a run asks for more than one worker, and a spatial drop forks
+    # its children without any pool
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     probe = ("import sys, cfedge.cli; print(cfedge.cli.__file__); "
+             "from cfedge import sim; net = cfedge.cli.NetworkConfig("
+             "lambda_b=400.0, lambda_d=100.0); sim.simulate_uplink_outage("
+             "net, sim.SpatialScenario.for_network(net, 300, 1)); "
              "print(*sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
              "'concurrent.futures.process', 'concurrent.futures.thread') "
              "if m in sys.modules))")

@@ -9,7 +9,11 @@ import hashlib
 import heapq
 import itertools
 import math
+import os
+import select
+import signal
 import threading
+import time
 import tracemalloc
 from collections import deque
 from dataclasses import replace
@@ -49,26 +53,47 @@ class TestScenario:
 
 def _blocks(monkeypatch, run):
     """Block sizes in block order and per-replication outcome arrays of one
-    simulator run, read off the block driver. Blocks may be drawn in any
-    order, so each size is keyed by the block index, which is the last
-    word of the Philox counter its generator starts from."""
-    sizes, outcomes = {}, []
+    simulator run, read off the block driver. Each block, in whichever
+    process draws it, returns one more outcome row: its index, the last
+    word of the Philox counter its generator starts from, and its size.
+    Those rows are joined like the outcomes, so they must come back in
+    block order."""
+    drawn, outcomes = [], []
     real = sim._replicate
 
     def spy(scenario, stream, per_rep, draw):
         def sized(rng, n):
-            sizes[int(rng.bit_generator.state["state"]["counter"][3])] = n
-            return draw(rng, n)
+            b = int(rng.bit_generator.state["state"]["counter"][3])
+            return (*draw(rng, n), np.array([[b, n]]))
 
-        out = real(scenario, stream, per_rep, sized)
+        *out, sizes = real(scenario, stream, per_rep, sized)
+        drawn.append(sizes)
         outcomes.append(out)
         return out
 
     monkeypatch.setattr(sim, "_replicate", spy)
     run()
     monkeypatch.undo()
-    assert sorted(sizes) == list(range(len(sizes)))
-    return [sizes[b] for b in range(len(sizes))], outcomes[0]
+    index, sizes = drawn[0].T
+    assert index.tolist() == list(range(len(index)))
+    return sizes.tolist(), outcomes[0]
+
+
+def _forks(monkeypatch) -> list:
+    """Calls to os.fork from now on, one entry each."""
+    calls, real = [], os.fork
+
+    def fork():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 _SIMULATORS = {
@@ -228,15 +253,17 @@ class TestBlocks:
     @pytest.mark.parametrize("radii", [None, (0.03, 0.04, 0.05)])
     def test_outputs_equal_at_any_cpu_count(self, fig_net, monkeypatch, kind,
                                             radii):
-        # a run draws one block per thread, one thread per CPU it may use
+        # a run forks one child per CPU it may use beyond its own, at most
+        # one per block
         sc = SpatialScenario.for_network(fig_net, 300, seed=9)
         runs = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(sim.os, "sched_getaffinity",
                                 lambda pid, cpus=cpus: set(range(cpus)))
+            forks = _forks(monkeypatch)
             runs.append(_blocks(monkeypatch,
                                 lambda: _SWEEPS[kind](fig_net, sc, radii)))
-            monkeypatch.undo()
+            assert len(forks) == min(cpus, len(runs[-1][0])) - 1
         (sizes, first), *rest = runs
         assert len(sizes) > 1
         for other_sizes, other in rest:
@@ -246,26 +273,37 @@ class TestBlocks:
 
     def test_first_block_comes_first_when_it_finishes_last(self,
                                                            monkeypatch):
-        # block 0 waits until block 2, the last, has finished
-        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
-        last_done, finished = threading.Event(), []
+        # three blocks, one per CPU: block 0, which the caller draws, waits
+        # until the children have finished blocks 1 and 2
+        monkeypatch.setattr(sim.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2})
+        done_r, done_w = os.pipe()
 
         def draw(rng, n):
             b = int(rng.bit_generator.state["state"]["counter"][3])
             if b == 0:
-                assert last_done.wait(timeout=30.0)
-            finished.append(b)
-            if b == 2:
-                last_done.set()
-            return (np.full(n, b),)
+                for _ in range(2):
+                    assert select.select([done_r], [], [], 30.0)[0]
+                    assert os.read(done_r, 1) in (b"1", b"2")
+            else:
+                os.write(done_w, str(b).encode())
+            return np.full(n, b), np.full(n, os.getpid())
 
         sc = SpatialScenario(half_width=1.0, guard=0.0, replications=6,
                              seed=1)
-        (out,) = sim._replicate(sc, 2, sim._BLOCK_ELEMENTS / 2, draw)
-        assert finished == [1, 2, 0]
+        try:
+            out, pids = sim._replicate(sc, 2, sim._BLOCK_ELEMENTS / 2, draw)
+        finally:
+            os.close(done_r)
+            os.close(done_w)
         assert out.tolist() == [0, 0, 1, 1, 2, 2]
+        assert pids[0] == os.getpid()
+        assert len({pids[0], pids[2], pids[4]}) == 3
+        _no_child_left()
 
     def test_block_error_reaches_caller(self, monkeypatch):
+        # block 1 raises in the child that draws it; the caller draws it
+        # again and raises the error itself, which need not pickle
         class Boom(Exception):
             pass
 
@@ -275,23 +313,94 @@ class TestBlocks:
             return (np.zeros(n),)
 
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = _forks(monkeypatch)
         sc = SpatialScenario(half_width=1.0, guard=0.0, replications=8,
                              seed=1)
-        threads = threading.active_count()
         with pytest.raises(Boom, match="block 1"):
             sim._replicate(sc, 2, sim._BLOCK_ELEMENTS / 2, draw)
-        assert threading.active_count() == threads
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_caller_error_kills_children(self, monkeypatch):
+        # block 0 raises in the caller while the child drawing block 1
+        # would sleep for a minute: the call raises at once, child reaped
+        def draw(rng, n):
+            if int(rng.bit_generator.state["state"]["counter"][3]) == 1:
+                time.sleep(60.0)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = _forks(monkeypatch)
+        sc = SpatialScenario(half_width=1.0, guard=0.0, replications=4,
+                             seed=1)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            sim._replicate(sc, 2, sim._BLOCK_ELEMENTS / 2, draw)
+        assert time.monotonic() - t0 < 30.0
+        assert len(forks) == 1
+        _no_child_left()
 
     @pytest.mark.parametrize("kind", sorted(_SIMULATORS))
-    def test_no_thread_outlives_a_run(self, fig_net, monkeypatch, kind):
-        # so that a process pool started later never forks with live
-        # threads
+    def test_killed_child_is_drawn_again(self, fig_net, monkeypatch, kind):
+        # the child drawing block 1 dies by SIGKILL: the caller draws its
+        # blocks, and the outcomes are those of a run on one CPU
+        sc = SpatialScenario.for_network(fig_net, 300, seed=5)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0})
+        _, want = _blocks(monkeypatch, lambda: _SIMULATORS[kind](fig_net, sc))
+        caller, real = os.getpid(), sim._replicate
+
+        def replicate(scenario, stream, per_rep, draw):
+            def killed(rng, n):
+                if (int(rng.bit_generator.state["state"]["counter"][3]) == 1
+                        and os.getpid() != caller):
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return draw(rng, n)
+
+            return real(scenario, stream, per_rep, killed)
+
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = _forks(monkeypatch)
+        monkeypatch.setattr(sim, "_replicate", replicate)
+        _, got = _blocks(monkeypatch, lambda: _SIMULATORS[kind](fig_net, sc))
+        assert len(forks) == 1
+        for a, b in zip(want, got, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        _no_child_left()
+
+    @pytest.mark.parametrize("kind", sorted(_SIMULATORS))
+    def test_no_child_outlives_a_run(self, fig_net, monkeypatch, kind):
         monkeypatch.setattr(sim.os, "sched_getaffinity",
                             lambda pid: {0, 1, 2})
-        threads = threading.active_count()
+        forks = _forks(monkeypatch)
         _SIMULATORS[kind](fig_net,
                           SpatialScenario.for_network(fig_net, 300, seed=5))
-        assert threading.active_count() == threads
+        assert forks
+        _no_child_left()
+
+    def test_no_fork_while_a_second_thread_runs(self, fig_net, monkeypatch):
+        # forking a process that runs threads is unsafe: a caller with a
+        # second thread alive draws every block itself, to the same bits
+        sc = SpatialScenario.for_network(fig_net, 300, seed=5)
+        run = _SIMULATORS["per_user"]
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = _forks(monkeypatch)
+        _, want = _blocks(monkeypatch, lambda: run(fig_net, sc))
+        assert len(forks) == 1
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(30.0,))
+        waiter.start()
+        try:
+            monkeypatch.setattr(sim.os, "sched_getaffinity",
+                                lambda pid: {0, 1})
+            forks = _forks(monkeypatch)
+            _, got = _blocks(monkeypatch, lambda: run(fig_net, sc))
+        finally:
+            release.set()
+            waiter.join(timeout=30.0)
+        assert not waiter.is_alive()
+        assert forks == []
+        for a, b in zip(want, got, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_no_users_means_success(self, monkeypatch):
         # APs but no interferers: exactly the replications without an AP
