@@ -10,13 +10,18 @@ import heapq
 import itertools
 import math
 import os
+import platform
 import select
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import tracemalloc
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,13 +170,17 @@ class TestBlocks:
     def test_oversized_replication_fails_before_drawing(self, monkeypatch,
                                                         kind):
         # d0 = 4 km puts the far-field guard some 600 km out, so that one
-        # replication expects 5e8 elements or more; drawing a block fails
+        # replication expects 5e8 elements or more; sizing the allocator's
+        # buffer or drawing a block fails, and nothing forks
         monkeypatch.setattr(sim, "_block_rng", None)
+        monkeypatch.setattr(sim, "_HEAP_BLOCKS", None)
+        forks = _forks(monkeypatch)
         net = make_net(d0=4.0)
         sc = SpatialScenario.for_network(net, 10, seed=1)
         with pytest.raises(ValueError,
                            match=r"expects \d\.\d+e\+0[89] elements"):
             _SIMULATORS[kind](net, sc)
+        assert forks == []
 
     @pytest.mark.parametrize("kind", sorted(_SIMULATORS))
     def test_reruns_equal(self, fig_net, kind):
@@ -411,6 +420,48 @@ class TestBlocks:
             monkeypatch, lambda: simulate_uplink_outage(net, sc))
         assert np.array_equal(outage, ap_count == 0)
         assert 0 < outage.sum() < len(outage)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator thresholds are glibc's")
+    def test_blocks_reuse_heap_pages(self, fig_net):
+        # Each block of a drop reuses the heap pages its predecessor freed
+        # instead of faulting fresh ones in. A fresh interpreter, because
+        # earlier tests may have raised the allocator's thresholds already.
+        # A process faults in the heap of a drop's largest block once, so
+        # each drop is drawn twice and the second draw is counted.
+        probe = textwrap.dedent(f"""\
+            import resource
+            from cfedge import sim
+            from cfedge.model import NetworkConfig
+            net = {fig_net!r}
+            sim.os.sched_getaffinity = lambda pid: {{0}}
+            blocks, rng = [], sim._block_rng
+            sim._block_rng = lambda *key: blocks.append(key) or rng(*key)
+            for kind, reps in (("uplink", 4000), ("per_user", 800),
+                               ("independent", 4000)):
+                sc = sim.SpatialScenario.for_network(net, reps, seed=5)
+                for _ in range(2):
+                    blocks.clear()
+                    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                    if kind == "uplink":
+                        sim.simulate_uplink_outage(net, sc)
+                    else:
+                        sim.simulate_downlink_sir(net, sc, kind)
+                print(kind, len(blocks), resource.getrusage(
+                    resource.RUSAGE_SELF).ru_minflt - faults)
+            """)
+        src = str(Path(sim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=120).stdout.split()
+        drops = {kind: (int(blocks), int(faults)) for kind, blocks, faults
+                 in zip(out[::3], out[1::3], out[2::3])}
+        assert sorted(drops) == sorted(_SIMULATORS)
+        assert min(blocks for blocks, _ in drops.values()) >= 20, drops
+        assert all(faults < blocks for blocks, faults in drops.values()), \
+            drops
 
 
 class TestSweep:
