@@ -1,0 +1,65 @@
+"""The closed-form preset CSVs, pinned by SHA-256.
+
+Each closed-form preset runs in-process and its CSV must hash to the value
+pinned for the build it was measured on. The last bit of a closed form
+depends on that build: numpy's array power follows its CPU dispatch target,
+Python's float power is libm's, and scipy's special functions its own. On
+any other build the test skips and names the difference.
+
+A change that moves a closed form on purpose pins the new digests and
+prints the moved tables, before and after, in CHANGES.md.
+"""
+
+import hashlib
+import platform
+
+import numpy as np
+import pytest
+import scipy
+
+from cfedge import cli
+
+PRESETS = ("scp-surface-mix", "scp-surface-single", "secp-surface",
+           "r-threshold", "energy-sweep")
+
+# build -> preset -> SHA-256 of its CSV
+PINNED = {
+    ("numpy 2.4.6", "scipy 1.17.1", "glibc 2.36", "dispatch AVX512_SPR"): {
+        "scp-surface-mix":
+            "c29afaf5fdcd25a9c225f53cc82797a17ebd78d81eb67364c2108968e488bcd2",
+        "scp-surface-single":
+            "de4f629d2c8e2f54a45a9454217ab5eac581aa3134bda3ae264819203843b7f0",
+        "secp-surface":
+            "8748c019e248f5f1eaf76085d7a1305fb6d86d5379241ed44be896c2a6e8d46e",
+        "r-threshold":
+            "0fb9885f7fbb3a384d4bf9df6d1ca904013ed0c6588f52445940867e570b0595",
+        "energy-sweep":
+            "2c1f1d0769e25183f44d3f7eeadbc8e75210d2701248356987a59e2d73ee61a8",
+    },
+}
+
+
+def _build() -> tuple:
+    # numpy's SIMD loops run the highest dispatch target the CPU supports
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+        targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    except ImportError:
+        targets = []
+    return (f"numpy {np.__version__}", f"scipy {scipy.__version__}",
+            " ".join(platform.libc_ver()) or "libc unknown",
+            f"dispatch {targets[-1] if targets else 'baseline'}")
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_closed_form_csv_digest(preset, tmp_path):
+    build = _build()
+    if build not in PINNED:
+        pytest.skip(f"digests are pinned for {sorted(PINNED)}, not for "
+                    f"{build}")
+    spec = cli.ExperimentSpec.from_mapping(
+        cli._merge_spec(None, preset, None, None))
+    assert cli.run_experiment(spec, out_dir=str(tmp_path)) == cli.EXIT_OK
+    data = (tmp_path / (spec.label + ".csv")).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED[build][preset]
