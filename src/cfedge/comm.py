@@ -31,7 +31,22 @@ _CLAMP_WARN = 1e-6
 # ----------------------------------------------------------------------------
 
 
-def _log_near_derivs(s: float, jmax: int, net: NetworkConfig) -> list:
+# The uplink closed forms below take s (or r) as a float or as an array of
+# them, with the same bits per element: +, -, *, /, np.exp and scipy's
+# hyp2f1 give an element of an array the bits they give a float, and every
+# power of an array goes through _float_pow.
+
+
+def _float_pow(x, p: float):
+    """x ** p by Python's float power, which is libm's pow: per element for
+    an array, a float for a scalar. numpy's array power may differ from it
+    in the last bit."""
+    if isinstance(x, np.ndarray):
+        return np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
+    return float(x) ** p
+
+
+def _log_near_derivs(s, jmax: int, net: NetworkConfig) -> list:
     # log F1 and derivatives; F1 covers interferers inside the pathloss
     # plateau. log F1 = -pi lambda_d d0^2 sc/(1+sc) with c = d0^(-alpha).
     c = net.d0 ** (-net.alpha)
@@ -39,11 +54,12 @@ def _log_near_derivs(s: float, jmax: int, net: NetworkConfig) -> list:
     amp = math.pi * net.lambda_d * net.d0 ** 2
     out = [-amp * s * c / base]
     for j in range(1, jmax + 1):
-        out.append((-1) ** j * amp * math.factorial(j) * c ** j / base ** (j + 1))
+        out.append((-1) ** j * amp * math.factorial(j) * c ** j
+                   / _float_pow(base, j + 1))
     return out
 
 
-def _far_tail_coeff(j: int, s: float, net: NetworkConfig) -> float:
+def _far_tail_coeff(j: int, s, net: NetworkConfig):
     # k_j(s) = int_{d0^2}^inf z^(a/2) (z^(a/2)+s)^(-j-1) dz in closed form
     a = net.alpha
     c = net.d0 ** (-a)
@@ -51,7 +67,7 @@ def _far_tail_coeff(j: int, s: float, net: NetworkConfig) -> float:
         * hyp2f1(j + 1, j - 2.0 / a, j - 2.0 / a + 1.0, -s * c)
 
 
-def _log_far_derivs(s: float, jmax: int, net: NetworkConfig) -> list:
+def _log_far_derivs(s, jmax: int, net: NetworkConfig) -> list:
     # log F2 and derivatives; F2 covers interferers beyond the plateau.
     a = net.alpha
     c = net.d0 ** (-a)
@@ -76,13 +92,12 @@ def _exp_derivs(log_derivs: list) -> list:
     return f
 
 
-def uplink_laplace_derivs(s: float, max_order: int,
-                          net: NetworkConfig) -> tuple:
+def uplink_laplace_derivs(s, max_order: int, net: NetworkConfig) -> tuple:
     """Uplink interference transform and its derivatives of order
-    0..max_order at s: entry m is the m-th derivative, so (-1)^m entry m
-    >= 0. The transform is the product of a near-field factor (interferers
-    on the pathloss plateau) and a far-field factor."""
-    if s < 0:
+    0..max_order at s, a float or an array: entry m is the m-th derivative,
+    so (-1)^m entry m >= 0. The transform is the product of a near-field
+    factor (interferers on the pathloss plateau) and a far-field factor."""
+    if (s < 0).any() if isinstance(s, np.ndarray) else s < 0:
         raise ValueError("transform argument must be non-negative")
     if max_order < 0:
         raise ValueError("max_order must be non-negative")
@@ -94,17 +109,27 @@ def uplink_laplace_derivs(s: float, max_order: int,
     return tuple(li)
 
 
-def _single_ap_success_at(r: float, net: NetworkConfig) -> float:
-    # P[one AP at distance r decodes]: the diversity-order expansion of the
-    # Gamma CDF puts a factor (threshold / pathloss)**m on each derivative
-    # term, not pathloss**-m alone. The Monte Carlo suite pins this form.
-    ell = pathloss(r, net)
+def _single_ap_success_at(r, net: NetworkConfig):
+    # P[one AP at distance r decodes], r a float or an array: the
+    # diversity-order expansion of the Gamma CDF puts a factor
+    # (threshold / pathloss)**m on each derivative term, not pathloss**-m
+    # alone. The Monte Carlo suite pins this form.
+    # the pathloss per element: model.pathloss takes numpy's array power
+    ell = _float_pow(np.maximum(r, net.d0), -net.alpha)
     s = net.sir_threshold_ul / ell
     li = uplink_laplace_derivs(s, net.antennas_per_ap - 1, net)
     total = 0.0
     for m in range(net.antennas_per_ap):
-        total += (-1) ** m * s ** m / math.factorial(m) * li[m]
+        total += (-1) ** m * _float_pow(s, m) / math.factorial(m) * li[m]
     return total
+
+
+@lru_cache(maxsize=4)
+def _legendre_rule(nodes: int):
+    # Gauss-Legendre nodes and weights on [-1, 1], read-only
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def per_ap_success(net: NetworkConfig) -> float:
@@ -121,14 +146,14 @@ def per_ap_success(net: NetworkConfig) -> float:
     if R <= net.d0:
         return _clamp_probability(plateau, "per_ap_success")
     inner = plateau * net.d0 ** 2 / 2.0
-    x, w = np.polynomial.legendre.leggauss(12)
+    x, w = _legendre_rule(12)
 
     def radial(panels):
         # int_d0^R r q(r) dr, the rule on each of `panels` equal-ratio panels
         edges = np.geomspace(net.d0, R, panels + 1)
         half = np.diff(edges)[:, None] / 2.0
         r = edges[:-1, None] + half * (x + 1.0)
-        q = [_single_ap_success_at(ri, net) for ri in r.ravel().tolist()]
+        q = _single_ap_success_at(r.ravel(), net)
         return float((half * w * r).ravel() @ q)
 
     n = max(1, math.ceil(math.log(R / net.d0) / math.log(4.0)))
@@ -172,7 +197,7 @@ _LN_T_STEP = 0.5                                    # nearest-interferer nodes
 _LN_T_RANGE = (math.log(1e-5), math.log(25.0))      # P[t outside] < 2e-5
 _ANGLE_NODES = 12
 _ARC_NODES = 24
-_CHUNK_NODES = 8
+_CHUNK_NODES = 32
 
 #: Relative quadrature error of the mixture, a bound on
 #: |sum_k w_k q_k / per_ap_success - 1|. Measured at most 4e-5 for R from
@@ -200,7 +225,7 @@ class UplinkMixture:
 @lru_cache(maxsize=4)
 def _half_turn_rule(nodes: int):
     # Gauss-Legendre on [0, pi], weights summing to 1
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _legendre_rule(nodes)
     return 0.5 * math.pi * (x + 1.0), 0.5 * w
 
 
@@ -215,17 +240,19 @@ def _interferer_rule():
     return t, w
 
 
-def _power_disc(radius: np.ndarray, j: int, net: NetworkConfig) -> np.ndarray:
-    # int_0^radius k_j(gamma rho^(-alpha)) 2 pi rho drho in closed form, with
-    # k_0(z) = -z / (1 + z) and k_j(z) = z^j / (1 + z)^(j+1)
+def _power_disc(radius: np.ndarray, orders: int, net: NetworkConfig) -> list:
+    # For j < orders, int_0^radius k_j(gamma rho^(-alpha)) 2 pi rho drho in
+    # closed form, with k_0(z) = -z / (1 + z) and k_j(z) = z^j / (1 + z)^(j+1)
     a = net.alpha
     g = net.sir_threshold_ul
     x = -radius ** a / g
-    if j == 0:
-        return -math.pi * radius ** 2 * sp.hyp2f1(1.0, 2.0 / a, 1.0 + 2.0 / a, x)
-    e = 1.0 + 2.0 / a
-    return (2.0 * math.pi / g) * radius ** (a + 2.0) / (a + 2.0) \
-        * sp.hyp2f1(j + 1.0, e, 1.0 + e, x)
+    out = [-math.pi * radius ** 2 * sp.hyp2f1(1.0, 2.0 / a, 1.0 + 2.0 / a, x)]
+    if orders > 1:
+        lead = (2.0 * math.pi / g) * radius ** (a + 2.0) / (a + 2.0)
+        e = 1.0 + 2.0 / a
+        out += [lead * sp.hyp2f1(j + 1.0, e, 1.0 + e, x)
+                for j in range(1, orders)]
+    return out
 
 
 def _disc_log_terms(r: np.ndarray, d1: np.ndarray, orders: int,
@@ -246,6 +273,9 @@ def _disc_log_terms(r: np.ndarray, d1: np.ndarray, orders: int,
     core = np.maximum(beta - 1.0, 0.0)
     edge = np.minimum(core, flat)
     beyond = core > flat
+    rows = np.nonzero(beyond)[0]                 # the row of each beyond entry
+    starts = _power_disc(flat, orders, net)
+    ends = _power_disc(core[beyond], orders, net)
     # arcs, |beta - 1| < rho < beta + 1: rho = mid - half cos(theta)
     th, tw = _half_turn_rule(_ARC_NODES)
     mid = np.maximum(beta, 1.0)[..., None]
@@ -259,8 +289,7 @@ def _disc_log_terms(r: np.ndarray, d1: np.ndarray, orders: int,
     out = []
     for j in range(orders):
         term = (kern * arc).sum(axis=-1) + math.pi * edge ** 2 * kern_flat
-        start = np.broadcast_to(_power_disc(flat, j, net), beta.shape)
-        term[beyond] += _power_disc(core[beyond], j, net) - start[beyond]
+        term[beyond] += ends[j] - starts[j][rows, 0]
         out.append(term)
         if j == 0:
             kern, kern_flat = y * (1.0 - y), y_flat * (1.0 - y_flat)
@@ -275,27 +304,27 @@ def _conditional_success_chunk(r: np.ndarray, d1: np.ndarray,
     # angle to the nearest interferer at distance d1[k]: shape (len r, len d1).
     M = net.antennas_per_ap
     s = net.sir_threshold_ul / pathloss(r, net)
-    scale = np.array([[math.factorial(j) / (-si) ** j for j in range(M)]
-                      for si in s])                        # scaled -> raw
-    full = np.array([[a + b for a, b in zip(_log_near_derivs(si, M - 1, net),
-                                            _log_far_derivs(si, M - 1, net))]
-                     for si in s])
+    # scaled -> raw, one array over r per order
+    scale = [math.factorial(j) / _float_pow(-s, j) for j in range(M)]
+    full = [a + b for a, b in zip(_log_near_derivs(s, M - 1, net),
+                                  _log_far_derivs(s, M - 1, net))]
     disc = _disc_log_terms(r, d1, M, net)
     psi, pw = _half_turn_rule(_ANGLE_NODES)
     dist = np.sqrt(r[:, None, None] ** 2 + d1[None, :, None] ** 2
                    - 2.0 * r[:, None, None] * d1[None, :, None] * np.cos(psi))
     zy = s[:, None, None] * pathloss(dist, net)
+    ratio = zy / (1.0 + zy)
+    area = net.lambda_d * r[:, None] ** 2
     logs = []
     for j in range(M):
-        rest = full[:, j, None] - net.lambda_d * r[:, None] ** 2 * disc[j] \
-            * scale[:, j, None]
+        rest = full[j][:, None] - area * disc[j] * scale[j][:, None]
         if j == 0:
             near = -np.log1p(zy)
         else:
-            near = (zy / (1.0 + zy)) ** j / j * scale[:, j, None, None]
+            near = ratio ** j / j * scale[j][:, None, None]
         logs.append(rest[:, :, None] + near)
     li = _exp_derivs(logs)
-    p = sum(li[m] / scale[:, m, None, None] for m in range(M))
+    p = sum(li[m] / scale[m][:, None, None] for m in range(M))
     return np.clip(p, 0.0, 1.0) @ pw
 
 

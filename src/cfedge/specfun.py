@@ -22,19 +22,22 @@ from .errors import NumericalError
 # ----------------------------------------------------------------------------
 
 
-def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; z) for z <= 0.
+def hyp2f1(a: float, b: float, c: float, z):
+    """Gauss hypergeometric 2F1(a, b; c; z) for z <= 0: a float for a
+    float z, an array for an array, with the same bits per element.
 
     The analytic layer only ever calls this with non-positive argument,
     where scipy's implementation is accurate to near machine precision
     even for |z| as large as 1e9.
     """
-    if z > 0:
+    array = isinstance(z, np.ndarray)
+    if (z > 0).any() if array else z > 0:
         raise ValueError("hyp2f1 backend only supports z <= 0")
     out = sp.hyp2f1(a, b, c, z)
-    if not np.isfinite(out):
-        raise NumericalError(f"hyp2f1({a}, {b}, {c}, {z}) is not finite")
-    return float(out)
+    if not (np.isfinite(out).all() if array else math.isfinite(out)):
+        bad = z[~np.isfinite(out)][0] if array else z
+        raise NumericalError(f"hyp2f1({a}, {b}, {c}, {bad}) is not finite")
+    return out if array else float(out)
 
 
 # ----------------------------------------------------------------------------

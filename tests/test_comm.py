@@ -11,6 +11,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 import scipy.special as sp
 
@@ -64,6 +65,9 @@ class TestUplinkDerivatives:
             comm.uplink_laplace_derivs(-1.0, 2, make_net())
         with pytest.raises(ValueError):
             comm.uplink_laplace_derivs(1.0, -1, make_net())
+        with pytest.raises(ValueError):
+            comm.uplink_laplace_derivs(np.array([1e-11, -1e-11, 2e-11]), 2,
+                                       make_net())
 
 
 @pytest.mark.parametrize("j,s", [(1, 2e-11), (2, 5e-11), (3, 1e-10)])
@@ -160,6 +164,41 @@ class TestPerApSuccess:
                             lambda r, net: real(r, net) * (r < 0.0317))
         with pytest.raises(NumericalError, match="radial success"):
             comm.per_ap_success(make_net(coverage_radius=0.05))
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(1, 24), alpha=st.floats(2.5, 4.5),
+       d0=st.floats(2e-4, 0.01), lambda_d=st.floats(1e-3, 2e3),
+       gamma=st.floats(0.3, 10.0),
+       radii=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=6))
+def test_single_ap_success_array_is_per_float(M, alpha, d0, lambda_d, gamma,
+                                              radii):
+    # an array of radii gives each radius the bits its float gives, or the
+    # array fails where a float fails
+    net = make_net(antennas_per_ap=M, alpha=alpha, d0=d0, lambda_d=lambda_d,
+                   sir_threshold_ul=gamma)
+    try:
+        want = np.array([comm._single_ap_success_at(r, net) for r in radii])
+    except (OverflowError, NumericalError):
+        with pytest.raises((OverflowError, NumericalError)):
+            comm._single_ap_success_at(np.array(radii), net)
+        return
+    got = comm._single_ap_success_at(np.array(radii), net)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("M", [1, 4, 8])
+def test_radial_table_rows_do_not_depend_on_growth(M, monkeypatch):
+    # rows grown a few nodes at a time, as increasing radii ask for them,
+    # equal the rows of a fresh table grown in one call
+    net = make_net(antennas_per_ap=M)
+    monkeypatch.setattr(comm, "_CHUNK_NODES", 5)
+    stepwise = comm._RadialTable(net)
+    for n in (1, 7, 30, 64, 101):
+        stepwise.values(n)
+    monkeypatch.undo()
+    fresh = comm._RadialTable(net).values(101)
+    assert stepwise.values(101).tobytes() == fresh.tobytes()
 
 
 def test_uplink_outage_composition(fig_net):

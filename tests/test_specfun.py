@@ -32,6 +32,21 @@ def test_hyp2f1_rejects_positive_argument():
         hyp2f1(1.0, 1.0, 2.0, 0.5)
 
 
+def test_hyp2f1_array_is_per_float():
+    # an array gives each entry the bits its float gives
+    z = -np.geomspace(1e-6, 1e9, 41)
+    got = hyp2f1(3.0, 2.459, 3.459, z)
+    want = np.array([hyp2f1(3.0, 2.459, 3.459, v) for v in z.tolist()])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_hyp2f1_array_rejects_one_bad_entry():
+    with pytest.raises(ValueError):
+        hyp2f1(1.0, 1.0, 2.0, np.array([-1.0, 0.5, -2.0]))
+    with pytest.raises(NumericalError, match="nan"):
+        hyp2f1(1.0, 1.0, 2.0, np.array([-1.0, math.nan, -2.0]))
+
+
 class TestGammaExpectation:
     def test_polynomial_moments(self):
         # E[G] = m and E[G^2] = m(m+1) for G ~ Gamma(m, 1)
