@@ -383,6 +383,26 @@ class TestRunExperiment:
         overloaded = [math.isnan(row[COLUMNS[kind][-1]]) for row in rows]
         assert any(overloaded) == (mix == "slow")
 
+    @pytest.mark.parametrize("kind", ["scp_surface", "secp_surface"])
+    def test_zero_radius_rows(self, kind):
+        # no AP lies within R = 0: nothing is uplinked, the edge path never
+        # succeeds and the central server sees no arrivals
+        spec = ExperimentSpec.from_mapping({
+            "kind": kind,
+            "network": {"lambda_b": 400.0, "lambda_d": 100.0},
+            "compute": dict(COMPUTE_MIX),
+            "sweep": {"radii_km": [0.0], "theta_grid": [0.0, 0.35, 1.0]}})
+        rows = cli._evaluate(spec, _points(spec), 1)
+        assert [row["theta"] for row in rows] == [0.0, 0.35, 1.0]
+        for (_, comp), row in zip(spec.configs, rows):
+            if kind == "secp_surface":
+                assert [row[c] for c in COLUMNS[kind][2:]] == [0.0, 0.0, 0.0,
+                                                               1.0]
+            else:
+                assert row["scp_cs"] == offload.scp_cs(comp, 0.0)
+                assert row["scp_mec"] == 0.0
+                assert row["scp"] == row["theta"] * row["scp_cs"]
+
     @pytest.mark.parametrize("mapping, simulators", [
         (_scmp_spec(), 2), (_validate_spec([0.03, 0.05]), 3)])
     def test_shared_drop_kinds_run_in_process(self, tmp_path, mapping,

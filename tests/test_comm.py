@@ -340,6 +340,24 @@ class TestDownlinkOutage:
         out = comm.downlink_outage(make_net(coverage_radius=0.0))
         assert (out.lower, out.upper, out.point) == (0.0, 0.0, 0.0)
 
+    def test_degenerate_zero_ap_density(self):
+        out = comm.downlink_outage(make_net(lambda_b=0.0))
+        assert (out.lower, out.upper, out.point) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("zeta", [1.0, 3.0])
+    def test_integer_shape_is_its_truncated_sum(self, monkeypatch, fig_net,
+                                                zeta):
+        # floor and ceil truncations coincide, so the bracket closes on one
+        # value and the interpolated point is that value too
+        params = comm.GammaInterferenceParams(
+            zeta=zeta, eta=comm.gamma_interference_params(fig_net).eta)
+        monkeypatch.setattr(comm, "gamma_interference_params",
+                            lambda net: params)
+        want = comm._clamp_probability(
+            comm._truncated_outage_sum(int(zeta), fig_net, params), "test")
+        out = comm.downlink_outage(fig_net)
+        assert (out.lower, out.upper, out.point) == (want, want, want)
+
     def test_truncation_increasing_in_shape(self, fig_net):
         params = comm.gamma_interference_params(fig_net)
         vals = [comm._truncated_outage_sum(k, fig_net, params)

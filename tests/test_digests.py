@@ -1,10 +1,13 @@
-"""The closed-form preset CSVs, pinned by SHA-256.
+"""The closed-form preset CSVs and the validate CSV, pinned by SHA-256.
 
 Each closed-form preset runs in-process and its CSV must hash to the value
-pinned for the build it was measured on. The last bit of a closed form
-depends on that build: numpy's array power follows its CPU dispatch target,
-Python's float power is libm's, and scipy's special functions its own. On
-any other build the test skips and names the difference.
+pinned for the build it was measured on. So must the validate preset at
+VALIDATE_REPS replications, which pins the spatial drops and the queue
+simulations at their seeds beside the closed forms they are checked
+against. The last bit of a closed form depends on that build: numpy's
+array power follows its CPU dispatch target, Python's float power is
+libm's, and scipy's special functions its own. On any other build the
+tests skip and name the difference.
 
 A change that moves a closed form on purpose pins the new digests and
 prints the moved tables, before and after, in CHANGES.md.
@@ -21,6 +24,7 @@ from cfedge import cli
 
 PRESETS = ("scp-surface-mix", "scp-surface-single", "secp-surface",
            "r-threshold", "energy-sweep")
+VALIDATE_REPS = 2000
 
 # build -> preset -> SHA-256 of its CSV
 PINNED = {
@@ -35,6 +39,8 @@ PINNED = {
             "0fb9885f7fbb3a384d4bf9df6d1ca904013ed0c6588f52445940867e570b0595",
         "energy-sweep":
             "2c1f1d0769e25183f44d3f7eeadbc8e75210d2701248356987a59e2d73ee61a8",
+        "validate":
+            "e5b02bf52419f8ff0ca949454f20c1bfa973788d6a79dd29b5fc312a3eb0b04c",
     },
 }
 
@@ -52,14 +58,26 @@ def _build() -> tuple:
             f"dispatch {targets[-1] if targets else 'baseline'}")
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_closed_form_csv_digest(preset, tmp_path):
+def _csv_digest(preset: str, reps, out_dir) -> tuple:
+    """(build, SHA-256 of the preset's CSV at reps replications); skips on
+    a build without pinned digests."""
     build = _build()
     if build not in PINNED:
         pytest.skip(f"digests are pinned for {sorted(PINNED)}, not for "
                     f"{build}")
     spec = cli.ExperimentSpec.from_mapping(
-        cli._merge_spec(None, preset, None, None))
-    assert cli.run_experiment(spec, out_dir=str(tmp_path)) == cli.EXIT_OK
-    data = (tmp_path / (spec.label + ".csv")).read_bytes()
-    assert hashlib.sha256(data).hexdigest() == PINNED[build][preset]
+        cli._merge_spec(None, preset, None, reps))
+    assert cli.run_experiment(spec, out_dir=str(out_dir)) == cli.EXIT_OK
+    data = (out_dir / (spec.label + ".csv")).read_bytes()
+    return build, hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_closed_form_csv_digest(preset, tmp_path):
+    build, digest = _csv_digest(preset, None, tmp_path)
+    assert digest == PINNED[build][preset]
+
+
+def test_validate_csv_digest(tmp_path):
+    build, digest = _csv_digest("validate", VALIDATE_REPS, tmp_path)
+    assert digest == PINNED[build]["validate"]
