@@ -233,16 +233,19 @@ def _network_for(spec: ExperimentSpec, **overrides) -> NetworkConfig:
 
 def _configs(spec: ExperimentSpec, point: dict, nets: dict) -> tuple:
     """The configs point is evaluated on: its network, its compute mix where
-    the evaluator reads one, and the energy config for energy_vs_xi. nets
-    maps a radius entry's id to its network: a surface row builds one."""
+    the evaluator reads one, the energy config for energy_vs_xi, and a
+    queue check's duration and server count. nets maps a radius entry's id
+    to its network: a surface row builds one."""
     check = point.get("check", "")
     if check in ("queue_pmf_tv_n1", "queue_pmf_tv_n4", "scp_mec_vs_des"):
-        return _queue_setup(spec, check.endswith("n1"))[:2]
+        return _queue_setup(spec, check.endswith("n1"))
     if check == "scp_cs_vs_des":
-        lam_c = spec.sweep.get("queue_cs", {}).get("lambda_c", 50.0)
-        return (_network_for(spec, coverage_radius=0.05, lambda_d=lam_c,
+        q = spec.sweep.get("queue_cs", {})
+        return (_network_for(spec, coverage_radius=0.05,
+                             lambda_d=q.get("lambda_c", 50.0),
                              network_area=1.0),
-                _config(spec, "compute", offload_prob=1.0))
+                _config(spec, "compute", offload_prob=1.0),
+                float(q.get("duration_s", 2400.0)))
     if spec.kind == "r_threshold":
         row = point["row"]
         return (_network_for(spec, antennas_per_ap=row["antennas_per_ap"],
@@ -392,7 +395,7 @@ def _eval_energy(spec: ExperimentSpec, index: int, point: dict) -> dict:
 
 
 def _queue_setup(spec: ExperimentSpec, single: bool):
-    """Synthetic-load network for the queueing checks.
+    """(network, compute, duration, server count) of a queueing check.
 
     The single-server run uses a heavier load than the server-group run:
     with one queue the arrival process is exactly Poisson, so the
@@ -410,7 +413,7 @@ def _queue_setup(spec: ExperimentSpec, single: bool):
     net = _network_for(spec, coverage_radius=q.get("r_km", 0.1),
                        lambda_d=lam_d)
     comp = _config(spec, "compute", offload_prob=0.0)
-    return net, comp, duration, int(q.get("n_mec", 4))
+    return net, comp, duration, 1 if single else int(q.get("n_mec", 4))
 
 
 def _vrow(check: str, analytic: float, oracle: float, delta: float,
@@ -469,9 +472,7 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
                      3.0 * sample.i_var_se)
 
     if check in ("queue_pmf_tv_n1", "queue_pmf_tv_n4", "scp_mec_vs_des"):
-        single = check.endswith("n1")
-        net, comp, duration, n_group = _queue_setup(spec, single)
-        n = 1 if single else n_group
+        net, comp, duration, n = spec.configs[index]
         # the closed form first: an overloaded queue fails before the DES
         rates = offload.arrival_rates(net, comp, 0.0)
         spectrum = offload.queue_spectrum(comp, rates.lambda_m)
@@ -492,10 +493,9 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
         return _vrow(check, 0.0, tv, tv, 0.02)
 
     # scp_cs_vs_des
-    net, comp = spec.configs[index]
-    duration = spec.sweep.get("queue_cs", {}).get("duration_s", 2400.0)
+    net, comp, duration = spec.configs[index]
     ana = offload.scp_cs(comp, net.lambda_d)
-    log = sim.simulate_mlcm(net, comp, float(duration),
+    log = sim.simulate_mlcm(net, comp, duration,
                             seed=spec.seed + index, n_mec=1, p_oul=0.0)
     emp = log.sojourn_cdf(comp.target_latency, server_id=0)
     return _vrow(check, ana, emp, abs(ana - emp), 0.02)

@@ -569,16 +569,12 @@ def downlink_outage(net: NetworkConfig) -> DownlinkOutage:
     """
     params = gamma_interference_params(net)
     zeta = params.zeta
-    if zeta == 0.0:
-        return DownlinkOutage(0.0, 0.0, 0.0)
     if zeta > 2000.0:
         raise NumericalError(f"interference shape {zeta:.1f} too large to truncate")
     k_lo = math.floor(zeta)
     k_hi = math.ceil(zeta)
     lower = _clamp_probability(_truncated_outage_sum(k_lo, net, params),
                                "downlink_outage")
-    if k_hi == k_lo:
-        return DownlinkOutage(lower, lower, lower)
     upper = _clamp_probability(_truncated_outage_sum(k_hi, net, params),
                                "downlink_outage")
     frac = zeta - k_lo

@@ -207,35 +207,26 @@ def minimize_energy(net: NetworkConfig, comp: ComputeConfig, cfg: EnergyConfig,
     net_star = replace(net, coverage_radius=r_star)
     theta_star = _cheapest_feasible_theta(
         _split_scorer(net_star, comp), xi, splits[r_star],
-        theta_energy_slope(comp, cfg), THETA_GRID)
+        theta_energy_slope(comp, cfg))
     comp_star = replace(comp, offload_prob=theta_star)
     return r_star, theta_star, energy_breakdown(net_star, comp_star, cfg)
 
 
-def _cheapest_feasible_theta(secp_at, xi, theta_peak, slope, theta_grid) -> float:
+def _cheapest_feasible_theta(secp_at, xi, theta_peak, slope) -> float:
     # The feasible splits form an interval around the peak (the objective is
     # unimodal in the split); energy is affine in the split, so the cheaper
-    # feasible endpoint wins. Walk the grid outward from the peak in the
-    # cheaper direction, then bisect the boundary. secp_at maps a list of
-    # splits to their values, None where a split is infeasible.
+    # feasible endpoint wins. Walk THETA_GRID's spacing outward from the
+    # peak in the cheaper direction, then bisect the boundary. secp_at maps
+    # a list of splits to their values, None where a split is infeasible.
+    # theta_peak must meet xi, as _best_theta's split at the same network.
     direction = -1.0 if slope >= 0.0 else 1.0   # -1: smaller split is cheaper
-    step = abs(float(theta_grid[1]) - float(theta_grid[0])) \
-        if len(theta_grid) > 1 else 0.05
+    step = THETA_GRID[1] - THETA_GRID[0]
 
     def feasible(theta: float) -> bool:
         v, = secp_at([theta])
         return v is not None and v >= xi
 
     outer = float(theta_peak)
-    if not feasible(outer):
-        # the hinted peak may sit just below the floor after radius rounding;
-        # fall back to the best grid point
-        thetas = [float(th) for th in theta_grid]
-        cands = [(v, th) for v, th in zip(secp_at(thetas), thetas)
-                 if v is not None and v >= xi]
-        if not cands:
-            raise InfeasibilityError("no feasible split at the chosen radius")
-        outer = max(cands)[1] if direction > 0 else min(cands)[1]
     while True:
         probe = min(1.0, max(0.0, outer + direction * step))
         if not feasible(probe):

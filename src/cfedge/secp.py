@@ -73,8 +73,6 @@ def secp_splits(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
     it never takes has arrival rate 0), the central one first. Only the
     stable splits go to offload.rate_cdfs; each one's sums over n are
     added left to right, in a loop over n = 1..n_max."""
-    if net.coverage_radius <= 0.0:
-        return [(0.0, 0.0, 0.0, 1.0)] * len(thetas)
     success, dispatch, w_pos, ul_n, ul_term, dl_success = _coupling(net)
     points, rates = [], []
     for theta in thetas:

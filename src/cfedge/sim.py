@@ -356,12 +356,11 @@ def _downlink_block(net: NetworkConfig, W: float, radii: np.ndarray,
         # Gamma(a + b) times an independent Beta(a, b) is Gamma(a): from the
         # largest radius down, Beta draws split each gain off the last one
         gains = rng.gamma(served[-1].astype(float))[None]
-        if len(radii) > 1:
-            inner, outer = served[-2::-1], served[:0:-1]
-            steps = np.vstack([gains, inner > 0])
-            split = (inner > 0) & (inner < outer)
-            steps[1:][split] = rng.beta(inner[split], (outer - inner)[split])
-            gains = np.multiply.accumulate(steps)[::-1]
+        inner, outer = served[-2::-1], served[:0:-1]
+        steps = np.vstack([gains, inner > 0])
+        split = (inner > 0) & (inner < outer)
+        steps[1:][split] = rng.beta(inner[split], (outer - inner)[split])
+        gains = np.multiply.accumulate(steps)[::-1]
         owner, xy = _owner(n_ap), ap_xy
     else:
         # One Poisson field of beams, each at its own location with an

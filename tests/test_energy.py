@@ -146,18 +146,16 @@ class TestMinimizeEnergy:
                             r_bounds=(0.2, 0.1))
 
 
-def test_cheapest_split_grid_fallback_is_one_call():
-    # the hinted peak is infeasible, so the grid is scored in one call;
-    # the cheaper (smaller) feasible edge is then walked to and bisected
+def test_cheapest_split_walks_then_bisects():
+    # from the feasible peak the cheaper (smaller) feasible edge is walked
+    # to and bisected, one split per call
     calls = []
 
     def secp_at(thetas):
         calls.append(list(thetas))
         return [None if th > 0.9 else 1.0 - (th - 0.6) ** 2 for th in thetas]
 
-    grid = [k / 20 for k in range(21)]
-    theta = energy._cheapest_feasible_theta(secp_at, 0.95, 0.95, 1.0, grid)
+    theta = energy._cheapest_feasible_theta(secp_at, 0.95, 0.6, 1.0)
     assert theta == pytest.approx(0.6 - math.sqrt(0.05), abs=1e-5)
     assert 1.0 - (theta - 0.6) ** 2 >= 0.95
-    assert calls[0] == [0.95] and calls[1] == grid
-    assert all(len(thetas) == 1 for thetas in calls[2:])
+    assert all(len(thetas) == 1 for thetas in calls)
