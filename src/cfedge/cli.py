@@ -480,7 +480,7 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
                                 n_mec=n, p_oul=0.0)
         if check == "scp_mec_vs_des":
             ana = float(offload.mec_conditional_cdf(
-                spectrum, n, offload.mec_cache(comp))[n])
+                (spectrum,), n, offload.mec_cache(comp))[0, n])
             emp = log.sojourn_cdf(comp.target_latency, mec_only=True)
             return _vrow(check, ana, emp, abs(ana - emp), 0.03)
         if n == 1:

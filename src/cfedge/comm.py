@@ -27,14 +27,14 @@ from .specfun import gamma_expectation, hyp2f1
 _CLAMP_WARN = 1e-6
 
 # ----------------------------------------------------------------------------
-# uplink: interference Laplace transform and its derivatives
+# the Gamma-gain success sum and the uplink interference transform
 # ----------------------------------------------------------------------------
 
 
 # The uplink closed forms below take s (or r) as a float or as an array of
 # them, with the same bits per element: +, -, *, /, np.exp and scipy's
 # hyp2f1 give an element of an array the bits they give a float, and every
-# power of an array goes through _float_pow.
+# power of an array is a repeated product or goes through _float_pow.
 
 
 def _float_pow(x, p: float):
@@ -46,82 +46,61 @@ def _float_pow(x, p: float):
     return float(x) ** p
 
 
-def _log_near_derivs(s, jmax: int, net: NetworkConfig) -> list:
-    # log F1 and derivatives; F1 covers interferers inside the pathloss
-    # plateau. log F1 = -pi lambda_d d0^2 sc/(1+sc) with c = d0^(-alpha).
-    c = net.d0 ** (-net.alpha)
-    base = 1.0 + s * c
-    amp = math.pi * net.lambda_d * net.d0 ** 2
-    out = [-amp * s * c / base]
-    for j in range(1, jmax + 1):
-        out.append((-1) ** j * amp * math.factorial(j) * c ** j
-                   / _float_pow(base, j + 1))
-    return out
+def series_sum(coeffs: list):
+    """P[G > s X] for G ~ Gamma(K, 1) independent of X >= 0, X with Laplace
+    transform L, from the K scaled log coefficients
+    c_j = (-s)^j / j! (d/ds)^j log L(s), j < K.
+
+    The success is sum_{m<K} e_m, where e_m = (-s)^m / m! L^(m)(s) are the
+    coefficients of exp(sum_j c_j t^j): e_0 = exp(c_0) and
+    e_m = (1/m) sum_{i<m} (m-i) c_(m-i) e_i (Knuth, TAOCP vol. 2, sec. 4.7).
+    The entries may be floats or arrays of one shape.
+    """
+    e = [np.exp(coeffs[0])]
+    for m in range(1, len(coeffs)):
+        e.append(sum((m - i) * coeffs[m - i] * e[i] for i in range(m)) / m)
+    return sum(e)
 
 
-def _far_tail_coeff(j: int, s, net: NetworkConfig):
-    # k_j(s) = int_{d0^2}^inf z^(a/2) (z^(a/2)+s)^(-j-1) dz in closed form
-    a = net.alpha
-    c = net.d0 ** (-a)
-    return (2.0 / a) * net.d0 ** 2 * c ** j / (j - 2.0 / a) \
-        * hyp2f1(j + 1, j - 2.0 / a, j - 2.0 / a + 1.0, -s * c)
+def uplink_log_coeffs(s, order: int, net: NetworkConfig) -> list:
+    """Scaled log coefficients c_0..c_order of the uplink interference
+    transform at s, a float or an array; c_j >= 0 for j >= 1.
 
-
-def _log_far_derivs(s, jmax: int, net: NetworkConfig) -> list:
-    # log F2 and derivatives; F2 covers interferers beyond the plateau.
-    a = net.alpha
-    c = net.d0 ** (-a)
-    lead = -(2.0 * math.pi * net.lambda_d / a) * s * net.d0 ** (2.0 - a) \
-        / (1.0 - 2.0 / a) * hyp2f1(1.0, 1.0 - 2.0 / a, 2.0 - 2.0 / a, -s * c)
-    out = [lead]
-    for j in range(1, jmax + 1):
-        out.append((-1) ** j * math.pi * net.lambda_d * math.factorial(j)
-                   * _far_tail_coeff(j, s, net))
-    return out
-
-
-def _exp_derivs(log_derivs: list) -> list:
-    # derivatives of exp(phi) from derivatives of phi via the product rule
-    # on F' = phi' F; the entries may be floats or arrays of equal shape
-    f = [np.exp(log_derivs[0])]
-    for m in range(1, len(log_derivs)):
-        acc = 0.0
-        for i in range(m):
-            acc += math.comb(m - 1, i) * log_derivs[m - i] * f[i]
-        f.append(acc)
-    return f
-
-
-def uplink_laplace_derivs(s, max_order: int, net: NetworkConfig) -> tuple:
-    """Uplink interference transform and its derivatives of order
-    0..max_order at s, a float or an array: entry m is the m-th derivative,
-    so (-1)^m entry m >= 0. The transform is the product of a near-field
-    factor (interferers on the pathloss plateau) and a far-field factor."""
+    The transform is the product of a near-field factor (interferers on
+    the pathloss plateau) and a far-field factor. With A = pi lambda_d d0^2,
+    c = d0^-a and y = sc / (1 + sc), the near field gives c_0 = -A y and
+    c_j = A y^j (1 - y). For j >= 1 the far field gives
+    pi lambda_d s^j int_{d0^2}^inf z^(a/2) (z^(a/2) + s)^(-j-1) dz
+    = (2A/a) (sc)^j / (j - 2/a) 2F1(j+1, j-2/a; j+1-2/a; -sc).
+    """
     if (s < 0).any() if isinstance(s, np.ndarray) else s < 0:
         raise ValueError("transform argument must be non-negative")
-    if max_order < 0:
-        raise ValueError("max_order must be non-negative")
-    f1 = _exp_derivs(_log_near_derivs(s, max_order, net))
-    f2 = _exp_derivs(_log_far_derivs(s, max_order, net))
-    li = []
-    for m in range(max_order + 1):
-        li.append(sum(math.comb(m, i) * f1[i] * f2[m - i] for i in range(m + 1)))
-    return tuple(li)
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    a = net.alpha
+    sc = s * net.d0 ** (-a)
+    y = sc / (1.0 + sc)
+    area = math.pi * net.lambda_d * net.d0 ** 2
+    lead = -(2.0 * math.pi * net.lambda_d / a) * s * net.d0 ** (2.0 - a) \
+        / (1.0 - 2.0 / a) * hyp2f1(1.0, 1.0 - 2.0 / a, 2.0 - 2.0 / a, -sc)
+    out = [-area * y + lead]
+    near, far = area * (1.0 - y), 2.0 * area / a
+    for j in range(1, order + 1):
+        near, far = near * y, far * sc
+        b = j - 2.0 / a
+        out.append(near + far / b * hyp2f1(j + 1, b, b + 1.0, -sc))
+    return out
 
 
 def _single_ap_success_at(r, net: NetworkConfig):
     # P[one AP at distance r decodes], r a float or an array: the
-    # diversity-order expansion of the Gamma CDF puts a factor
-    # (threshold / pathloss)**m on each derivative term, not pathloss**-m
-    # alone. The Monte Carlo suite pins this form.
+    # diversity-order expansion of the Gamma CDF, in which term m carries
+    # (threshold / pathloss)**m, not pathloss**-m alone. The Monte Carlo
+    # suite pins this form.
     # the pathloss per element: model.pathloss takes numpy's array power
     ell = _float_pow(np.maximum(r, net.d0), -net.alpha)
     s = net.sir_threshold_ul / ell
-    li = uplink_laplace_derivs(s, net.antennas_per_ap - 1, net)
-    total = 0.0
-    for m in range(net.antennas_per_ap):
-        total += (-1) ** m * _float_pow(s, m) / math.factorial(m) * li[m]
-    return total
+    return series_sum(uplink_log_coeffs(s, net.antennas_per_ap - 1, net))
 
 
 @lru_cache(maxsize=4)
@@ -246,11 +225,11 @@ def _power_disc(radius: np.ndarray, orders: int, net: NetworkConfig) -> list:
     a = net.alpha
     g = net.sir_threshold_ul
     x = -radius ** a / g
-    out = [-math.pi * radius ** 2 * sp.hyp2f1(1.0, 2.0 / a, 1.0 + 2.0 / a, x)]
+    out = [-math.pi * radius ** 2 * hyp2f1(1.0, 2.0 / a, 1.0 + 2.0 / a, x)]
     if orders > 1:
         lead = (2.0 * math.pi / g) * radius ** (a + 2.0) / (a + 2.0)
         e = 1.0 + 2.0 / a
-        out += [lead * sp.hyp2f1(j + 1.0, e, 1.0 + e, x)
+        out += [lead * hyp2f1(j + 1.0, e, 1.0 + e, x)
                 for j in range(1, orders)]
     return out
 
@@ -304,10 +283,7 @@ def _conditional_success_chunk(r: np.ndarray, d1: np.ndarray,
     # angle to the nearest interferer at distance d1[k]: shape (len r, len d1).
     M = net.antennas_per_ap
     s = net.sir_threshold_ul / pathloss(r, net)
-    # scaled -> raw, one array over r per order
-    scale = [math.factorial(j) / _float_pow(-s, j) for j in range(M)]
-    full = [a + b for a, b in zip(_log_near_derivs(s, M - 1, net),
-                                  _log_far_derivs(s, M - 1, net))]
+    full = uplink_log_coeffs(s, M - 1, net)
     disc = _disc_log_terms(r, d1, M, net)
     psi, pw = _half_turn_rule(_ANGLE_NODES)
     dist = np.sqrt(r[:, None, None] ** 2 + d1[None, :, None] ** 2
@@ -315,17 +291,10 @@ def _conditional_success_chunk(r: np.ndarray, d1: np.ndarray,
     zy = s[:, None, None] * pathloss(dist, net)
     ratio = zy / (1.0 + zy)
     area = net.lambda_d * r[:, None] ** 2
-    logs = []
-    for j in range(M):
-        rest = full[j][:, None] - area * disc[j] * scale[j][:, None]
-        if j == 0:
-            near = -np.log1p(zy)
-        else:
-            near = ratio ** j / j * scale[j][:, None, None]
-        logs.append(rest[:, :, None] + near)
-    li = _exp_derivs(logs)
-    p = sum(li[m] / scale[m][:, None, None] for m in range(M))
-    return np.clip(p, 0.0, 1.0) @ pw
+    # the field less the disc, plus the nearest interferer at angle psi
+    logs = [(full[j][:, None] - area * disc[j])[:, :, None]
+            + (-np.log1p(zy) if j == 0 else ratio ** j / j) for j in range(M)]
+    return np.clip(series_sum(logs), 0.0, 1.0) @ pw
 
 
 class _RadialTable:
@@ -458,10 +427,18 @@ def gamma_interference_params(net: NetworkConfig) -> GammaInterferenceParams:
     return GammaInterferenceParams(zeta=zeta, eta=eta)
 
 
-def rho_derivs(s: float, max_order: int, net: NetworkConfig) -> tuple:
-    """Signal-transform exponent, a radial integral over the disc with
-    Gamma gains, and its derivatives of order 0..max_order at s: entry m
-    is the m-th derivative, so (-1)^(m-1) entry m >= 0 for m >= 1."""
+def signal_log_coeffs(s: float, order: int, net: NetworkConfig) -> list:
+    """Scaled log coefficients c_0..c_order of the aggregate downlink signal
+    transform exp(-2 pi lambda_b rho(s)) at s; c_m >= 0 for m >= 1.
+
+    rho(s) = int_0^R E[1 - exp(-s g ell(r))] r dr with g ~ Gamma(M, 1).
+    For m >= 1 the plateau r < d' = min(R, d0) gives 2 pi lambda_b times
+    d'^2 / 2 C(M+m-1, m) y^m (1 - y)^M, y = s d0^-a / (1 + s d0^-a), and
+    the annulus d0 < r < R gives 2 pi lambda_b times s^(2/a) / a
+    Gamma(m - 2/a) / m! E[g^(2/a) (Q(m - 2/a, s g R^-a) - Q(m - 2/a,
+    s g d0^-a))], Q the regularised upper incomplete gamma function. Both
+    factors in m are running products, as the order may reach 2000.
+    """
     if s < 0:
         raise ValueError("transform argument must be non-negative")
     a = net.alpha
@@ -469,73 +446,29 @@ def rho_derivs(s: float, max_order: int, net: NetworkConfig) -> tuple:
     R = net.coverage_radius
     d0 = net.d0
     cd = d0 ** (-a)
-    vals = []
-    if R <= d0:
-        # the whole disc sits on the pathloss plateau
-        vals.append(0.5 * R ** 2 * (1.0 - (1.0 + s * cd) ** (-M)))
-        for m in range(1, max_order + 1):
-            vals.append((-1) ** (m - 1) * 0.5 * R ** 2 * cd ** m
-                        * _tilted_moment(M, m, s * cd))
-        return tuple(vals)
-
-    cr = R ** (-a)
+    cr = max(R, d0) ** (-a)
     two_a = 2.0 / a
-    head = 0.5 * R ** 2 * (1.0 - (1.0 + s * cr) ** (-M))
-    if s == 0.0:
-        return tuple([0.0] + [
-            (-1) ** (m - 1) * (0.5 * d0 ** 2 * cd ** m * _tilted_moment(M, m, 0.0)
-                               + _zero_point_tail(m, net)) for m in range(1, max_order + 1)])
 
-    gamma_arg0 = 1.0 - two_a
+    def annulus(arg, factor):
+        # the part d0 < r < R, none when the disc sits on the plateau
+        if R <= d0:
+            return 0.0
+        return gamma_expectation(
+            lambda g: g ** two_a * (sp.gammaincc(arg, s * g * cr)
+                                    - sp.gammaincc(arg, s * g * cd)) * factor, M)
 
-    def f0(g):
-        return g ** two_a * (sp.gammaincc(gamma_arg0, s * g * cr)
-                             - sp.gammaincc(gamma_arg0, s * g * cd)) * sp.gamma(gamma_arg0)
-
-    vals.append(head + 0.5 * s ** two_a * gamma_expectation(f0, M))
-    for m in range(1, max_order + 1):
-        arg = m - two_a
-
-        def fm(g, arg=arg):
-            return g ** two_a * (sp.gammaincc(arg, s * g * cr)
-                                 - sp.gammaincc(arg, s * g * cd)) * sp.gamma(arg)
-
-        term1 = 0.5 * d0 ** 2 * cd ** m * _tilted_moment(M, m, s * cd)
-        term2 = (1.0 / a) * s ** (two_a - m) * gamma_expectation(fm, M)
-        vals.append((-1) ** (m - 1) * (term1 + term2))
-    return tuple(vals)
-
-
-def _tilted_moment(M: int, m: int, x: float) -> float:
-    # E[g^m e^(-x g)] for g ~ Gamma(M, 1)
-    return sp.gamma(M + m) / sp.gamma(M) / (1.0 + x) ** (M + m)
-
-
-def _zero_point_tail(m: int, net: NetworkConfig) -> float:
-    # limit s -> 0 of the annulus part of the m-th derivative magnitude:
-    # E[g^m] int_{d0}^R r^(1 - m alpha) dr
-    a = net.alpha
-    M = net.antennas_per_ap
-    mom = sp.gamma(M + m) / sp.gamma(M)
-    p = 2.0 - m * a
-    if abs(p) < 1e-12:
-        radial = math.log(net.coverage_radius / net.d0)
-    else:
-        radial = (net.coverage_radius ** p - net.d0 ** p) / p
-    return mom * radial
-
-
-def signal_laplace_derivs(s: float, max_order: int, net: NetworkConfig) -> tuple:
-    """Aggregate downlink signal transform with derivatives 0..max_order at s."""
-    rho = rho_derivs(s, max_order, net)
+    rho = 0.5 * R ** 2 * (1.0 - (1.0 + s * cr) ** (-M)) \
+        + 0.5 * s ** two_a * annulus(1.0 - two_a, sp.gamma(1.0 - two_a))
     amp = 2.0 * math.pi * net.lambda_b
-    lp = [math.exp(-amp * rho[0])]
-    for m in range(1, max_order + 1):
-        acc = 0.0
-        for i in range(m):
-            acc += math.comb(m - 1, i) * lp[i] * rho[m - i]
-        lp.append(-amp * acc)
-    return tuple(lp)
+    y = s * cd / (1.0 + s * cd)
+    plateau = 0.5 * min(R, d0) ** 2 * (1.0 - y) ** M
+    ratio = sp.gamma(-two_a)                    # Gamma(m - 2/a) / m! at m = 0
+    out = [-amp * rho]
+    for m in range(1, order + 1):
+        plateau *= (M + m - 1) / m * y
+        ratio *= (m - 1 - two_a) / m
+        out.append(amp * (plateau + s ** two_a / a * annulus(m - two_a, ratio)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -553,11 +486,7 @@ def _truncated_outage_sum(k0: int, net: NetworkConfig,
     if k0 == 0:
         return 0.0
     s_star = 1.0 / (net.sir_threshold_dl * params.eta)
-    lp = signal_laplace_derivs(s_star, k0 - 1, net)
-    total = 0.0
-    for m in range(k0):
-        total += (-1) ** m * s_star ** m / math.factorial(m) * lp[m]
-    return total
+    return series_sum(signal_log_coeffs(s_star, k0 - 1, net))
 
 
 def downlink_outage(net: NetworkConfig) -> DownlinkOutage:

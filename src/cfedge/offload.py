@@ -286,29 +286,20 @@ def mec_cache(comp: ComputeConfig) -> MecCdfCache:
     return _shared_mec_cache(comp.type_probs, comp.mu_m, comp.target_latency)
 
 
-def mec_conditional_cdf(spectrum: QueueSpectrum, n_max: int,
+def mec_conditional_cdf(spectra, n_max: int,
                         cache: MecCdfCache) -> np.ndarray:
-    """P[edge sojourn <= t | n connected servers] for n = 0..n_max, indexed
-    by n, each summed over the minimum queue length v; n = 0 gives 0.
+    """P[edge sojourn <= t | n connected servers] for n = 0..n_max under
+    each queue spectrum: row i, indexed by n, is summed over the minimum
+    queue length v under spectra[i]; n = 0 gives 0.
 
     The sum for n stops after the first v with P[N >= v+1]^n < _GEO_TAIL,
     or once the geometric tail bound or the service-sum CDF is negligible.
     The first cut-off comes no later as n grows, so the n still summing
-    are always 1..active; every tail and CDF value is read once.
-    """
-    return mec_conditional_cdfs((spectrum,), n_max, cache)[0]
-
-
-def mec_conditional_cdfs(spectra, n_max: int,
-                         cache: MecCdfCache) -> np.ndarray:
-    """mec_conditional_cdf of each queue spectrum, as the rows of a
-    (len(spectra), n_max + 1) array.
-
-    One walk over v serves every row and reads each CDF value once; each
-    row stops on its own cut-offs. The sums over v are Python floats,
-    updated in place one v at a time, and become an array once at the end:
-    the walk's later steps are short, so per-step array calls would cost
-    more than the arithmetic.
+    are always 1..active. One walk over v serves every row and reads each
+    tail and CDF value once; each row stops on its own cut-offs. The sums
+    over v are Python floats, updated in place one v at a time, and become
+    an array once at the end: the walk's later steps are short, so
+    per-step array calls would cost more than the arithmetic.
     """
     sums = [[0.0] * n_max for _ in spectra]
     # P[N >= v]^n of every row, for n up to the row's count. Python's float
@@ -435,7 +426,7 @@ def rate_cdfs(comp: ComputeConfig, rates, n_max: int) -> list:
     # inverting one rate, and the searches send one split per step
     live = iter(_cs_cdf(comp, *np.array(live).T[:, :, None]).tolist()
                 if len(live) > 1 else [_cs_cdf(comp, *pair) for pair in live])
-    rows = iter(mec_conditional_cdfs(spectra, n_max, mec_cache(comp)))
+    rows = iter(mec_conditional_cdf(spectra, n_max, mec_cache(comp)))
     return [(next(live) if c is None else c, next(rows) if m is None else m)
             for c, m in zip(cs, mec)]
 

@@ -42,7 +42,7 @@ def single_comp() -> ComputeConfig:
 
 
 def walk_reference(spectrum, n_max, cache):
-    """Reference for offload.mec_conditional_cdf(s): the walk over the
+    """Reference for a row of offload.mec_conditional_cdf: the walk over the
     queue length v for one spectrum, with an array update per v, every
     power P[N >= v]^n in Python's float power and the same cut-offs.
     Tests compare with it by ==."""

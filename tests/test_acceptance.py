@@ -111,8 +111,8 @@ def test_criterion_4_single_type_pipeline_closed_form():
             spectrum = offload.queue_spectrum(comp, rho * mu)
             for nu in (0.5, 1.0, 2.0, 4.0, 8.0):
                 weights = offload.poisson_weights(nu)
-                cdfs = offload.mec_conditional_cdf(spectrum,
-                                                   len(weights) - 1, cache)
+                cdfs = offload.mec_conditional_cdf(
+                    (spectrum,), len(weights) - 1, cache)[0]
                 pipeline = sum(weights[n] * cdfs[n]
                                for n in range(1, len(weights)))
                 ns = np.arange(1, len(weights) + 50)
@@ -147,9 +147,9 @@ def test_criterion_5_queueing_oracle():
     tv4 = cli._tv_distance(np.bincount(first) / len(first), spec4)
 
     ana_mec = offload.mec_conditional_cdf(
-        spec4, n_group,
+        (spec4,), n_group,
         offload.MecCdfCache(comp4.type_probs, comp4.mu_m,
-                            comp4.target_latency))[n_group]
+                            comp4.target_latency))[0, n_group]
     emp_mec = log4.sojourn_cdf(comp4.target_latency, mec_only=True)
 
     lam_c = 50.0

@@ -800,14 +800,15 @@ class TestInputContract:
         assert ((tmp_path / "int" / "secp-surface.csv").read_bytes()
                 == (tmp_path / "float" / "secp-surface.csv").read_bytes())
 
-    def test_numeric_overflow_is_exit_4_with_manifest(self, tmp_path,
-                                                      capsys):
-        # M = 200 overflows the uplink derivative scale
+    def test_numeric_failure_is_exit_4_with_manifest(self, tmp_path,
+                                                     capsys):
+        # at M = 200 the uplink closed form raises NumericalError: scipy's
+        # 2F1 is not finite at some of the orders it needs
         spec = _tiny("secp-surface")
         spec["network"]["antennas_per_ap"] = 200
         code, manifest = _run(tmp_path, spec)
         assert code == EXIT_NUMERICAL
-        assert manifest["error"]["type"] == "OverflowError"
+        assert manifest["error"]["type"] == "NumericalError"
         assert manifest["output_csv"] is None
         assert not (tmp_path / "secp-surface.csv").exists()
         assert "Traceback" in capsys.readouterr().err

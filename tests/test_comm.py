@@ -1,9 +1,10 @@
 """Analytic communication layer against independent numeric oracles.
 
-The derivative tables are compared with high-precision finite differences
-of the underlying transforms (mpmath), the closed-form tail coefficients
-with direct quadrature, and the interference moments with the plain
-Campbell integrals they are supposed to equal.
+The scaled log coefficients are compared with high-precision finite
+differences of the underlying transforms (mpmath), the closed-form tail
+coefficients with direct quadrature, the series sum with the Poisson CDF,
+and the interference moments with the plain Campbell integrals they are
+supposed to equal.
 """
 
 import math
@@ -37,49 +38,75 @@ def _mp_log_far(s, net):
 
 
 class TestUplinkDerivatives:
+    """The scaled log coefficients c_j = (-s)^j / j! (d/ds)^j log L(s) of
+    the uplink interference transform L."""
+
     @pytest.mark.parametrize("s", [0.5e-11, 3.7e-11, 2e-10])
     def test_against_mpmath_finite_differences(self, s):
         net = make_net()
-        li = comm.uplink_laplace_derivs(s, 3, net)
+        c = comm.uplink_log_coeffs(s, 3, net)
 
         # differentiate in a rescaled variable u = s * K so the step
         # selection sees an O(1) argument
         K = mp.mpf(10) ** 11
-        g = lambda u: mp.e ** (_mp_log_near(u / K, net) + _mp_log_far(u / K, net))
-        for m in range(4):
-            want = float(K ** m * mp.diff(g, mp.mpf(s) * K, m))
-            assert li[m] == pytest.approx(want, rel=1e-7), m
+        u = mp.mpf(s) * K
+        g = lambda v: _mp_log_near(v / K, net) + _mp_log_far(v / K, net)
+        for j in range(4):
+            want = float((-u) ** j / mp.factorial(j) * mp.diff(g, u, j))
+            assert c[j] == pytest.approx(want, rel=1e-7), j
+        # and the success sum against the derivatives of L itself
+        want = float(sum((-u) ** m / mp.factorial(m)
+                         * mp.diff(lambda v: mp.e ** g(v), u, m)
+                         for m in range(4)))
+        assert comm.series_sum(c) == pytest.approx(want, rel=1e-7)
 
     def test_sign_alternation(self):
-        # the transform is completely monotone
-        li = comm.uplink_laplace_derivs(5e-11, 6, make_net())
-        for m, v in enumerate(li):
-            assert (-1) ** m * v >= 0.0
+        # (-1)^j (log L)^(j) >= 0 for j >= 1, i.e. c_j >= 0: -(log L)' is
+        # completely monotone, and so is L
+        c = comm.uplink_log_coeffs(5e-11, 6, make_net())
+        assert c[0] < 0.0
+        assert all(v >= 0.0 for v in c[1:])
 
     def test_at_zero(self):
-        li = comm.uplink_laplace_derivs(0.0, 2, make_net())
-        assert li[0] == pytest.approx(1.0)
+        c = comm.uplink_log_coeffs(0.0, 2, make_net())
+        assert c == [0.0, 0.0, 0.0]
+        assert comm.series_sum(c) == 1.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            comm.uplink_laplace_derivs(-1.0, 2, make_net())
+            comm.uplink_log_coeffs(-1.0, 2, make_net())
         with pytest.raises(ValueError):
-            comm.uplink_laplace_derivs(1.0, -1, make_net())
+            comm.uplink_log_coeffs(1.0, -1, make_net())
         with pytest.raises(ValueError):
-            comm.uplink_laplace_derivs(np.array([1e-11, -1e-11, 2e-11]), 2,
-                                       make_net())
+            comm.uplink_log_coeffs(np.array([1e-11, -1e-11, 2e-11]), 2,
+                                   make_net())
 
 
 @pytest.mark.parametrize("j,s", [(1, 2e-11), (2, 5e-11), (3, 1e-10)])
 def test_far_tail_coeff_against_quadrature(j, s):
-    # k_j(s) = int_{d0^2}^inf z^(a/2) (z^(a/2) + s)^(-j-1) dz
+    # c_j = pi lambda_d (d0^2 (sc)^j / (1 + sc)^(j+1) + s^j k_j(s)), the
+    # plateau in closed form and k_j(s) = int_{d0^2}^inf z^(a/2)
+    # (z^(a/2) + s)^(-j-1) dz by quadrature
     net = make_net()
     a = net.alpha
-    want = float(mp.quad(
-        lambda z: z ** (a / 2) * (z ** (a / 2) + s) ** (-(j + 1)),
-        [net.d0 ** 2, mp.inf]))
-    got = comm._far_tail_coeff(j, s, net)
+    sc = s * net.d0 ** (-a)
+    tail = mp.quad(lambda z: z ** (a / 2) * (z ** (a / 2) + s) ** (-(j + 1)),
+                   [net.d0 ** 2, mp.inf])
+    want = float(mp.pi * net.lambda_d * (
+        net.d0 ** 2 * mp.mpf(sc) ** j / (1 + mp.mpf(sc)) ** (j + 1)
+        + mp.mpf(s) ** j * tail))
+    got = comm.uplink_log_coeffs(s, j, net)[j]
     assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 8, 27, 64])
+@pytest.mark.parametrize("z", [1e-3, 0.5, 4.0, 30.0, 90.0])
+def test_series_sum_is_the_poisson_cdf(K, z):
+    # exp(-z + z t) = e^-z sum_m z^m t^m / m!: the first K coefficients sum
+    # to P[Poisson(z) < K] = Q(K, z)
+    coeffs = ([-z, z] + [0.0] * K)[:K]
+    assert comm.series_sum(coeffs) == pytest.approx(sp.gammaincc(K, z),
+                                                    rel=1e-13)
 
 
 class TestPerApSuccess:
@@ -253,6 +280,24 @@ def test_uplink_outage_decreases_with_antennas():
     assert all(b < a for a, b in zip(outs, outs[1:]))
 
 
+@pytest.mark.parametrize("M", [27, 33, 40, 200])
+def test_large_antenna_counts_evaluate_or_raise_numerical_error(M):
+    # the preset network at R = 100 m: each closed form returns a
+    # probability or raises NumericalError, and the uplink forms evaluate
+    # at M = 27 and 33
+    net = make_net(antennas_per_ap=M, coverage_radius=0.1)
+    forms = {"per_ap_success": comm.per_ap_success,
+             "uplink_outage": comm.uplink_outage,
+             "downlink_outage": lambda n: comm.downlink_outage(n).point}
+    for name, form in forms.items():
+        try:
+            value = form(net)
+        except NumericalError:
+            assert M > 33 or name == "downlink_outage", name
+            continue
+        assert 0.0 <= value <= 1.0, name
+
+
 class TestGammaInterference:
     def test_moments_equal_campbell_integrals(self):
         # mean = lam_b * beams * int ell, variance = lam_b * beams *
@@ -289,38 +334,53 @@ class TestGammaInterference:
 
 
 class TestSignalTransform:
+    """The scaled log coefficients of the downlink signal transform
+    exp(-2 pi lambda_b rho(s))."""
+
     @pytest.mark.parametrize("R", [0.0005, 0.05])
     def test_rho_against_mpmath(self, R):
-        # rho(s) = int_0^R (1 - (1 + s ell(r))^-M) r dr and its derivatives
+        # rho(s) = int_0^R (1 - (1 + s ell(r))^-M) r dr
         net = make_net(coverage_radius=R)
         M = net.antennas_per_ap
         s0 = 1.0 / (net.sir_threshold_dl *
                     comm.gamma_interference_params(net).eta)
 
         K = mp.mpf(10) ** 12
+        u = mp.mpf(s0) * K
 
-        def rho_scaled(u):
-            s = u / K
-            return mp.quad(lambda r: (1 - (1 + s * mp.mpf(
-                max(r, net.d0)) ** (-net.alpha)) ** (-M)) * r,
+        def log_scaled(v):
+            s = v / K
+            return -2 * mp.pi * net.lambda_b * mp.quad(
+                lambda r: (1 - (1 + s * mp.mpf(
+                    max(r, net.d0)) ** (-net.alpha)) ** (-M)) * r,
                 [0, net.d0, R] if R > net.d0 else [0, R])
 
-        rho = comm.rho_derivs(s0, 2, net)
+        c = comm.signal_log_coeffs(s0, 2, net)
         for m in range(3):
-            want = float(K ** m * mp.diff(rho_scaled, mp.mpf(s0) * K, m))
-            assert rho[m] == pytest.approx(want, rel=1e-6), m
+            want = float((-u) ** m / mp.factorial(m)
+                         * mp.diff(log_scaled, u, m))
+            assert c[m] == pytest.approx(want, rel=1e-6), m
 
     def test_signal_laplace_is_completely_monotone(self, fig_net):
+        # c_0 <= 0 and c_m >= 0 for m >= 1: the exponent's derivative is
+        # completely monotone, so is the transform, and every term of the
+        # success sum is non-negative
         s0 = 0.5 / (fig_net.sir_threshold_dl *
                     comm.gamma_interference_params(fig_net).eta)
-        lp = comm.signal_laplace_derivs(s0, 4, fig_net)
-        assert 0.0 < lp[0] <= 1.0
-        for m, v in enumerate(lp):
-            assert (-1) ** m * v >= 0.0
+        c = comm.signal_log_coeffs(s0, 4, fig_net)
+        assert c[0] < 0.0
+        assert all(v >= 0.0 for v in c[1:])
+        sums = [comm.series_sum(c[:k]) for k in range(1, 6)]
+        assert 0.0 < sums[0] and all(b >= a for a, b in zip(sums, sums[1:]))
+
+    @pytest.mark.parametrize("R", [0.0005, 0.05])
+    def test_zero_argument(self, R):
+        c = comm.signal_log_coeffs(0.0, 3, make_net(coverage_radius=R))
+        assert c == [0.0] * 4
 
     def test_rho_rejects_negative_argument(self, fig_net):
         with pytest.raises(ValueError):
-            comm.rho_derivs(-0.1, 1, fig_net)
+            comm.signal_log_coeffs(-0.1, 1, fig_net)
 
 
 class TestDownlinkOutage:

@@ -38,7 +38,7 @@ PINNED = {
         "r-threshold":
             "0fb9885f7fbb3a384d4bf9df6d1ca904013ed0c6588f52445940867e570b0595",
         "energy-sweep":
-            "2c1f1d0769e25183f44d3f7eeadbc8e75210d2701248356987a59e2d73ee61a8",
+            "d6064744828afdb22ab358ee474bfe04c4f5a6d2afde08358eb00faab1b8edda",
         "validate":
             "e5b02bf52419f8ff0ca949454f20c1bfa973788d6a79dd29b5fc312a3eb0b04c",
     },

@@ -280,7 +280,8 @@ class TestMinQueue:
         comp = ComputeConfig(type_probs=(1.0,), mu_c=(193.9,), mu_m=(48.5,),
                              offload_prob=0.5, target_latency=0.012)
         spec = offload.queue_spectrum(comp, 0.4124 * 48.5)
-        got = offload.mec_conditional_cdf(spec, 3, self._EmptyQueueOnly())
+        got = offload.mec_conditional_cdf((spec,), 3,
+                                          self._EmptyQueueOnly())[0]
         assert got[3] == pytest.approx(0.9298615813760001, rel=1e-12)
 
     def test_normalization(self, mix_comp):
@@ -289,7 +290,8 @@ class TestMinQueue:
                              mu_c=mix_comp.mu_c, mu_m=mix_comp.mu_m,
                              target_latency=10.0)
         spec = offload.queue_spectrum(comp, 40.0)
-        got = offload.mec_conditional_cdf(spec, 5, offload.mec_cache(comp))
+        got = offload.mec_conditional_cdf((spec,), 5,
+                                          offload.mec_cache(comp))[0]
         for n in (1, 2, 5):
             assert got[n] == pytest.approx(1.0, abs=1e-10), n
 
@@ -389,7 +391,7 @@ class TestMecLatency:
         spec = offload.queue_spectrum(comp, lam)
         cache = offload.MecCdfCache(comp.type_probs, comp.mu_m,
                                     comp.target_latency)
-        got = offload.mec_conditional_cdf(spec, n, cache)[n]
+        got = offload.mec_conditional_cdf((spec,), n, cache)[0, n]
         want = -math.expm1(-mu * (1.0 - 0.3 ** n) * comp.target_latency)
         assert got == pytest.approx(want, abs=1e-7)
 
@@ -397,7 +399,7 @@ class TestMecLatency:
         spec = offload.queue_spectrum(mix_comp, 40.0)
         cache = offload.MecCdfCache(mix_comp.type_probs, mix_comp.mu_m,
                                     mix_comp.target_latency)
-        vals = [offload.mec_conditional_cdf(spec, n, cache)[n]
+        vals = [offload.mec_conditional_cdf((spec,), n, cache)[0, n]
                 for n in (1, 2, 4, 8)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
@@ -440,7 +442,7 @@ class TestMecLatency:
                                      target_latency=latency)
                 cache = offload.MecCdfCache(comp.type_probs, comp.mu_m,
                                             latency)
-                got = offload.mec_conditional_cdf(spec, n_max, cache)
+                got = offload.mec_conditional_cdf((spec,), n_max, cache)[0]
                 assert got.shape == (n_max + 1,)
                 assert got[0] == 0.0
                 for n in range(1, n_max + 1):
@@ -463,7 +465,7 @@ def _walk_batches(draw):
 
 
 class TestRowWiseWalk:
-    """mec_conditional_cdfs walks over v for several spectra at once."""
+    """mec_conditional_cdf walks over v for several spectra at once."""
 
     @settings(max_examples=40, deadline=None)
     @given(batch=_walk_batches())
@@ -477,10 +479,10 @@ class TestRowWiseWalk:
             except NumericalError:
                 pass
         cache = offload.mec_cache(comp)
-        rows = offload.mec_conditional_cdfs(spectra, n_max, cache)
+        rows = offload.mec_conditional_cdf(spectra, n_max, cache)
         assert rows.shape == (len(spectra), n_max + 1)
         for spec, row in zip(spectra, rows):
-            one = offload.mec_conditional_cdf(spec, n_max, cache)
+            one = offload.mec_conditional_cdf((spec,), n_max, cache)[0]
             want = walk_reference(spec, n_max, cache)
             assert row.tolist() == one.tolist() == want.tolist()
             # no -0.0 anywhere: the signs agree too
@@ -493,18 +495,18 @@ class TestRowWiseWalk:
         spectra = [offload.queue_spectrum(single_comp, lam)
                    for lam in (0.0, 5.0, 60.0)]
         assert [spec.tail(0) for spec in spectra] == [1.0] * 3
-        rows = offload.mec_conditional_cdfs(spectra, 30, cache)
+        rows = offload.mec_conditional_cdf(spectra, 30, cache)
         for spec, row in zip(spectra, rows):
             assert row.tolist() == walk_reference(spec, 30, cache).tolist()
         mix = offload.queue_spectrum(mix_comp, 40.0)
         assert mix.tail(0) != 1.0
         cache = offload.mec_cache(mix_comp)
-        assert offload.mec_conditional_cdfs([mix, mix], 12, cache).tolist() \
+        assert offload.mec_conditional_cdf([mix, mix], 12, cache).tolist() \
             == [walk_reference(mix, 12, cache).tolist()] * 2
 
     def test_no_rows(self, mix_comp):
         cache = offload.mec_cache(mix_comp)
-        assert offload.mec_conditional_cdfs([], 5, cache).shape == (0, 6)
+        assert offload.mec_conditional_cdf([], 5, cache).shape == (0, 6)
 
 
 def test_scp_cs_over_rates_equals_one_rate_calls(single_comp, mix_comp):
@@ -641,7 +643,7 @@ class TestSplitCdfs:
         # one inversion
         offload.split_cdfs(fig_net, mix_comp, _THETAS)
         calls = []
-        for name in ("invert_laplace_cdf", "mec_conditional_cdfs"):
+        for name in ("invert_laplace_cdf", "mec_conditional_cdf"):
             original = getattr(offload, name)
 
             def counted(*args, _name=name, _original=original):
@@ -650,7 +652,7 @@ class TestSplitCdfs:
 
             monkeypatch.setattr(offload, name, counted)
         offload.split_cdfs(fig_net, mix_comp, _THETAS)
-        assert sorted(calls) == ["invert_laplace_cdf", "mec_conditional_cdfs"]
+        assert sorted(calls) == ["invert_laplace_cdf", "mec_conditional_cdf"]
 
     def test_no_splits(self, fig_net, mix_comp):
         assert offload.split_cdfs(fig_net, mix_comp, []) == []

@@ -54,8 +54,8 @@ def test_sums_equal_per_n_loop(mix_comp, radius, theta):
     weights = offload.poisson_weights(uplink.mean_aps)
     rates = offload.arrival_rates(net, comp, uplink.outage)
     spectrum = offload.queue_spectrum(comp, rates.lambda_m)
-    mec = offload.mec_conditional_cdf(spectrum, len(weights) - 1,
-                                      offload.mec_cache(comp))
+    mec = offload.mec_conditional_cdf((spectrum,), len(weights) - 1,
+                                      offload.mec_cache(comp))[0]
     cs_part = offload.scp_cs(comp, rates.lambda_c) if theta > 0.0 else 0.0
     ul_given_n = 1.0 - uplink.weights @ (
         1.0 - uplink.success[:, None]) ** np.arange(len(weights))
