@@ -116,7 +116,8 @@ def per_ap_success(net: NetworkConfig) -> float:
 
     Past the pathloss plateau: 12-node Gauss-Legendre on 2n geometric
     panels from d0 to R, n the least count of panels of ratio at most 4.
-    The gap to the rule on n panels is its error, NumericalError above 1e-7.
+    The gap to the rule on n panels is its error, NumericalError above 1e-7
+    or when either integral is not finite.
     """
     R = net.coverage_radius
     if R <= 0.0:
@@ -138,8 +139,10 @@ def per_ap_success(net: NetworkConfig) -> float:
     n = max(1, math.ceil(math.log(R / net.d0) / math.log(4.0)))
     val = radial(2 * n)
     err = abs(val - radial(n))
-    if err > 1e-7:
-        raise NumericalError(f"radial success integral did not converge (err {err:.2e})")
+    if not err <= 1e-7:   # a NaN err fails too
+        cause = (f"did not converge (err {err:.2e})" if math.isfinite(err)
+                 else "is not finite")
+        raise NumericalError(f"radial success integral {cause}")
     return _clamp_probability((inner + val) * 2.0 / R ** 2, "per_ap_success")
 
 

@@ -483,8 +483,10 @@ class EventLog:
 
 _MAX_QUEUE = 1_000_000
 
-# Tasks drawn per chunk of the task stream.
+# Tasks drawn per chunk of the task stream, and served per _dispatch call:
+# a slice's Python lists, not a chunk's, set the run's memory peak.
 _CHUNK = 2 ** 16
+_SLICE = 2 ** 12
 
 
 def _dispatch(queues: list, arrival, to_cs, service, tie) -> tuple:
@@ -492,7 +494,7 @@ def _dispatch(queues: list, arrival, to_cs, service, tie) -> tuple:
 
     queues[s] holds the departure epochs of the tasks still in system at
     server s (0 is the central server, the rest the edge group) and is
-    updated in place, so consecutive chunks of one stream share it. A task
+    updated in place, so consecutive slices of one stream share it. A task
     with to_cs set joins the central server; any other joins the edge
     server with the fewest tasks in system, ties broken by its tie uniform.
     It starts at its arrival or at its predecessor's departure, whichever
@@ -564,7 +566,8 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
     The merged task stream is drawn _CHUNK tasks at a time: gaps, routes,
     types, unit service times and tie uniforms, in that order. Its layout
     depends only on the chunk index and dispatch is causal, so a longer
-    run's log starts with the whole log of a shorter one.
+    run's log starts with the whole log of a shorter one. Each chunk is
+    served _SLICE tasks at a time; the queues carry over between slices.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -598,11 +601,14 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
                                                         types]
         tie = rng.random(_CHUNK)
         kept = int(np.searchsorted(arrival, duration, side="right"))
-        servers, departures = _dispatch(
-            queues, *(a[:kept].tolist() for a in (arrival, to_cs, service,
-                                                  tie)))
-        chunks.append((arrival[:kept], np.asarray(servers, dtype=np.int64),
-                       np.asarray(departures, dtype=float), types[:kept]))
+        server = np.empty(kept, dtype=np.int64)
+        departure = np.empty(kept)
+        for lo in range(0, kept, _SLICE):
+            part = slice(lo, min(lo + _SLICE, kept))
+            server[part], departure[part] = _dispatch(
+                queues, *(a[part].tolist() for a in (arrival, to_cs, service,
+                                                     tie)))
+        chunks.append((arrival[:kept], server, departure, types[:kept]))
         epoch = arrival[-1]
 
     arrival, server, departure, types = (np.concatenate(column)

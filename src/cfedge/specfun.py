@@ -3,6 +3,12 @@
 Wraps the Gauss hypergeometric function the closed forms need, provides
 expectations against the Gamma(M, 1) antenna gain law, numerical
 inversion of Laplace-transformed CDFs and a bracketed root solver.
+
+The Gamma expectations use generalized Gauss-Laguerre rules built by the
+Golub-Welsch method (G. H. Golub and J. H. Welsch, "Calculation of Gauss
+quadrature rules", Math. Comp. 23, 1969) with the steps of scipy's
+sp.roots_genlaguerre, whose nodes and weights they reproduce, but with
+numpy's symmetric eigensolver, so scipy.linalg is never imported.
 """
 
 from __future__ import annotations
@@ -47,9 +53,31 @@ def hyp2f1(a: float, b: float, c: float, z):
 
 @lru_cache(maxsize=64)
 def _laguerre_rule(nodes: int, m: int):
-    # weight x^(m-1) e^(-x) on (0, inf); divide by Gamma(m) for the mean
-    x, w = sp.roots_genlaguerre(nodes, m - 1)
-    return x, w / sp.gamma(m)
+    """Gauss-Laguerre nodes and weights for E[f(G)], G ~ Gamma(m, 1).
+
+    Golub-Welsch on the Jacobi matrix of the weight x^a e^(-x), a = m - 1,
+    with scipy's sp.roots_genlaguerre steps in its operation order, so the
+    bits are the same: one Newton step from the eigenvalues x0 to the nodes
+    x, log-normalised weights 1/(L_(n-1)(x) L_n'(x0)) scaled to sum to
+    Gamma(m), then divided by Gamma(m) for the mean. np.linalg.eigvalsh
+    stands in for scipy.linalg.eigvals_banded.
+    """
+    a = m - 1
+    k = np.arange(nodes, dtype=float)
+    jacobi = (np.diag(2 * k + a + 1)
+              + np.diag(-np.sqrt(k[1:] * (k[1:] + a)), -1))
+    x = np.linalg.eigvalsh(jacobi)
+    y = sp.eval_genlaguerre(nodes, a, x)
+    dy = (nodes * y - (nodes + a) * sp.eval_genlaguerre(nodes - 1, a, x)) / x
+    x -= y / dy
+    fm = sp.eval_genlaguerre(nodes - 1, a, x)
+    for v in (fm, dy):
+        logs = np.log(np.abs(v))
+        v /= np.exp((logs.max() + logs.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    gamma_m = sp.gamma(m)
+    w *= gamma_m / w.sum()
+    return x, w / gamma_m
 
 
 # Gauss-Laguerre nodes of the coarse rule; the check rule has twice as many

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -662,14 +663,20 @@ class TestMain:
         assert (tmp_path / "tiny.csv").exists()
 
 
+def _env_with_this_src() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    probes run in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_import_leaves_out_unused_packages():
     # scipy.optimize and scipy.integrate cost about 0.3 s of import and
     # the closed forms do not use them; the process pool is imported only
     # when a run asks for more than one worker, and a spatial drop forks
     # its children without any pool
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _env_with_this_src()
     probe = ("import sys, cfedge.cli; print(cfedge.cli.__file__); "
              "from cfedge import sim; net = cfedge.cli.NetworkConfig("
              "lambda_b=400.0, lambda_d=100.0); sim.simulate_uplink_outage("
@@ -681,6 +688,33 @@ def test_import_leaves_out_unused_packages():
                          capture_output=True, text=True).stdout.split("\n")
     assert Path(out[0]).resolve() == Path(cli.__file__).resolve()
     assert out[1] == ""
+
+
+def test_run_path_imports_only_scipy_special(tmp_path):
+    # a surface run and a short validate run, the queue oracle and the
+    # Gauss-Laguerre rules included, in a fresh interpreter: scipy.linalg,
+    # scipy.optimize and scipy.integrate stay unloaded
+    env = _env_with_this_src()
+    probe = textwrap.dedent("""
+        import sys
+        from cfedge import cli
+        for preset, reps in (("secp-surface", None), ("validate", 300)):
+            data = cli._merge_spec(None, preset, None, reps)
+            if preset == "validate":
+                sweep = data["sweep"]
+                sweep["queue"] = {**sweep["queue"], "duration_n1_s": 5.0,
+                                  "duration_s": 5.0}
+                sweep["queue_cs"] = {"duration_s": 5.0}
+            spec = cli.ExperimentSpec.from_mapping(data)
+            print(cli.run_experiment(spec, out_dir=sys.argv[1]))
+        print(*sorted(m for m in ("scipy.special", "scipy.linalg",
+                                  "scipy.optimize", "scipy.integrate")
+                      if m in sys.modules))
+        """)
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout.split("\n")
+    assert out[:3] == [str(EXIT_OK), str(EXIT_OK), "scipy.special"]
 
 
 def test_format_cell_types():

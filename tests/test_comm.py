@@ -21,6 +21,7 @@ from cfedge.errors import NumericalError
 from cfedge.model import NetworkConfig, mean_connected_aps, pathloss
 
 from conftest import make_net
+from test_digests import PINNED, _build
 
 mp.mp.dps = 40
 
@@ -296,6 +297,27 @@ def test_large_antenna_counts_evaluate_or_raise_numerical_error(M):
             assert M > 33 or name == "downlink_outage", name
             continue
         assert 0.0 <= value <= 1.0, name
+
+
+def test_non_finite_radial_integral_names_its_cause():
+    # the preset network at R = 100 m: from M = 42 the uplink coefficients
+    # overflow and the radial integral is not finite; M = 41 keeps its value
+    net = make_net(antennas_per_ap=41, coverage_radius=0.1)
+    want = 0.7368515457974368
+    assert comm.per_ap_success(net) == (
+        want if _build() in PINNED else pytest.approx(want, rel=1e-12))
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match="radial success integral is not finite"):
+        comm.per_ap_success(make_net(antennas_per_ap=42, coverage_radius=0.1))
+
+
+def test_downlink_outage_fails_from_172_antennas():
+    # Gamma(172) overflows, so the Gauss-Laguerre weights divided by it are
+    # NaN; normalising them by their sum instead would move every rule
+    # below M = 172 in its last bits
+    net = make_net(antennas_per_ap=172, coverage_radius=0.1)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        comm.downlink_outage(net)
 
 
 class TestGammaInterference:

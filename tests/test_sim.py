@@ -704,6 +704,41 @@ class TestQueueRuns:
             idle = counts[~to_cs, 1:].sum(axis=1) == 0
             assert idle.mean() > 0.8
 
+    @pytest.mark.parametrize("n_mec", [1, 4])
+    def test_sliced_dispatch_matches_one_call(self, n_mec):
+        # simulate_mlcm serves a chunk _SLICE tasks at a time: slices that
+        # share the queues must give the servers, departures and final
+        # queues of one call. Each server runs at utilisation 0.9, so
+        # backlogs cross the cuts and edge servers often tie in part.
+        n = 2000
+        rng = np.random.default_rng([17, n_mec])
+        arrival = np.cumsum(rng.exponential(size=n))
+        to_cs = rng.random(n) < 0.3
+        service = rng.exponential(size=n) * np.where(
+            to_cs, 0.9 / 0.3, 0.9 * n_mec / 0.7)
+        tie = rng.random(n)
+        columns = [a.tolist() for a in (arrival, to_cs, service, tie)]
+
+        whole = [deque() for _ in range(1 + n_mec)]
+        want = sim._dispatch(whole, *columns)
+        cuts = [0, 1, 2, 150, 151, 700, 1333, n]
+        queues = [deque() for _ in range(1 + n_mec)]
+        got = ([], [])
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = sim._dispatch(queues, *(c[lo:hi] for c in columns))
+            got[0].extend(part[0])
+            got[1].extend(part[1])
+        assert got == want
+        assert [list(q) for q in queues] == [list(q) for q in whole]
+
+        departure = np.array(want[1])
+        assert any(departure[:b].max() > arrival[b] for b in cuts[1:-1])
+        if n_mec > 1:
+            counts = sim._in_system(arrival, np.array(want[0]), departure,
+                                    1 + n_mec)[~to_cs, 1:]
+            ties = (counts == counts.min(axis=1)[:, None]).sum(axis=1)
+            assert ((ties > 1) & (ties < n_mec)).any()
+
     def test_longer_run_starts_with_shorter(self, mix_comp):
         # both runs cross a chunk boundary
         net = make_net(lambda_d=4000.0, coverage_radius=0.1)

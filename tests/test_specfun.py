@@ -5,12 +5,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sp
 from scipy.optimize import brentq
 from scipy.special import gammainc
 
 from cfedge.errors import NumericalError
-from cfedge.specfun import (brent_root, gamma_expectation, hyp2f1,
-                             invert_laplace_cdf)
+from cfedge.specfun import (_laguerre_rule, brent_root, gamma_expectation,
+                             hyp2f1, invert_laplace_cdf)
+
+from test_digests import PINNED, _build
 
 mp.mp.dps = 40
 
@@ -65,6 +68,37 @@ class TestGammaExpectation:
             gamma_expectation(lambda g: g, 0)
         with pytest.raises(ValueError):
             gamma_expectation(lambda g: g, 2.5)
+
+
+class TestLaguerreRule:
+    @staticmethod
+    def _scipy_rule(nodes, m):
+        x, w = sp.roots_genlaguerre(nodes, m - 1)
+        return x, w / sp.gamma(m)
+
+    def test_bits_of_scipy_rule(self):
+        # the same operations in the same order as sp.roots_genlaguerre;
+        # numpy's and scipy.linalg's eigensolvers agree to the last bit
+        # after the Newton step on the build the digests are pinned for
+        if _build() not in PINNED:
+            pytest.skip(f"bits are pinned for {sorted(PINNED)}")
+        for nodes in (64, 128):
+            for m in range(1, 172):
+                x, w = _laguerre_rule.__wrapped__(nodes, m)
+                xs, ws = self._scipy_rule(nodes, m)
+                assert x.tobytes() == xs.tobytes(), (nodes, m)
+                assert w.tobytes() == ws.tobytes(), (nodes, m)
+
+    @pytest.mark.parametrize("m", [1, 4, 8, 40, 171])
+    def test_near_scipy_rule_and_moments(self, m):
+        for nodes in (64, 128):
+            x, w = _laguerre_rule.__wrapped__(nodes, m)
+            xs, ws = self._scipy_rule(nodes, m)
+            np.testing.assert_allclose(x, xs, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(w, ws, rtol=1e-13, atol=0.0)
+            # E[G] = m and E[G^2] = m(m+1) for G ~ Gamma(m, 1)
+            assert w @ x == pytest.approx(m, rel=1e-12)
+            assert w @ (x * x) == pytest.approx(m * (m + 1), rel=1e-12)
 
 
 class TestLaplaceInversion:
