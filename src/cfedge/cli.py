@@ -158,6 +158,12 @@ _ROW_KEYS = {"antennas_per_ap", "lambda_b", "target_latency"}
 # the sweep list each point key is drawn from
 _SWEEP_KEYS = {"R": "radii_km", "theta": "theta_grid", "row": "rows",
                "area": "areas_km2"}
+# validate's queue checks share no state with the spatial drops; from
+# _QUEUE_FORK_S simulated seconds in all they run in a forked child. Shorter
+# runs (0.1 s or less at preset rates) stay here, where a profile sees them.
+_QUEUE_CHECKS = ("queue_pmf_tv_n1", "queue_pmf_tv_n4", "scp_mec_vs_des",
+                 "scp_cs_vs_des")
+_QUEUE_FORK_S = 1000.0
 
 
 def _safe_label(data: dict) -> str:
@@ -433,8 +439,7 @@ def _tv_distance(empirical: np.ndarray, spectrum) -> float:
 
 def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
     check = point["check"]
-    if check in ("uplink_outage", "uplink_outage_independent",
-                 "downlink_outage", "interference_mean", "interference_var"):
+    if check not in _QUEUE_CHECKS:
         (net,) = spec.configs[index]
         R = net.coverage_radius
         name = f"{check}@R={R:g}km"
@@ -520,7 +525,10 @@ def _eval_task(spec: ExperimentSpec, task: list) -> list:
 def _evaluate(spec: ExperimentSpec, points: list, workers: int) -> list:
     """The rows of points, in order. A unit of work is a surface's radius row
     (its points are radius-major) or else a point; --workers splits them,
-    but not scmp_vs_R's or validate's, whose points share spatial drops."""
+    but not scmp_vs_R's or validate's, whose points share spatial drops.
+    At any --workers, long queue checks run in a forked child (sim.forked)
+    beside the rows before them; rows it does not deliver are evaluated
+    here in point order, so errors come in point order."""
     width = 1 if spec.kind in _EVALUATORS else len(spec.sweep["theta_grid"])
     indexed = list(enumerate(points))
     tasks = [indexed[i:i + width] for i in range(0, len(indexed), width)]
@@ -532,7 +540,13 @@ def _evaluate(spec: ExperimentSpec, points: list, workers: int) -> list:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return [row for rows in pool.map(evaluate, tasks) for row in rows]
-    return [row for task in tasks for row in evaluate(task)]
+    queue = [k for k, point in enumerate(points)
+             if point.get("check") in _QUEUE_CHECKS]
+    long_runs = sum(spec.configs[k][2] for k in queue) >= _QUEUE_FORK_S
+    done = sim.forked(lambda j, _: {k: evaluate(tasks[k]) for k in (
+        queue if j else range(queue[0]))}, 2) if long_runs else {}
+    return [row for k, task in enumerate(tasks)
+            for row in (done[k] if k in done else evaluate(task))]
 
 
 # ---------------------------------------------------------------------------

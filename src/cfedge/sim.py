@@ -5,15 +5,17 @@ truncated far field contributes a negligible fraction of the mean
 interference. Replications are drawn a block at a time from counter-based
 streams: the Philox key is (run seed, simulator) and the counter is the
 block index. A block's length depends only on the network and the window,
-and the blocks, drawn by forked processes, are joined in block order, so
-reruns are byte-identical at any CPU count and a longer run starts with the
-blocks of a shorter one. A drop first frees one large untouched buffer, so
-that glibc keeps the memory its blocks free in the heap for the next block
-(mallopt(3)). A spatial run samples strictly increasing radii
-from one drop at the largest, thinned to each smaller radius, so its sample
-at the largest radius is that of a run at that radius alone. The queueing
-simulation runs one central FIFO queue plus a group of edge FIFO queues fed
-by minimum-load dispatch, drawing its task stream a chunk at a time.
+and the blocks, drawn by forked processes (`forked`, one per usable CPU),
+are joined in block order, so reruns are byte-identical at any CPU count and
+a longer run starts with the blocks of a shorter one. `forked` also runs a
+long `validate` run's queue checks in one child beside its drops, at any
+--workers. A drop first frees one large untouched buffer, so that glibc
+keeps the memory its blocks free in the heap for the next block
+(mallopt(3)). A spatial run samples strictly increasing radii from one drop
+at the largest, thinned to each smaller radius, so its sample at the largest
+radius is that of a run at that radius alone. The queueing simulation runs
+one central FIFO queue plus a group of edge FIFO queues fed by minimum-load
+dispatch, drawing its task stream a chunk at a time.
 """
 
 from __future__ import annotations
@@ -114,16 +116,49 @@ def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
+def forked(job, n: int) -> dict:
+    """The union of the dicts job(j, k) returns for shares j < k, k being n
+    or the usable CPUs if fewer, and 1 without os.fork or while a second
+    thread is alive. The caller runs share 0, and a forked child each other
+    share, which pipes its dict back, or nothing if it raises or dies. Each
+    write end is closed before the next fork; every child is reaped."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    k = (min(n, cpus) if hasattr(os, "fork")
+         and threading.active_count() == 1 else 1)
+    children = {}
+    try:
+        for j in range(1, k):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.write(w, pickle.dumps(job(j, k)))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        got = job(0, k)
+        for pipe in children.values():  # a failed child sent a cut pickle
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                got.update(pickle.loads(pipe.read()))
+        return got
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _replicate(scenario: SpatialScenario, stream: int, per_rep: float,
                draw) -> list:
     """Per-replication outcome arrays of a run, drawn by `draw(rng, n)` a
     block at a time. A block holds _BLOCK_ELEMENTS // per_rep replications
     (at least one), per_rep being the expected elements of one; only the
-    last block of a run may be shorter. Share j of k, one per usable CPU and
-    at most one per block, holds blocks j, j + k, ...; a caller that runs
-    one thread forks a child for each share but 0, and reaps it before the
-    call ends. The caller draws share 0 and any block no child delivered.
-    Joined in block order, the arrays are the same at any CPU count.
+    last block of a run may be shorter. Share j of k (one per usable CPU,
+    at most one per block) holds blocks j, j + k, ...: forked children draw
+    all shares but 0 (forked), the caller share 0 and any block not
+    delivered. Joined in block order, the arrays are the same at any CPU
+    count.
     ValueError if per_rep exceeds _REPLICATION_ELEMENTS. First it allocates
     and frees one untouched buffer of _HEAP_BLOCKS blocks' elements: under
     glibc, freeing an mmapped chunk raises the mmap threshold to its size
@@ -140,31 +175,8 @@ def _replicate(scenario: SpatialScenario, stream: int, per_rep: float,
     def block(b: int):
         return draw(_block_rng(scenario.seed, stream, b),
                     min(size, scenario.replications - b * size))
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    shares = (min(cpus, count) if hasattr(os, "fork")
-              and threading.active_count() == 1 else 1)
-    blocks, children = {}, {}
-    try:
-        for k in range(1, shares):
-            r, w = os.pipe()
-            if (pid := os.fork()) == 0:
-                try:
-                    os.write(w, pickle.dumps({
-                        b: block(b) for b in range(k, count, shares)}))
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children[pid] = open(r, "rb")
-        blocks.update((b, block(b)) for b in range(0, count, shares))
-        for pipe in children.values():  # a failed child sent a cut pickle
-            with contextlib.suppress(EOFError, pickle.UnpicklingError):
-                blocks.update(pickle.loads(pipe.read()))
-    finally:
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    blocks = forked(lambda j, k: {b: block(b) for b in range(j, count, k)},
+                    count)
     return [np.concatenate(column) for column in zip(*(
         blocks[b] if b in blocks else block(b) for b in range(count)))]
 

@@ -76,6 +76,8 @@ def _laguerre_rule(nodes: int, m: int):
         v /= np.exp((logs.max() + logs.min()) / 2.0)
     w = 1.0 / (fm * dy)
     gamma_m = sp.gamma(m)
+    if not math.isfinite(gamma_m):   # m >= 172: Gamma(m) overflows
+        return x, w / w.sum()
     w *= gamma_m / w.sum()
     return x, w / gamma_m
 

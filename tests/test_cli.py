@@ -6,10 +6,12 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from cfedge.presets import COMPUTE_MIX, COMPUTE_SINGLE
 from cfedge.secp import secp as secp_point
 
 from conftest import MU_C, MU_M, edge_row_reference
+from test_sim import _no_child_left
 
 
 def _scmp_spec(**extra):
@@ -555,6 +558,150 @@ class TestRunExperiment:
         assert row["value_analytic"] < comm.uplink_outage(net)
         assert row["delta"] == max(0.0, bound - row["value_oracle"])
         assert row["status"] == "pass"
+
+
+def _fork_log(monkeypatch) -> list:
+    """Calls to os.fork from now on: True for one a spatial drop makes,
+    False for any other."""
+    log, drops = [], []
+    real_fork, real_replicate = os.fork, sim._replicate
+
+    def fork():
+        log.append(bool(drops))
+        return real_fork()
+
+    def replicate(*args):
+        drops.append(1)
+        try:
+            return real_replicate(*args)
+        finally:
+            drops.pop()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(sim, "_replicate", replicate)
+    return log
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(sim.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+
+
+def _long_queue_spec(radii_km, replications=200) -> dict:
+    """_validate_spec with queue runs long enough, 1000 simulated seconds in
+    all, to run in a forked child."""
+    spec = _validate_spec(radii_km, replications)
+    spec["sweep"]["queue"] = {"duration_n1_s": 250.0, "duration_s": 250.0}
+    spec["sweep"]["queue_cs"] = {"duration_s": 250.0}
+    return spec
+
+
+class TestQueueChild:
+    """validate's queue checks run in one forked child beside the drops."""
+
+    def test_short_queue_runs_stay_in_process(self, tmp_path, monkeypatch):
+        # 999 simulated seconds in all: the drops fork, the queue runs not
+        spec = _long_queue_spec([0.05], replications=300)
+        spec["sweep"]["queue_cs"]["duration_s"] = 249.0
+        _cpus(monkeypatch, 2)
+        log = _fork_log(monkeypatch)
+        cli._drop.cache_clear()
+        assert _run(tmp_path, spec)[0] == EXIT_OK
+        assert log and all(log)
+        _no_child_left()
+
+    def test_csv_equal_at_any_cpu_count_and_workers(self, tmp_path,
+                                                    monkeypatch):
+        # one fork beyond the drops' wherever a CPU is spare, none at one
+        spec = _long_queue_spec([0.03, 0.05], replications=300)
+        want = None
+        for cpus, workers in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2)):
+            _cpus(monkeypatch, cpus)
+            log = _fork_log(monkeypatch)
+            out = tmp_path / f"{cpus}-{workers}"
+            cli._drop.cache_clear()
+            assert _run(out, spec, "--workers", str(workers))[0] == EXIT_OK
+            assert log.count(False) == (cpus > 1), (cpus, workers)
+            assert (True in log) == (cpus > 1), (cpus, workers)
+            got = (out / "v.csv").read_bytes()
+            assert want is None or got == want, (cpus, workers)
+            want = got
+            _no_child_left()
+
+    def test_no_fork_while_a_second_thread_runs(self, tmp_path,
+                                                monkeypatch):
+        _cpus(monkeypatch, 2)
+        log = _fork_log(monkeypatch)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(30.0,))
+        waiter.start()
+        try:
+            code, _ = _run(tmp_path, _long_queue_spec([0.05]))
+        finally:
+            release.set()
+            waiter.join(timeout=30.0)
+        assert code == EXIT_OK and log == []
+        _no_child_left()
+
+    def test_killed_queue_child_changes_nothing(self, tmp_path,
+                                                monkeypatch):
+        spec = _long_queue_spec([0.03, 0.05], replications=300)
+        _cpus(monkeypatch, 1)
+        cli._drop.cache_clear()
+        assert _run(tmp_path / "one", spec)[0] == EXIT_OK
+        caller, real = os.getpid(), cli._eval_validate
+
+        def killed(spec, index, point):
+            if point["check"] in cli._QUEUE_CHECKS and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(spec, index, point)
+
+        monkeypatch.setitem(cli._EVALUATORS, "validate", killed)
+        _cpus(monkeypatch, 2)
+        log = _fork_log(monkeypatch)
+        assert _run(tmp_path / "two", spec)[0] == EXIT_OK
+        assert log.count(False) == 1
+        assert (tmp_path / "two" / "v.csv").read_bytes() \
+            == (tmp_path / "one" / "v.csv").read_bytes()
+        _no_child_left()
+
+    def test_oversized_drop_reports_its_error(self, tmp_path, monkeypatch):
+        # the first drop fails at once while the queue child runs
+        spec = _long_queue_spec([0.05])
+        spec["network"]["d0"] = 4.0
+        _cpus(monkeypatch, 2)
+        log = _fork_log(monkeypatch)
+        code, manifest = _run(tmp_path, spec)
+        assert code == EXIT_NUMERICAL
+        assert manifest["error"]["type"] == "ValueError"
+        assert re.search(r"expects \d\.\d+e\+\d+ elements",
+                         manifest["error"]["message"])
+        assert log == [False]
+        _no_child_left()
+
+    def test_overloaded_queue_check_keeps_point_order(self, tmp_path,
+                                                      monkeypatch):
+        # the single-server check is overloaded, and the row after the
+        # queue checks fails too: the queue check's error comes first,
+        # as in a run in point order on one CPU
+        spec = _long_queue_spec([0.05])
+        spec["sweep"]["queue"]["lambda_d_n1"] = 1e7
+
+        def late(net):
+            raise NumericalError("late row")
+
+        monkeypatch.setattr(comm, "per_ap_success", late)
+        manifests = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            log = _fork_log(monkeypatch)
+            code, manifest = _run(tmp_path / str(cpus), spec)
+            assert code == EXIT_INFEASIBLE
+            assert log.count(False) == cpus - 1
+            manifests.append(manifest["error"])
+            _no_child_left()
+        assert manifests[0]["type"] == "StabilityError"
+        assert manifests[0] == manifests[1]
 
 
 class TestMain:

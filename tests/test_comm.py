@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 import scipy.special as sp
 
-from cfedge import comm
+from cfedge import comm, specfun
 from cfedge.errors import NumericalError
 from cfedge.model import NetworkConfig, mean_connected_aps, pathloss
 
@@ -311,13 +311,24 @@ def test_non_finite_radial_integral_names_its_cause():
         comm.per_ap_success(make_net(antennas_per_ap=42, coverage_radius=0.1))
 
 
-def test_downlink_outage_fails_from_172_antennas():
-    # Gamma(172) overflows, so the Gauss-Laguerre weights divided by it are
-    # NaN; normalising them by their sum instead would move every rule
-    # below M = 172 in its last bits
-    net = make_net(antennas_per_ap=172, coverage_radius=0.1)
-    with np.errstate(all="ignore"), pytest.raises(NumericalError):
-        comm.downlink_outage(net)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_downlink_outage_evaluates_from_172_antennas():
+    # Gamma(172) overflows, so from M = 172 the Gauss-Laguerre weights are
+    # normalised by their sum instead: the outage stays finite and close
+    # to M = 171's, and the rule keeps the Gamma(m) moments
+    def point(m):
+        net = make_net(antennas_per_ap=m, coverage_radius=0.1)
+        return comm.downlink_outage(net).point
+
+    at_171 = point(171)
+    for m in (172, 200, 256):
+        assert 0.0 < point(m) < 1.0, m
+    assert point(172) == pytest.approx(at_171, rel=1e-3)
+    for m in (172, 256):
+        for nodes in (64, 128):
+            x, w = specfun._laguerre_rule(nodes, m)
+            assert w @ x == pytest.approx(m, rel=1e-12)
+            assert w @ (x * x) == pytest.approx(m * (m + 1), rel=1e-12)
 
 
 class TestGammaInterference:
