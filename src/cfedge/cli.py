@@ -158,12 +158,10 @@ _ROW_KEYS = {"antennas_per_ap", "lambda_b", "target_latency"}
 # the sweep list each point key is drawn from
 _SWEEP_KEYS = {"R": "radii_km", "theta": "theta_grid", "row": "rows",
                "area": "areas_km2"}
-# validate's queue checks share no state with the spatial drops; from
-# _QUEUE_FORK_S simulated seconds in all they run in a forked child. Shorter
-# runs (0.1 s or less at preset rates) stay here, where a profile sees them.
+# validate's queue checks: each runs its own queueing simulation, sharing no
+# state with the spatial drops or with each other
 _QUEUE_CHECKS = ("queue_pmf_tv_n1", "queue_pmf_tv_n4", "scp_mec_vs_des",
                  "scp_cs_vs_des")
-_QUEUE_FORK_S = 1000.0
 
 
 def _safe_label(data: dict) -> str:
@@ -243,8 +241,6 @@ def _configs(spec: ExperimentSpec, point: dict, nets: dict) -> tuple:
     queue check's duration and server count. nets maps a radius entry's id
     to its network: a surface row builds one."""
     check = point.get("check", "")
-    if check in ("queue_pmf_tv_n1", "queue_pmf_tv_n4", "scp_mec_vs_des"):
-        return _queue_setup(spec, check.endswith("n1"))
     if check == "scp_cs_vs_des":
         q = spec.sweep.get("queue_cs", {})
         return (_network_for(spec, coverage_radius=0.05,
@@ -252,6 +248,8 @@ def _configs(spec: ExperimentSpec, point: dict, nets: dict) -> tuple:
                              network_area=1.0),
                 _config(spec, "compute", offload_prob=1.0),
                 float(q.get("duration_s", 2400.0)))
+    if check in _QUEUE_CHECKS:
+        return _queue_setup(spec, check.endswith("n1"))
     if spec.kind == "r_threshold":
         row = point["row"]
         return (_network_for(spec, antennas_per_ap=row["antennas_per_ap"],
@@ -476,7 +474,7 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
                      abs(params.variance - sample.i_var),
                      3.0 * sample.i_var_se)
 
-    if check in ("queue_pmf_tv_n1", "queue_pmf_tv_n4", "scp_mec_vs_des"):
+    if check != "scp_cs_vs_des":
         net, comp, duration, n = spec.configs[index]
         # the closed form first: an overloaded queue fails before the DES
         rates = offload.arrival_rates(net, comp, 0.0)
@@ -526,9 +524,12 @@ def _evaluate(spec: ExperimentSpec, points: list, workers: int) -> list:
     """The rows of points, in order. A unit of work is a surface's radius row
     (its points are radius-major) or else a point; --workers splits them,
     but not scmp_vs_R's or validate's, whose points share spatial drops.
-    At any --workers, long queue checks run in a forked child (sim.forked)
-    beside the rows before them; rows it does not deliver are evaluated
-    here in point order, so errors come in point order."""
+    At any --workers, validate's queue checks but the last run in a forked
+    child (sim.forked) beside the rows before them. The last, scp_cs_vs_des,
+    is the shortest queue run and the one row that reaches offload.scp_cs:
+    it stays here, where a profile of this process sees it. Rows the child
+    does not deliver are evaluated here in point order, so errors come in
+    point order."""
     width = 1 if spec.kind in _EVALUATORS else len(spec.sweep["theta_grid"])
     indexed = list(enumerate(points))
     tasks = [indexed[i:i + width] for i in range(0, len(indexed), width)]
@@ -542,9 +543,8 @@ def _evaluate(spec: ExperimentSpec, points: list, workers: int) -> list:
             return [row for rows in pool.map(evaluate, tasks) for row in rows]
     queue = [k for k, point in enumerate(points)
              if point.get("check") in _QUEUE_CHECKS]
-    long_runs = sum(spec.configs[k][2] for k in queue) >= _QUEUE_FORK_S
     done = sim.forked(lambda j, _: {k: evaluate(tasks[k]) for k in (
-        queue if j else range(queue[0]))}, 2) if long_runs else {}
+        queue[:-1] if j else range(queue[0]))}, 2) if queue else {}
     return [row for k, task in enumerate(tasks)
             for row in (done[k] if k in done else evaluate(task))]
 

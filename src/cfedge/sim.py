@@ -8,9 +8,9 @@ block index. A block's length depends only on the network and the window,
 and the blocks, drawn by forked processes (`forked`, one per usable CPU),
 are joined in block order, so reruns are byte-identical at any CPU count and
 a longer run starts with the blocks of a shorter one. `forked` also runs a
-long `validate` run's queue checks in one child beside its drops, at any
---workers. A drop first frees one large untouched buffer, so that glibc
-keeps the memory its blocks free in the heap for the next block
+`validate` run's queue checks but the last in one child beside its drops,
+at any --workers. A drop first frees one large untouched buffer, so that
+glibc keeps the memory its blocks free in the heap for the next block
 (mallopt(3)). A spatial run samples strictly increasing radii from one drop
 at the largest, thinned to each smaller radius, so its sample at the largest
 radius is that of a run at that radius alone. The queueing simulation runs

@@ -587,33 +587,14 @@ def _cpus(monkeypatch, n: int) -> None:
                         lambda pid: set(range(n)))
 
 
-def _long_queue_spec(radii_km, replications=200) -> dict:
-    """_validate_spec with queue runs long enough, 1000 simulated seconds in
-    all, to run in a forked child."""
-    spec = _validate_spec(radii_km, replications)
-    spec["sweep"]["queue"] = {"duration_n1_s": 250.0, "duration_s": 250.0}
-    spec["sweep"]["queue_cs"] = {"duration_s": 250.0}
-    return spec
-
-
 class TestQueueChild:
-    """validate's queue checks run in one forked child beside the drops."""
-
-    def test_short_queue_runs_stay_in_process(self, tmp_path, monkeypatch):
-        # 999 simulated seconds in all: the drops fork, the queue runs not
-        spec = _long_queue_spec([0.05], replications=300)
-        spec["sweep"]["queue_cs"]["duration_s"] = 249.0
-        _cpus(monkeypatch, 2)
-        log = _fork_log(monkeypatch)
-        cli._drop.cache_clear()
-        assert _run(tmp_path, spec)[0] == EXIT_OK
-        assert log and all(log)
-        _no_child_left()
+    """validate's queue checks but the last run in one forked child beside
+    the drops."""
 
     def test_csv_equal_at_any_cpu_count_and_workers(self, tmp_path,
                                                     monkeypatch):
         # one fork beyond the drops' wherever a CPU is spare, none at one
-        spec = _long_queue_spec([0.03, 0.05], replications=300)
+        spec = _validate_spec([0.03, 0.05], replications=300)
         want = None
         for cpus, workers in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2)):
             _cpus(monkeypatch, cpus)
@@ -636,7 +617,7 @@ class TestQueueChild:
         waiter = threading.Thread(target=release.wait, args=(30.0,))
         waiter.start()
         try:
-            code, _ = _run(tmp_path, _long_queue_spec([0.05]))
+            code, _ = _run(tmp_path, _validate_spec([0.05]))
         finally:
             release.set()
             waiter.join(timeout=30.0)
@@ -645,7 +626,7 @@ class TestQueueChild:
 
     def test_killed_queue_child_changes_nothing(self, tmp_path,
                                                 monkeypatch):
-        spec = _long_queue_spec([0.03, 0.05], replications=300)
+        spec = _validate_spec([0.03, 0.05], replications=300)
         _cpus(monkeypatch, 1)
         cli._drop.cache_clear()
         assert _run(tmp_path / "one", spec)[0] == EXIT_OK
@@ -667,7 +648,7 @@ class TestQueueChild:
 
     def test_oversized_drop_reports_its_error(self, tmp_path, monkeypatch):
         # the first drop fails at once while the queue child runs
-        spec = _long_queue_spec([0.05])
+        spec = _validate_spec([0.05])
         spec["network"]["d0"] = 4.0
         _cpus(monkeypatch, 2)
         log = _fork_log(monkeypatch)
@@ -684,7 +665,7 @@ class TestQueueChild:
         # the single-server check is overloaded, and the row after the
         # queue checks fails too: the queue check's error comes first,
         # as in a run in point order on one CPU
-        spec = _long_queue_spec([0.05])
+        spec = _validate_spec([0.05])
         spec["sweep"]["queue"]["lambda_d_n1"] = 1e7
 
         def late(net):
