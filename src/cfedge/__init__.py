@@ -29,7 +29,6 @@ from .comm import (
     downlink_outage,
     gamma_interference_params,
     per_ap_success,
-    scmp,
     uplink_mixture,
     uplink_outage,
 )
@@ -39,7 +38,6 @@ from .offload import (
     arrival_rates,
     min_dispatch_prob,
     queue_spectrum,
-    scp,
     scp_cs,
     scp_mec,
 )
@@ -85,8 +83,6 @@ __all__ = [
     "pathloss",
     "per_ap_success",
     "queue_spectrum",
-    "scmp",
-    "scp",
     "scp_cs",
     "scp_mec",
     "secp",

@@ -7,7 +7,7 @@ the distance from the user to its nearest interferer, held exactly, with
 the rest of the field averaged per AP (uplink_mixture). per_ap_success is
 the single-AP success with no such conditioning. Downlink: moment-matched
 Gamma model for the beam interference, outage bracketed by integer-shape
-truncations, and the joint uplink plus downlink success probability.
+truncations.
 """
 
 from __future__ import annotations
@@ -513,12 +513,3 @@ def downlink_outage(net: NetworkConfig) -> DownlinkOutage:
     point = (1.0 - frac) * lower + frac * upper
     return DownlinkOutage(lower, upper, min(1.0, max(0.0, point)))
 
-
-# ----------------------------------------------------------------------------
-# joint communication success
-# ----------------------------------------------------------------------------
-
-
-def scmp(net: NetworkConfig) -> float:
-    """P[uplink and downlink both succeed], using the downlink point estimate."""
-    return (1.0 - uplink_outage(net)) * (1.0 - downlink_outage(net).point)

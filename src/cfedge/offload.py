@@ -46,7 +46,6 @@ _POISSON_RECURSION_MAX = 708.0
 @dataclass(frozen=True)
 class ArrivalRates:
     lambda_c: float   # tasks/s entering the central server (network-wide)
-    lambda_o: float   # offload candidates/s seen by one edge server
     lambda_m: float   # tasks/s actually joining one edge server
 
 
@@ -60,10 +59,8 @@ def min_dispatch_prob(nu: float) -> float:
 
 
 def arrival_rates(net: NetworkConfig, comp: ComputeConfig,
-                  p_oul: float | None = None) -> ArrivalRates:
+                  p_oul: float) -> ArrivalRates:
     """Thinned task arrival rates given the uplink outage probability."""
-    if p_oul is None:
-        p_oul = comm.uplink_outage(net)
     return ArrivalRates(*split_rates(
         net, comp.offload_prob, 1.0 - p_oul,
         min_dispatch_prob(mean_connected_aps(net))))
@@ -71,14 +68,13 @@ def arrival_rates(net: NetworkConfig, comp: ComputeConfig,
 
 def split_rates(net: NetworkConfig, theta: float, success: float,
                 dispatch: float) -> tuple:
-    """(lambda_c, lambda_o, lambda_m) at offload split theta, given the
-    uplink success probability and min_dispatch_prob of the mean server
-    count; neither depends on the split, so a split search computes them
-    once per radius."""
-    lam_c = theta * net.lambda_d * net.network_area * success
-    lam_o = (1.0 - theta) * net.lambda_d \
-        * math.pi * net.coverage_radius ** 2 * success
-    return lam_c, lam_o, lam_o * dispatch
+    """(lambda_c, lambda_m) at offload split theta, given the uplink
+    success probability and min_dispatch_prob of the mean server count;
+    neither depends on the split, so a split search computes them once per
+    radius."""
+    return (theta * net.lambda_d * net.network_area * success,
+            (1.0 - theta) * net.lambda_d * math.pi * net.coverage_radius ** 2
+            * success * dispatch)
 
 
 # ----------------------------------------------------------------------------
@@ -437,7 +433,7 @@ def split_cdfs(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
     success, dispatch, weights = radius_terms(net)
     rates = []
     for theta in thetas:
-        lam_c, _, lam_m = split_rates(net, theta, success, dispatch)
+        lam_c, lam_m = split_rates(net, theta, success, dispatch)
         try:
             rates.append((lam_c, central_load(comp, lam_c), lam_m))
         except StabilityError as exc:
@@ -475,15 +471,3 @@ def scp_splits(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
                        sum(w * part for w, part in taken)))
     return points
 
-
-def scp(net: NetworkConfig, comp: ComputeConfig) -> float:
-    """P[computation finishes within the latency target].
-
-    Mixture of the central-server and edge paths weighted by the offload
-    split, with arrival rates thinned by uplink success: the one-split case
-    of scp_splits. StabilityError if a path the split takes is overloaded.
-    """
-    (_, _, total), = scp_splits(net, comp, (comp.offload_prob,))
-    if isinstance(total, StabilityError):
-        raise total
-    return total

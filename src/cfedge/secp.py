@@ -6,7 +6,7 @@ the uplink, and the downlink success, then averages over the Poisson AP
 count. The uplink terms come from comm.uplink_mixture, which evaluates all
 APs on one shared interferer field: P[some AP decodes | n APs] and the
 outage that thins the task arrivals are both taken from it, so at a relaxed
-latency target the joint probability reduces to comm.scmp. The threshold
+latency target the joint probability reduces to scmp_vs_R's scmp. The threshold
 search finds the smallest-latency-feasible radius maximizing that joint
 probability over the offload split.
 
@@ -76,7 +76,7 @@ def secp_splits(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
     success, dispatch, w_pos, ul_n, ul_term, dl_success = _coupling(net)
     points, rates = [], []
     for theta in thetas:
-        lam_c, _, lam_m = split_rates(net, theta, success, dispatch)
+        lam_c, lam_m = split_rates(net, theta, success, dispatch)
         try:
             load = lam_c, central_load(comp, lam_c), lam_m
             edge_load(comp, lam_m)

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import comm
 from .errors import StabilityError
 from .model import ComputeConfig, NetworkConfig, mean_connected_aps, pathloss
 from .offload import arrival_rates
@@ -564,8 +563,7 @@ def _in_system(arrival: np.ndarray, server: np.ndarray,
 
 
 def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
-                  seed: int, n_mec: int,
-                  p_oul: float | None = None) -> EventLog:
+                  seed: int, n_mec: int, p_oul: float) -> EventLog:
     """Queueing run of the central server plus a group of n_mec edge
     servers.
 
@@ -585,8 +583,6 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
         raise ValueError("duration must be positive")
     if n_mec < 0:
         raise ValueError("n_mec cannot be negative")
-    if p_oul is None:
-        p_oul = comm.uplink_outage(net)
     rates = arrival_rates(net, comp, p_oul)
     rng = _block_rng(seed, 1, 0)
 

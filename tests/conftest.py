@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfedge import offload
+from cfedge import comm, offload
 from cfedge.model import ComputeConfig, NetworkConfig, mean_connected_aps
 
 # Exact-fraction service rates implied by the default hardware constants:
@@ -74,7 +74,7 @@ def edge_row_reference(net, comp):
     """Reference for an edge row of offload.split_cdfs: walk_reference of
     the edge queue of comp's split alone at net's radius, over the counts
     of its Poisson weights. StabilityError if the split overloads it."""
-    rates = offload.arrival_rates(net, comp)
+    rates = offload.arrival_rates(net, comp, comm.uplink_outage(net))
     n_max = len(offload.poisson_weights(mean_connected_aps(net))) - 1
     return walk_reference(offload.queue_spectrum(comp, rates.lambda_m),
                           n_max, offload.mec_cache(comp))

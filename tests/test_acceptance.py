@@ -219,7 +219,7 @@ def test_criterion_7_property_suite():
     # computation and joint success grow with the latency budget
     mix = ComputeConfig(offload_prob=0.5, **COMPUTE_MIX)
     net = _net_at(0.05)
-    for fn in (lambda c: offload.scp(net, c),
+    for fn in (lambda c: offload.scp_splits(net, c, [c.offload_prob])[0][2],
                lambda c: secp(net, c).secp):
         vals = [fn(replace(mix, target_latency=t))
                 for t in (0.004, 0.008, 0.012, 0.02, 0.05)]
@@ -236,7 +236,9 @@ def test_criterion_7_property_suite():
     # with an unconstrained latency budget and everything at the hub, the
     # joint probability collapses to the communication-only value
     relaxed = replace(mix, offload_prob=1.0, target_latency=50.0)
-    assert secp(net, relaxed).secp == pytest.approx(comm.scmp(net), abs=1e-6)
+    scmp = (1.0 - comm.uplink_outage(net)) \
+        * (1.0 - comm.downlink_outage(net).point)
+    assert secp(net, relaxed).secp == pytest.approx(scmp, abs=1e-6)
 
     # energy identities
     cfg1 = EnergyConfig(f_cs_hz=(5e9,), f_mec_hz=(3.4e9,))

@@ -371,11 +371,14 @@ class TestRunExperiment:
         assert len(rows) == 12
         for (net, comp), row in zip(spec.configs, rows):
             if kind == "scp_surface":
-                rates = offload.arrival_rates(net, comp)
+                rates = offload.arrival_rates(net, comp,
+                                              comm.uplink_outage(net))
                 cdf = _or_nan(edge_row_reference, net, comp)
+                (_, _, scp), = offload.scp_splits(net, comp,
+                                                  [comp.offload_prob])
                 want = [_or_nan(offload.scp_cs, comp, rates.lambda_c),
                         cdf if cdf is math.nan else offload.scp_mec(net, cdf),
-                        _or_nan(offload.scp, net, comp)]
+                        math.nan if isinstance(scp, StabilityError) else scp]
             else:
                 point = _or_nan(secp_point, net, comp)
                 want = [math.nan] * 4 if point is math.nan else [

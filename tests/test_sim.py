@@ -659,8 +659,10 @@ def _heap_reference(arrival, to_cs, service, tie, n_mec):
 
 class TestQueueRuns:
     def test_deterministic(self, fig_net, mix_comp):
-        a = simulate_mlcm(fig_net, mix_comp, 30.0, seed=21, n_mec=2)
-        b = simulate_mlcm(fig_net, mix_comp, 30.0, seed=21, n_mec=2)
+        a = simulate_mlcm(fig_net, mix_comp, 30.0, seed=21, n_mec=2,
+                          p_oul=comm.uplink_outage(fig_net))
+        b = simulate_mlcm(fig_net, mix_comp, 30.0, seed=21, n_mec=2,
+                          p_oul=comm.uplink_outage(fig_net))
         assert np.array_equal(a.arrival_s, b.arrival_s)
         assert np.array_equal(a.sojourn_s, b.sojourn_s, equal_nan=True)
         assert np.array_equal(a.server_id, b.server_id)
@@ -755,7 +757,8 @@ class TestQueueRuns:
                               short.extras["mec_queue_snapshot"])
 
     def test_drains_and_orders(self, fig_net, mix_comp):
-        log = simulate_mlcm(fig_net, mix_comp, 50.0, seed=2, n_mec=3)
+        log = simulate_mlcm(fig_net, mix_comp, 50.0, seed=2, n_mec=3,
+                            p_oul=comm.uplink_outage(fig_net))
         assert not np.any(np.isnan(log.sojourn_s))
         assert np.all(np.diff(log.arrival_s) >= 0.0)
         assert log.arrival_s[-1] <= 50.0
@@ -763,7 +766,8 @@ class TestQueueRuns:
         assert np.all(log.sojourn_s > 0.0)
 
     def test_snapshot_and_extras(self, fig_net, mix_comp):
-        log = simulate_mlcm(fig_net, mix_comp, 20.0, seed=4, n_mec=4)
+        log = simulate_mlcm(fig_net, mix_comp, 20.0, seed=4, n_mec=4,
+                            p_oul=comm.uplink_outage(fig_net))
         snap = log.extras["mec_queue_snapshot"]
         assert snap.shape == (len(log), 4)
         assert log.extras["n_mec"] == 4
@@ -771,7 +775,8 @@ class TestQueueRuns:
             assert key in log.extras
 
     def test_littles_law_central(self, fig_net, mix_comp):
-        log = simulate_mlcm(fig_net, mix_comp, 400.0, seed=6, n_mec=2)
+        log = simulate_mlcm(fig_net, mix_comp, 400.0, seed=6, n_mec=2,
+                            p_oul=comm.uplink_outage(fig_net))
         report = _littles_law_summary(log, server_id=0)
         assert report["n"] > 5000
         predicted = report["lambda_hat"] * report["mean_sojourn"]
@@ -817,12 +822,15 @@ class TestQueueRuns:
 
     def test_validation(self, fig_net, mix_comp):
         with pytest.raises(ValueError):
-            simulate_mlcm(fig_net, mix_comp, 0.0, seed=1, n_mec=2)
+            simulate_mlcm(fig_net, mix_comp, 0.0, seed=1, n_mec=2,
+                          p_oul=comm.uplink_outage(fig_net))
         with pytest.raises(ValueError):
-            simulate_mlcm(fig_net, mix_comp, 10.0, seed=1, n_mec=-1)
+            simulate_mlcm(fig_net, mix_comp, 10.0, seed=1, n_mec=-1,
+                          p_oul=comm.uplink_outage(fig_net))
 
     def test_warmup_mask(self, fig_net, mix_comp):
-        log = simulate_mlcm(fig_net, mix_comp, 30.0, seed=3, n_mec=2)
+        log = simulate_mlcm(fig_net, mix_comp, 30.0, seed=3, n_mec=2,
+                            p_oul=comm.uplink_outage(fig_net))
         mask = log.analysis_mask()
         n_warm = int(0.1 * len(log))
         assert not mask[:n_warm].any()
