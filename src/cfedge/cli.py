@@ -158,10 +158,18 @@ _ROW_KEYS = {"antennas_per_ap", "lambda_b", "target_latency"}
 # the sweep list each point key is drawn from
 _SWEEP_KEYS = {"R": "radii_km", "theta": "theta_grid", "row": "rows",
                "area": "areas_km2"}
-# validate's queue checks: each runs its own queueing simulation, sharing no
-# state with the spatial drops or with each other
+# validate's queue checks, in row order: each runs its own queueing
+# simulation, sharing no state with the spatial drops or with each other
 _QUEUE_CHECKS = ("queue_pmf_tv_n1", "queue_pmf_tv_n4", "scp_mec_vs_des",
                  "scp_cs_vs_des")
+# the keys of validate's queue sections, with their defaults: "queue" sets
+# the edge checks, "queue_cs" the central one
+_QUEUE_DEFAULTS = {
+    "queue": {"r_km": 0.1, "n_mec": 4, "lambda_d_n1": 16000.0,
+              "duration_n1_s": 2900.0, "lambda_d": 2700.0,
+              "duration_s": 4200.0},
+    "queue_cs": {"lambda_c": 50.0, "duration_s": 2400.0},
+}
 
 
 def _safe_label(data: dict) -> str:
@@ -188,14 +196,19 @@ def _check_sweep(kind: str, sweep: dict) -> None:
         raise SpecError("sweep.rows entries must be objects with "
                         + ", ".join(sorted(_ROW_KEYS)))
     if kind == "validate":
-        for key in ("queue", "queue_cs"):
+        for key, defaults in _QUEUE_DEFAULTS.items():
             section = sweep.get(key, {})
             if not isinstance(section, dict) or not all(
                     is_real(value) and value > 0
                     for value in section.values()):
                 raise SpecError(f"sweep.{key} must be an object of "
                                 "positive numbers")
-        n_mec = sweep.get("queue", {}).get("n_mec", 4)
+            unknown = ", ".join(name for name in section
+                                if name not in defaults)
+            if unknown:
+                raise SpecError(f"unknown key in sweep.{key}: {unknown}; "
+                                "expected one of " + ", ".join(defaults))
+        n_mec = {**_QUEUE_DEFAULTS["queue"], **sweep.get("queue", {})}["n_mec"]
         if n_mec != int(n_mec):
             raise SpecError("sweep.queue.n_mec must be a positive integer")
     if kind in ("r_threshold", "energy_vs_xi"):
@@ -240,16 +253,8 @@ def _configs(spec: ExperimentSpec, point: dict, nets: dict) -> tuple:
     the evaluator reads one, the energy config for energy_vs_xi, and a
     queue check's duration and server count. nets maps a radius entry's id
     to its network: a surface row builds one."""
-    check = point.get("check", "")
-    if check == "scp_cs_vs_des":
-        q = spec.sweep.get("queue_cs", {})
-        return (_network_for(spec, coverage_radius=0.05,
-                             lambda_d=q.get("lambda_c", 50.0),
-                             network_area=1.0),
-                _config(spec, "compute", offload_prob=1.0),
-                float(q.get("duration_s", 2400.0)))
-    if check in _QUEUE_CHECKS:
-        return _queue_setup(spec, check.endswith("n1"))
+    if point.get("check") in _QUEUE_CHECKS:
+        return _queue_setup(spec, point["check"])
     if spec.kind == "r_threshold":
         row = point["row"]
         return (_network_for(spec, antennas_per_ap=row["antennas_per_ap"],
@@ -294,10 +299,7 @@ def _points(spec: ExperimentSpec) -> list:
     r0 = sweep["radii_km"][-1]
     return pts + [{"check": "interference_mean", "R": r0},
                   {"check": "interference_var", "R": r0},
-                  {"check": "queue_pmf_tv_n1"},
-                  {"check": "queue_pmf_tv_n4"},
-                  {"check": "scp_mec_vs_des"},
-                  {"check": "scp_cs_vs_des"},
+                  *({"check": check} for check in _QUEUE_CHECKS),
                   {"check": "uplink_outage_independent", "R": r0}]
 
 
@@ -398,26 +400,30 @@ def _eval_energy(spec: ExperimentSpec, index: int, point: dict) -> dict:
             "E_total_J": breakdown.e_total, "secp_achieved": achieved}
 
 
-def _queue_setup(spec: ExperimentSpec, single: bool):
-    """(network, compute, duration, server count) of a queueing check.
+def _queue_setup(spec: ExperimentSpec, check: str) -> tuple:
+    """(network, compute, duration, edge server count) of a queue check.
 
-    The single-server run uses a heavier load than the server-group run:
+    The central check offloads every task to the central server, at rate
+    lambda_c over a 1 km^2 network. The edge checks offload none. The
+    single-server run uses a heavier load than the server-group run:
     with one queue the arrival process is exactly Poisson, so the
     spectrum math can be checked at substantial utilisation, while the
     group run must stay light for the independent-queue approximation of
     minimum-load dispatch to hold.
     """
-    q = dict(spec.sweep.get("queue", {}))
-    if single:
-        lam_d = q.get("lambda_d_n1", 16000.0)
-        duration = float(q.get("duration_n1_s", 2900.0))
-    else:
-        lam_d = q.get("lambda_d", 2700.0)
-        duration = float(q.get("duration_s", 4200.0))
-    net = _network_for(spec, coverage_radius=q.get("r_km", 0.1),
-                       lambda_d=lam_d)
-    comp = _config(spec, "compute", offload_prob=0.0)
-    return net, comp, duration, 1 if single else int(q.get("n_mec", 4))
+    if check == "scp_cs_vs_des":
+        q = {**_QUEUE_DEFAULTS["queue_cs"], **spec.sweep.get("queue_cs", {})}
+        return (_network_for(spec, coverage_radius=0.05,
+                             lambda_d=q["lambda_c"], network_area=1.0),
+                _config(spec, "compute", offload_prob=1.0),
+                float(q["duration_s"]), 1)
+    q = {**_QUEUE_DEFAULTS["queue"], **spec.sweep.get("queue", {})}
+    single = check == "queue_pmf_tv_n1"
+    net = _network_for(spec, coverage_radius=q["r_km"],
+                       lambda_d=q["lambda_d_n1" if single else "lambda_d"])
+    return (net, _config(spec, "compute", offload_prob=0.0),
+            float(q["duration_n1_s" if single else "duration_s"]),
+            1 if single else int(q["n_mec"]))
 
 
 def _vrow(check: str, analytic: float, oracle: float, delta: float,
@@ -474,34 +480,27 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
                      abs(params.variance - sample.i_var),
                      3.0 * sample.i_var_se)
 
-    if check != "scp_cs_vs_des":
-        net, comp, duration, n = spec.configs[index]
-        # the closed form first: an overloaded queue fails before the DES
-        rates = offload.arrival_rates(net, comp, 0.0)
+    net, comp, duration, n = spec.configs[index]
+    # the closed form first: an overloaded queue fails before the DES
+    rates = offload.arrival_rates(net, comp, 0.0)
+    if check == "scp_cs_vs_des":
+        ana = offload.scp_cs(comp, rates.lambda_c)
+    else:
         spectrum = offload.queue_spectrum(comp, rates.lambda_m)
-        log = sim.simulate_mlcm(net, comp, duration, seed=spec.seed + index,
-                                n_mec=n, p_oul=0.0)
-        if check == "scp_mec_vs_des":
-            ana = float(offload.mec_conditional_cdf(
-                (spectrum,), n, offload.mec_cache(comp))[0, n])
-            emp = log.sojourn_cdf(comp.target_latency, mec_only=True)
-            return _vrow(check, ana, emp, abs(ana - emp), 0.03)
-        if n == 1:
-            empirical = log.queue_length_pmf(server_id=1)
-        else:
-            snapshot = log.extras["mec_queue_snapshot"]
-            first = snapshot[log.analysis_mask(), 0]
-            empirical = np.bincount(first) / len(first)
-        tv = _tv_distance(empirical, spectrum)
-        return _vrow(check, 0.0, tv, tv, 0.02)
-
-    # scp_cs_vs_des
-    net, comp, duration = spec.configs[index]
-    ana = offload.scp_cs(comp, net.lambda_d)
-    log = sim.simulate_mlcm(net, comp, duration,
-                            seed=spec.seed + index, n_mec=1, p_oul=0.0)
-    emp = log.sojourn_cdf(comp.target_latency, server_id=0)
-    return _vrow(check, ana, emp, abs(ana - emp), 0.02)
+    log = sim.simulate_mlcm(net, comp, duration, seed=spec.seed + index,
+                            n_mec=n, p_oul=0.0)
+    if check == "scp_cs_vs_des":
+        emp = log.sojourn_cdf(comp.target_latency, server_id=0)
+        return _vrow(check, ana, emp, abs(ana - emp), 0.02)
+    if check == "scp_mec_vs_des":
+        ana = float(offload.mec_conditional_cdf(
+            (spectrum,), n, offload.mec_cache(comp))[0, n])
+        emp = log.sojourn_cdf(comp.target_latency, mec_only=True)
+        return _vrow(check, ana, emp, abs(ana - emp), 0.03)
+    # the first edge server's length at every arrival after warm-up
+    first = log.in_system[log.analysis_mask(), 1]
+    tv = _tv_distance(np.bincount(first) / len(first), spectrum)
+    return _vrow(check, 0.0, tv, tv, 0.02)
 
 
 # the surfaces are scored one radius row at a time, by _eval_surface

@@ -194,11 +194,10 @@ class UplinkMixture:
 
     success[k] is the disc-averaged AP success q_k given node k and
     weights[k] its probability (they sum to 1); outage is
-    sum_k w_k exp(-mean_aps q_k). sum_k w_k q_k equals per_ap_success
-    within UPLINK_MIXTURE_REL_ERR.
+    sum_k w_k exp(-nu q_k), nu being mean_connected_aps. sum_k w_k q_k
+    equals per_ap_success within UPLINK_MIXTURE_REL_ERR.
     """
 
-    mean_aps: float
     success: np.ndarray
     weights: np.ndarray
     outage: float
@@ -379,8 +378,7 @@ def uplink_mixture(net: NetworkConfig) -> UplinkMixture:
         success = load / nu
     outage = _clamp_probability(float(weights @ np.exp(-load)), "uplink_outage")
     success.flags.writeable = False
-    return UplinkMixture(mean_aps=nu, success=success, weights=weights,
-                         outage=outage)
+    return UplinkMixture(success=success, weights=weights, outage=outage)
 
 
 def uplink_outage(net: NetworkConfig) -> float:

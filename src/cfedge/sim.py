@@ -27,7 +27,7 @@ import pickle
 import signal
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -447,20 +447,19 @@ _WARM_UP_SHARE = 0.1
 class EventLog:
     """Arrival-stamped record of a queueing run.
 
-    Server id 0 is the central server; ids 1..n_servers - 1 are edge
-    servers. queue_len_seen is the number in system (including in service)
-    the task found on arrival. Every sojourn_s is finite: a run drains its
-    queues after the last arrival.
+    Server id 0 is the central server; ids 1.. are the edge servers.
+    in_system[i, s] is the number of tasks at server s (including in
+    service) that task i found on arrival. The merged arrival stream is
+    Poisson, so each column samples its server's stationary state; the
+    entry at a task's own edge server is biased low, as dispatch picks the
+    least-loaded. Every sojourn_s is finite: a run drains its queues after
+    the last arrival.
     """
 
     arrival_s: np.ndarray
     server_id: np.ndarray
-    queue_len_seen: np.ndarray
     sojourn_s: np.ndarray
-    type_idx: np.ndarray
-    n_servers: int
-    duration: float
-    extras: dict = field(default_factory=dict)
+    in_system: np.ndarray
 
     def __len__(self) -> int:
         return len(self.arrival_s)
@@ -473,13 +472,6 @@ class EventLog:
         if server_id is not None:
             mask &= self.server_id == server_id
         return mask
-
-    def queue_length_pmf(self, server_id: int | None = None) -> np.ndarray:
-        """Arrival-seen queue length frequencies (PASTA sampling)."""
-        seen = self.queue_len_seen[self.analysis_mask(server_id)]
-        if len(seen) == 0:
-            return np.zeros(0)
-        return np.bincount(seen) / len(seen)
 
     def sojourn_cdf(self, t: float, server_id: int | None = None,
                     mec_only: bool = False) -> float:
@@ -586,18 +578,15 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
     rates = arrival_rates(net, comp, p_oul)
     rng = _block_rng(seed, 1, 0)
 
-    lam_cs = rates.lambda_c
-    lam_group = rates.lambda_m * n_mec
-    lam_total = lam_cs + lam_group
-    p_cs = lam_cs / lam_total if lam_total > 0 else 0.0
+    lam_total = rates.lambda_c + rates.lambda_m * n_mec
+    p_cs = rates.lambda_c / lam_total if lam_total > 0 else 0.0
     probs = np.asarray(comp.type_probs)
     # mean service time per task type: edge servers in row 0, central in 1
     scale = 1.0 / np.array([comp.mu_m, comp.mu_c])
 
     n_servers = 1 + n_mec
     queues = [deque() for _ in range(n_servers)]
-    chunks = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0),
-               np.zeros(0, np.int64))]
+    chunks = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0))]
     epoch, kept = 0.0, _CHUNK
     while lam_total > 0 and kept == _CHUNK:
         gaps = rng.exponential(1.0 / lam_total, _CHUNK)
@@ -616,25 +605,10 @@ def simulate_mlcm(net: NetworkConfig, comp: ComputeConfig, duration: float,
             server[part], departure[part] = _dispatch(
                 queues, *(a[part].tolist() for a in (arrival, to_cs, service,
                                                      tie)))
-        chunks.append((arrival[:kept], server, departure, types[:kept]))
+        chunks.append((arrival[:kept], server, departure))
         epoch = arrival[-1]
 
-    arrival, server, departure, types = (np.concatenate(column)
-                                         for column in zip(*chunks))
-    counts = _in_system(arrival, server, departure, n_servers)
-    return EventLog(
-        arrival_s=arrival,
-        server_id=server,
-        queue_len_seen=counts[np.arange(len(arrival)), server],
-        sojourn_s=departure - arrival,
-        type_idx=types,
-        n_servers=n_servers,
-        duration=duration,
-        # Edge-queue lengths found by every arrival. The merged arrival
-        # stream is Poisson, so these sample the stationary state without
-        # the selection bias of queue_len_seen (dispatch picks the
-        # minimum, so chosen-server lengths are biased low).
-        extras={"n_mec": n_mec, "lambda_c": lam_cs,
-                "lambda_m": rates.lambda_m, "p_oul": p_oul,
-                "mec_queue_snapshot": counts[:, 1:]},
-    )
+    arrival, server, departure = (np.concatenate(column)
+                                  for column in zip(*chunks))
+    return EventLog(arrival, server, departure - arrival,
+                    _in_system(arrival, server, departure, n_servers))

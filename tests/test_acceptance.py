@@ -128,37 +128,37 @@ def test_criterion_4_single_type_pipeline_closed_form():
 def test_criterion_5_queueing_oracle():
     vspec = ExperimentSpec.from_mapping(get_preset("validate"))
 
-    net1, comp1, dur1, _ = cli._queue_setup(vspec, single=True)
+    net1, comp1, dur1, _ = cli._queue_setup(vspec, "queue_pmf_tv_n1")
     log1 = sim.simulate_mlcm(net1, comp1, dur1, seed=SEED + 101, n_mec=1,
                              p_oul=0.0)
     rates1 = offload.arrival_rates(net1, comp1, 0.0)
     spec1 = offload.queue_spectrum(comp1, rates1.lambda_m)
     completed1 = int(log1.analysis_mask().sum())
-    tv1 = cli._tv_distance(log1.queue_length_pmf(server_id=1), spec1)
+    first1 = log1.in_system[log1.analysis_mask(), 1]
+    tv1 = cli._tv_distance(np.bincount(first1) / len(first1), spec1)
 
-    net4, comp4, dur4, n_group = cli._queue_setup(vspec, single=False)
+    net4, comp4, dur4, n_group = cli._queue_setup(vspec, "queue_pmf_tv_n4")
     log4 = sim.simulate_mlcm(net4, comp4, dur4, seed=SEED + 102,
                              n_mec=n_group, p_oul=0.0)
     rates4 = offload.arrival_rates(net4, comp4, 0.0)
     spec4 = offload.queue_spectrum(comp4, rates4.lambda_m)
     completed4 = int(log4.analysis_mask().sum())
-    snapshot = log4.extras["mec_queue_snapshot"]
-    first = snapshot[log4.analysis_mask(), 0]
-    tv4 = cli._tv_distance(np.bincount(first) / len(first), spec4)
+    first4 = log4.in_system[log4.analysis_mask(), 1]
+    tv4 = cli._tv_distance(np.bincount(first4) / len(first4), spec4)
 
+    # the edge latency check runs on the group set-up, the group's log
+    assert cli._queue_setup(vspec, "scp_mec_vs_des") == (
+        net4, comp4, dur4, n_group)
     ana_mec = offload.mec_conditional_cdf(
         (spec4,), n_group,
         offload.MecCdfCache(comp4.type_probs, comp4.mu_m,
                             comp4.target_latency))[0, n_group]
     emp_mec = log4.sojourn_cdf(comp4.target_latency, mec_only=True)
 
-    lam_c = 50.0
-    net_cs = NetworkConfig(coverage_radius=0.05,
-                           **{**_net(), "lambda_d": lam_c})
-    comp_cs = replace(comp1, offload_prob=1.0)
-    log_cs = sim.simulate_mlcm(net_cs, comp_cs, 2400.0, seed=SEED + 103,
-                               n_mec=1, p_oul=0.0)
-    ana_cs = offload.scp_cs(comp_cs, lam_c)
+    net_cs, comp_cs, dur_cs, n_cs = cli._queue_setup(vspec, "scp_cs_vs_des")
+    log_cs = sim.simulate_mlcm(net_cs, comp_cs, dur_cs, seed=SEED + 103,
+                               n_mec=n_cs, p_oul=0.0)
+    ana_cs = offload.scp_cs(comp_cs, net_cs.lambda_d)
     emp_cs = log_cs.sojourn_cdf(comp_cs.target_latency, server_id=0)
 
     print(f"criterion 5: TV(n=1)={tv1:.4f} ({completed1} tasks, "

@@ -182,6 +182,8 @@ class TestSpecParsing:
         ("queue", 3),
         ("queue_cs", {"duration_s": -5}),
         ("queue_cs", {"lambda_c": 0.0}),
+        ("queue", {"duration_n1": 20.0}),
+        ("queue_cs", {"durations_s": 20.0}),
     ])
     def test_bad_queue_section(self, key, section):
         spec = _merge_spec(None, "validate", None, None)
@@ -727,6 +729,8 @@ class TestMain:
         ("energy-sweep", {"energy": 7}, None, "energy"),
         ("scmp-sweep", {"sim": 5}, None, "sim"),
         ("scmp-sweep", {"sim": "x"}, "7", "sim"),
+        ("validate", {"sweep": {"queue": {"duration_n1": 20.0}}}, None,
+         "duration_n1"),
     ])
     def test_bad_spec_is_exit_2_with_manifest(self, tmp_path, capsys, preset,
                                               overrides, reps, needle):

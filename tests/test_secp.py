@@ -9,7 +9,7 @@ import pytest
 
 from cfedge import comm, offload
 from cfedge.errors import InfeasibilityError, StabilityError
-from cfedge.model import ComputeConfig
+from cfedge.model import ComputeConfig, mean_connected_aps
 from cfedge.presets import COMPUTE_SINGLE
 from cfedge.secp import THETA_GRID, _split_scorer, find_r_threshold, secp
 
@@ -53,7 +53,7 @@ def test_sums_equal_per_n_loop(mix_comp, radius, theta):
     comp = replace(mix_comp, offload_prob=theta)
     pt = secp(net, comp)
     uplink = comm.uplink_mixture(net)
-    weights = offload.poisson_weights(uplink.mean_aps)
+    weights = offload.poisson_weights(mean_connected_aps(net))
     rates = offload.arrival_rates(net, comp, uplink.outage)
     spectrum = offload.queue_spectrum(comp, rates.lambda_m)
     mec = offload.mec_conditional_cdf((spectrum,), len(weights) - 1,
@@ -94,7 +94,7 @@ def _per_split_secp(net, comp, theta):
     and left-to-right sums over n."""
     comp = replace(comp, offload_prob=theta)
     uplink = comm.uplink_mixture(net)
-    weights = offload.poisson_weights(uplink.mean_aps)
+    weights = offload.poisson_weights(mean_connected_aps(net))
     ul_given_n = 1.0 - uplink.weights @ (
         1.0 - uplink.success[:, None]) ** np.arange(len(weights))
     dl_success = 1.0 - comm.downlink_outage(net).point

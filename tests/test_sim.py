@@ -599,7 +599,7 @@ def _littles_law_summary(log, server_id: int) -> dict:
     span = float(arrivals[-1] - arrivals[0])
     lam = (len(arrivals) - 1) / span if span > 0 else float("nan")
     w = log.sojourn_s[mask]
-    seen = log.queue_len_seen[mask]
+    seen = log.in_system[mask, server_id]
     return {
         "n": len(arrivals),
         "l_seen": float(seen.mean()),
@@ -749,12 +749,9 @@ class TestQueueRuns:
         long = simulate_mlcm(net, comp, 900.0, seed=1, n_mec=20, p_oul=0.0)
         n = len(short)
         assert sim._CHUNK < n < len(long)
-        for name in ("arrival_s", "server_id", "queue_len_seen", "sojourn_s",
-                     "type_idx"):
+        for name in ("arrival_s", "server_id", "sojourn_s", "in_system"):
             assert np.array_equal(getattr(long, name)[:n],
                                   getattr(short, name))
-        assert np.array_equal(long.extras["mec_queue_snapshot"][:n],
-                              short.extras["mec_queue_snapshot"])
 
     def test_drains_and_orders(self, fig_net, mix_comp):
         log = simulate_mlcm(fig_net, mix_comp, 50.0, seed=2, n_mec=3,
@@ -765,14 +762,10 @@ class TestQueueRuns:
         assert log.server_id.min() >= 0 and log.server_id.max() <= 3
         assert np.all(log.sojourn_s > 0.0)
 
-    def test_snapshot_and_extras(self, fig_net, mix_comp):
+    def test_in_system_shape(self, fig_net, mix_comp):
         log = simulate_mlcm(fig_net, mix_comp, 20.0, seed=4, n_mec=4,
                             p_oul=comm.uplink_outage(fig_net))
-        snap = log.extras["mec_queue_snapshot"]
-        assert snap.shape == (len(log), 4)
-        assert log.extras["n_mec"] == 4
-        for key in ("lambda_c", "lambda_m", "p_oul"):
-            assert key in log.extras
+        assert log.in_system.shape == (len(log), 1 + 4)
 
     def test_littles_law_central(self, fig_net, mix_comp):
         log = simulate_mlcm(fig_net, mix_comp, 400.0, seed=6, n_mec=2,
@@ -792,7 +785,8 @@ class TestQueueRuns:
         log = simulate_mlcm(net, comp, 600.0, seed=12, n_mec=1, p_oul=0.0)
         rates = arrival_rates(net, comp, p_oul=0.0)
         spec = queue_spectrum(comp, rates.lambda_m)
-        pmf = log.queue_length_pmf(server_id=1)
+        seen = log.in_system[log.analysis_mask(), 1]
+        pmf = np.bincount(seen) / len(seen)
         tv = 0.5 * sum(abs(pmf[v] - spec.pmf(v)) for v in range(len(pmf)))
         tv += 0.5 * spec.tail(len(pmf))
         assert tv <= 0.12
