@@ -13,7 +13,17 @@ The package is split along the pipeline:
 - ``sim``: Monte Carlo and discrete-event reference implementations
 - ``presets``: named parameter sets for the bundled experiments
 - ``cli``: batch experiment runner (``cfedge`` console script)
+
+Importing any module first frees one untouched buffer of _HEAP_ELEMENTS
+float64s. Under glibc that raises the mmap and heap-trim thresholds
+(mallopt(3)): large temporaries here and in forked children reuse heap pages
+already faulted in, and the process may keep up to 64 MiB of freed heap.
 """
+
+import numpy as np
+
+_HEAP_ELEMENTS = 2 ** 22 - 2 ** 10   # a freed chunk over 32 MiB raises none
+np.empty(_HEAP_ELEMENTS)
 
 from .errors import InfeasibilityError, NumericalError, StabilityError
 from .model import (

@@ -88,6 +88,7 @@ class ExperimentSpec:
     def from_mapping(cls, data: dict) -> "ExperimentSpec":
         if not isinstance(data, dict):
             raise SpecError("spec must be a JSON object")
+        _check_keys("spec", data, ("kind", "label", *_CONFIGS, "sweep", "sim"))
         kind = data.get("kind")
         if kind not in KINDS:
             raise SpecError(f"unknown kind {kind!r}; expected one of "
@@ -99,6 +100,7 @@ class ExperimentSpec:
         if kind != "scmp_vs_R" and not data.get("compute"):
             raise SpecError(f"kind {kind} needs a 'compute' section")
         sim_section = data.get("sim", {})
+        _check_keys("sim", sim_section, ("replications", "seed"))
         replications = sim_section.get("replications", 1000)
         seed = sim_section.get("seed", 0)
         if not all(is_real(v) and v == int(v) for v in (replications, seed)) \
@@ -180,6 +182,12 @@ def _safe_label(data: dict) -> str:
                    for c in label) or kind
 
 
+def _check_keys(where: str, section: dict, expected) -> None:
+    if unknown := ", ".join(k for k in section if k not in expected):
+        raise SpecError(f"unknown key in {where}: {unknown}; expected one of "
+                        + ", ".join(expected))
+
+
 def _check_sweep(kind: str, sweep: dict) -> None:
     """The sweep's shape, and the values that no config takes."""
     for key in _SWEEP_GRIDS[kind]:
@@ -203,11 +211,7 @@ def _check_sweep(kind: str, sweep: dict) -> None:
                     for value in section.values()):
                 raise SpecError(f"sweep.{key} must be an object of "
                                 "positive numbers")
-            unknown = ", ".join(name for name in section
-                                if name not in defaults)
-            if unknown:
-                raise SpecError(f"unknown key in sweep.{key}: {unknown}; "
-                                "expected one of " + ", ".join(defaults))
+            _check_keys(f"sweep.{key}", section, defaults)
         n_mec = {**_QUEUE_DEFAULTS["queue"], **sweep.get("queue", {})}["n_mec"]
         if n_mec != int(n_mec):
             raise SpecError("sweep.queue.n_mec must be a positive integer")

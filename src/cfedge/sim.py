@@ -8,14 +8,13 @@ block index. A block's length depends only on the network and the window,
 and the blocks, drawn by forked processes (`forked`, one per usable CPU),
 are joined in block order, so reruns are byte-identical at any CPU count and
 a longer run starts with the blocks of a shorter one. `forked` also runs a
-`validate` run's queue checks but the last in one child beside its drops,
-at any --workers. A drop first frees one large untouched buffer, so that
-glibc keeps the memory its blocks free in the heap for the next block
-(mallopt(3)). A spatial run samples strictly increasing radii from one drop
-at the largest, thinned to each smaller radius, so its sample at the largest
-radius is that of a run at that radius alone. The queueing simulation runs
-one central FIFO queue plus a group of edge FIFO queues fed by minimum-load
-dispatch, drawing its task stream a chunk at a time.
+`validate` run's queue checks but the last in one child beside its drops, at
+any --workers. Each block reuses the heap pages the last one freed (see the
+package docstring). A spatial run samples strictly increasing radii from one
+drop at the largest, thinned to each smaller radius, so its sample at the
+largest radius is that of a run at that radius alone. The queueing
+simulation runs one central FIFO queue plus a group of edge FIFO queues fed
+by minimum-load dispatch, drawing its task stream a chunk at a time.
 """
 
 from __future__ import annotations
@@ -100,10 +99,6 @@ _BLOCK_ELEMENTS = 2 ** 15
 # would not fit in memory. The largest any preset, test or benchmark
 # workload reaches is 2.2e5 (scmp-sweep-m1, per_user at 200 m).
 _REPLICATION_ELEMENTS = 2 ** 22
-# Float64 elements of the buffer a drop frees before its first block: this
-# many blocks' expected elements, but under the 32 MiB above which a freed
-# chunk no longer raises glibc's thresholds (DEFAULT_MMAP_THRESHOLD_MAX).
-_HEAP_BLOCKS, _HEAP_ELEMENTS = 16, 2 ** 22 - 2 ** 10
 
 # Philox key word 1 of each spatial simulator; the DES uses 1.
 _UPLINK, _DOWNLINK_PER_USER, _DOWNLINK_INDEPENDENT = 2, 3, 4
@@ -158,18 +153,13 @@ def _replicate(scenario: SpatialScenario, stream: int, per_rep: float,
     all shares but 0 (forked), the caller share 0 and any block not
     delivered. Joined in block order, the arrays are the same at any CPU
     count.
-    ValueError if per_rep exceeds _REPLICATION_ELEMENTS. First it allocates
-    and frees one untouched buffer of _HEAP_BLOCKS blocks' elements: under
-    glibc, freeing an mmapped chunk raises the mmap threshold to its size
-    and the heap-trim threshold to twice that (mallopt(3)), so each block,
-    in the caller and in the children, which inherit both, reuses the heap
-    pages the last one freed instead of faulting fresh ones in."""
+    ValueError if per_rep exceeds _REPLICATION_ELEMENTS. Each block reuses
+    the heap pages the last one freed: see the package docstring."""
     if per_rep > _REPLICATION_ELEMENTS:
         raise ValueError(f"one replication expects {per_rep:.3g} elements, "
                          f"above the {_REPLICATION_ELEMENTS} a drop may hold")
     size = max(1, int(_BLOCK_ELEMENTS // per_rep))
     count = -(-scenario.replications // size)
-    np.empty(min(int(_HEAP_BLOCKS * size * per_rep), _HEAP_ELEMENTS))
 
     def block(b: int):
         return draw(_block_rng(scenario.seed, stream, b),

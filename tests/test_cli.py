@@ -1017,6 +1017,24 @@ class TestInputContract:
         assert manifest["error"]["type"] == "SpecError"
         assert key in manifest["error"]["message"]
 
+    @pytest.mark.parametrize("preset, overrides, message", [
+        ("secp-surface", {"sim": {"replication": 50, "seeds": 3}},
+         "unknown key in sim: replication, seeds; expected one of "
+         "replications, seed"),
+        ("energy-sweep", {"enrgy": {"p_tx_user": 0.5}},
+         "unknown key in spec: enrgy; expected one of kind, label, network, "
+         "compute, energy, sweep, sim"),
+    ], ids=["sim", "top-level"])
+    def test_unknown_key_over_a_preset_is_exit_2(self, tmp_path, preset,
+                                                 overrides, message):
+        # a misspelt key would otherwise leave the preset's or the default
+        # values in force and run
+        code, manifest = _run(tmp_path, {**overrides, "label": preset},
+                              "--preset", preset)
+        assert code == manifest["exit_code"] == EXIT_USAGE
+        assert manifest["error"] == {"type": "SpecError", "message": message}
+        assert not (tmp_path / f"{preset}.csv").exists()
+
     def test_integral_float_seed_is_accepted(self):
         spec = _tiny("scmp-sweep")
         spec["sim"] = {"replications": 5000.0, "seed": 7.0}

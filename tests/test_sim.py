@@ -84,6 +84,18 @@ def _blocks(monkeypatch, run):
     return sizes.tolist(), outcomes[0]
 
 
+def _fresh_interpreter(probe: str) -> str:
+    """Standard output of the dedented probe, run by a fresh interpreter
+    that imports cfedge from this tree, so that the page faults it counts
+    come from the probe's work alone, not from this process's history."""
+    src = str(Path(sim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(probe)],
+                          env=env, check=True, capture_output=True, text=True,
+                          timeout=120).stdout
+
+
 def _forks(monkeypatch) -> list:
     """Calls to os.fork from now on, one entry each."""
     calls, real = [], os.fork
@@ -170,10 +182,9 @@ class TestBlocks:
     def test_oversized_replication_fails_before_drawing(self, monkeypatch,
                                                         kind):
         # d0 = 4 km puts the far-field guard some 600 km out, so that one
-        # replication expects 5e8 elements or more; sizing the allocator's
-        # buffer or drawing a block fails, and nothing forks
+        # replication expects 5e8 elements or more; drawing a block fails,
+        # and nothing forks
         monkeypatch.setattr(sim, "_block_rng", None)
-        monkeypatch.setattr(sim, "_HEAP_BLOCKS", None)
         forks = _forks(monkeypatch)
         net = make_net(d0=4.0)
         sc = SpatialScenario.for_network(net, 10, seed=1)
@@ -424,12 +435,12 @@ class TestBlocks:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the allocator thresholds are glibc's")
     def test_blocks_reuse_heap_pages(self, fig_net):
-        # Each block of a drop reuses the heap pages its predecessor freed
-        # instead of faulting fresh ones in. A fresh interpreter, because
-        # earlier tests may have raised the allocator's thresholds already.
-        # A process faults in the heap of a drop's largest block once, so
-        # each drop is drawn twice and the second draw is counted.
-        probe = textwrap.dedent(f"""\
+        # Importing cfedge raised glibc's mmap and trim thresholds, so each
+        # block of a drop reuses the heap pages its predecessor freed
+        # instead of faulting fresh ones in. A process faults in the heap of
+        # a drop's largest block once, so each drop is drawn twice and the
+        # second draw is counted.
+        out = _fresh_interpreter(f"""\
             import resource
             from cfedge import sim
             from cfedge.model import NetworkConfig
@@ -449,19 +460,35 @@ class TestBlocks:
                         sim.simulate_downlink_sir(net, sc, kind)
                 print(kind, len(blocks), resource.getrusage(
                     resource.RUSAGE_SELF).ru_minflt - faults)
-            """)
-        src = str(Path(sim.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             check=True, capture_output=True, text=True,
-                             timeout=120).stdout.split()
+            """).split()
         drops = {kind: (int(blocks), int(faults)) for kind, blocks, faults
                  in zip(out[::3], out[1::3], out[2::3])}
         assert sorted(drops) == sorted(_SIMULATORS)
         assert min(blocks for blocks, _ in drops.values()) >= 20, drops
         assert all(faults < blocks for blocks, faults in drops.values()), \
             drops
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator thresholds are glibc's")
+    def test_radial_table_growth_reuses_heap_pages(self, fig_net):
+        # Each chunk of the uplink radial table (M = 4) allocates megabytes
+        # of temporaries, hundreds of pages a chunk were they mapped afresh.
+        # Under the thresholds the import raised, a second table grown after
+        # a first reuses the heap pages the first faulted in.
+        chunks = 32
+        faults = int(_fresh_interpreter(f"""\
+            import resource
+            from dataclasses import replace
+            from cfedge import comm
+            from cfedge.model import NetworkConfig
+            net, n = {fig_net!r}, {chunks} * comm._CHUNK_NODES
+            comm._RadialTable(net).values(n)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            other = replace(net, lambda_d=2 * net.lambda_d)
+            comm._RadialTable(other).values(n)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+            """))
+        assert faults < chunks
 
 
 class TestSweep:
