@@ -156,7 +156,7 @@ _SWEEP_GRIDS = {
 }
 _CONFIGS = {"network": NetworkConfig, "compute": ComputeConfig,
             "energy": energy_mod.EnergyConfig}
-_ROW_KEYS = {"antennas_per_ap", "lambda_b", "target_latency"}
+_ROW_KEYS = ("antennas_per_ap", "lambda_b", "target_latency")
 # the sweep list each point key is drawn from
 _SWEEP_KEYS = {"R": "radii_km", "theta": "theta_grid", "row": "rows",
                "area": "areas_km2"}
@@ -189,7 +189,10 @@ def _check_keys(where: str, section: dict, expected) -> None:
 
 
 def _check_sweep(kind: str, sweep: dict) -> None:
-    """The sweep's shape, and the values that no config takes."""
+    """The sweep's keys and shape, and the values that no config takes."""
+    _check_keys("sweep", sweep, _SWEEP_GRIDS[kind] + (
+        ("r_bounds_km",) if kind in ("r_threshold", "energy_vs_xi") else
+        tuple(_QUEUE_DEFAULTS) if kind == "validate" else ()))
     for key in _SWEEP_GRIDS[kind]:
         grid = sweep.get(key)
         if not isinstance(grid, (list, tuple)) or len(grid) == 0:
@@ -198,11 +201,12 @@ def _check_sweep(kind: str, sweep: dict) -> None:
             is_real(xi) and 0 < xi < 1 for xi in sweep["xi_grid"]):
         raise SpecError("sweep.xi_grid entries must be numbers strictly "
                         "between 0 and 1")
-    if kind == "r_threshold" and not all(
-            isinstance(row, dict) and _ROW_KEYS <= row.keys()
-            for row in sweep["rows"]):
-        raise SpecError("sweep.rows entries must be objects with "
-                        + ", ".join(sorted(_ROW_KEYS)))
+    if kind == "r_threshold":
+        for row in sweep["rows"]:
+            if not isinstance(row, dict) or not {*_ROW_KEYS} <= row.keys():
+                raise SpecError("sweep.rows entries must be objects with "
+                                + ", ".join(_ROW_KEYS))
+            _check_keys("sweep.rows entry", row, _ROW_KEYS)
     if kind == "validate":
         for key, defaults in _QUEUE_DEFAULTS.items():
             section = sweep.get(key, {})
@@ -524,32 +528,25 @@ def _eval_task(spec: ExperimentSpec, task: list) -> list:
 
 
 def _evaluate(spec: ExperimentSpec, points: list, workers: int) -> list:
-    """The rows of points, in order. A unit of work is a surface's radius row
-    (its points are radius-major) or else a point; --workers splits them,
-    but not scmp_vs_R's or validate's, whose points share spatial drops.
-    At any --workers, validate's queue checks but the last run in a forked
-    child (sim.forked) beside the rows before them. The last, scp_cs_vs_des,
-    is the shortest queue run and the one row that reaches offload.scp_cs:
-    it stays here, where a profile of this process sees it. Rows the child
-    does not deliver are evaluated here in point order, so errors come in
-    point order."""
-    width = 1 if spec.kind in _EVALUATORS else len(spec.sweep["theta_grid"])
+    """The rows of points, in order, mapped over units of work by one
+    sim.forked call. A surface's radius row (its points are radius-major)
+    or another point is a unit, up to `workers` processes sharing them.
+    scmp_vs_R, whose rows share the drops, is one unit. validate has three
+    in two processes: the rows before the queue checks (the drops), the
+    queue checks but the last, and the rest, which start with the shortest
+    queue run, the one row that reaches offload.scp_cs: a profile of this
+    process sees it. An error is that of the first failing point."""
     indexed = list(enumerate(points))
-    tasks = [indexed[i:i + width] for i in range(0, len(indexed), width)]
-    evaluate = functools.partial(_eval_task, spec)
-    if workers > 1 and len(tasks) > 1 and \
-            spec.kind not in ("scmp_vs_R", "validate"):
-        # imported here: multiprocessing is of no use to a one-worker run;
-        # map returns the rows in grid order, whichever worker ends first
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [row for rows in pool.map(evaluate, tasks) for row in rows]
-    queue = [k for k, point in enumerate(points)
-             if point.get("check") in _QUEUE_CHECKS]
-    done = sim.forked(lambda j, _: {k: evaluate(tasks[k]) for k in (
-        queue[:-1] if j else range(queue[0]))}, 2) if queue else {}
-    return [row for k, task in enumerate(tasks)
-            for row in (done[k] if k in done else evaluate(task))]
+    width = 1 if spec.kind in _EVALUATORS else len(spec.sweep["theta_grid"])
+    units, n = [indexed[i:i + width]
+                for i in range(0, len(indexed), width)], workers
+    if spec.kind == "scmp_vs_R":
+        units, n = [indexed], 1
+    elif spec.kind == "validate":
+        q = [k for k, point in indexed if point.get("check") in _QUEUE_CHECKS]
+        units, n = [indexed[:q[0]], indexed[q[0]:q[-1]], indexed[q[-1]:]], 2
+    return [row for rows in sim.forked(lambda u: _eval_task(spec, units[u]),
+                                       len(units), n) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +701,13 @@ def main(argv: list | None = None) -> int:
                      help="override the replication budget")
     run.add_argument("--out", default=".", help="output directory")
     run.add_argument("--workers", type=int, default=1,
-                     help="process count for grid evaluation")
+                     help="most processes that evaluate the grid, and no "
+                          "more than the usable CPUs (default 1)")
 
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        run.error(f"argument --workers: must be at least 1, not "
+                  f"{args.workers}")
     mapping = None
     try:
         mapping = _merge_spec(args.spec_file, args.preset, args.seed,

@@ -7,14 +7,15 @@ streams: the Philox key is (run seed, simulator) and the counter is the
 block index. A block's length depends only on the network and the window,
 and the blocks, drawn by forked processes (`forked`, one per usable CPU),
 are joined in block order, so reruns are byte-identical at any CPU count and
-a longer run starts with the blocks of a shorter one. `forked` also runs a
-`validate` run's queue checks but the last in one child beside its drops, at
-any --workers. Each block reuses the heap pages the last one freed (see the
-package docstring). A spatial run samples strictly increasing radii from one
-drop at the largest, thinned to each smaller radius, so its sample at the
-largest radius is that of a run at that radius alone. The queueing
-simulation runs one central FIFO queue plus a group of edge FIFO queues fed
-by minimum-load dispatch, drawing its task stream a chunk at a time.
+a longer run starts with the blocks of a shorter one. `forked` is the one
+fork path: `cfedge run` maps its units of work through it too, in at most
+--workers processes. Each block reuses the heap pages the last one freed
+(see the package docstring). A spatial run samples strictly increasing
+radii from one drop at the largest, thinned to each smaller radius, so its
+sample at the largest radius is that of a run at that radius alone. The
+queueing simulation runs one central FIFO queue plus a group of edge FIFO
+queues fed by minimum-load dispatch, drawing its task stream a chunk at a
+time.
 """
 
 from __future__ import annotations
@@ -110,11 +111,14 @@ def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def forked(job, n: int) -> dict:
-    """The union of the dicts job(j, k) returns for shares j < k, k being n
+def forked(fn, count: int, n: int) -> list:
+    """[fn(i) for i in range(count)]. Item i falls to share i % k, k being n
     or the usable CPUs if fewer, and 1 without os.fork or while a second
-    thread is alive. The caller runs share 0, and a forked child each other
-    share, which pipes its dict back, or nothing if it raises or dies. Each
+    thread is alive. A forked child computes each share but 0 and pipes its
+    items back, or nothing if it raises or dies; the caller computes share
+    0 up to its first failing item, then, in item order, each item before
+    that one which no child delivered. So an Exception raised is that of
+    the first failing item, and with k = 1 no item is computed twice. Each
     write end is closed before the next fork; every child is reaped."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -126,15 +130,26 @@ def forked(job, n: int) -> dict:
             r, w = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
-                    os.write(w, pickle.dumps(job(j, k)))
+                    os.write(w, pickle.dumps(
+                        {i: fn(i) for i in range(j, count, k)}))
                 finally:
                     os._exit(0)
             os.close(w)
             children[pid] = open(r, "rb")
-        got = job(0, k)
-        for pipe in children.values():  # a failed child sent a cut pickle
+        done, failed = {}, count
+        for i in range(0, count, k):
+            try:
+                done[i] = fn(i)
+            except Exception as exc:
+                failed, error = i, exc
+                break
+        # no child item precedes item 0; a failed child sent a cut pickle
+        for pipe in children.values() if failed else ():
             with contextlib.suppress(EOFError, pickle.UnpicklingError):
-                got.update(pickle.loads(pipe.read()))
+                done.update(pickle.loads(pipe.read()))
+        got = [done[i] if i in done else fn(i) for i in range(failed)]
+        if failed < count:
+            raise error
         return got
     finally:
         for pid, pipe in children.items():
@@ -148,11 +163,9 @@ def _replicate(scenario: SpatialScenario, stream: int, per_rep: float,
     """Per-replication outcome arrays of a run, drawn by `draw(rng, n)` a
     block at a time. A block holds _BLOCK_ELEMENTS // per_rep replications
     (at least one), per_rep being the expected elements of one; only the
-    last block of a run may be shorter. Share j of k (one per usable CPU,
-    at most one per block) holds blocks j, j + k, ...: forked children draw
-    all shares but 0 (forked), the caller share 0 and any block not
-    delivered. Joined in block order, the arrays are the same at any CPU
-    count.
+    last block of a run may be shorter. The blocks are mapped by `forked`,
+    at most one process per block; joined in block order, the arrays are
+    the same at any CPU count.
     ValueError if per_rep exceeds _REPLICATION_ELEMENTS. Each block reuses
     the heap pages the last one freed: see the package docstring."""
     if per_rep > _REPLICATION_ELEMENTS:
@@ -160,14 +173,9 @@ def _replicate(scenario: SpatialScenario, stream: int, per_rep: float,
                          f"above the {_REPLICATION_ELEMENTS} a drop may hold")
     size = max(1, int(_BLOCK_ELEMENTS // per_rep))
     count = -(-scenario.replications // size)
-
-    def block(b: int):
-        return draw(_block_rng(scenario.seed, stream, b),
-                    min(size, scenario.replications - b * size))
-    blocks = forked(lambda j, k: {b: block(b) for b in range(j, count, k)},
-                    count)
-    return [np.concatenate(column) for column in zip(*(
-        blocks[b] if b in blocks else block(b) for b in range(count)))]
+    blocks = forked(lambda b: draw(_block_rng(scenario.seed, stream, b), min(
+        size, scenario.replications - b * size)), count, count)
+    return [np.concatenate(column) for column in zip(*blocks)]
 
 
 def _frequency(flags: np.ndarray) -> tuple:

@@ -690,6 +690,82 @@ class TestQueueChild:
         assert manifests[0] == manifests[1]
 
 
+def _r_threshold_spec() -> dict:
+    """An r_threshold spec of three points, one search each."""
+    spec = _tiny("r-threshold")
+    spec["sweep"]["areas_km2"] = [1.0, 2.0, 4.0]
+    return spec
+
+
+class TestWorkers:
+    """--workers caps the processes that share a run's units of work."""
+
+    def test_one_child_per_spare_cpu_up_to_workers(self, tmp_path,
+                                                   monkeypatch):
+        want = None
+        for cpus, workers, forks in ((1, 1, 0), (1, 2, 0), (2, 1, 0),
+                                     (2, 2, 1), (2, 3, 1)):
+            _cpus(monkeypatch, cpus)
+            log = _fork_log(monkeypatch)
+            out = tmp_path / f"{cpus}-{workers}"
+            assert _run(out, _r_threshold_spec(), "--workers",
+                        str(workers))[0] == EXIT_OK
+            assert len(log) == forks, (cpus, workers)
+            got = (out / "r-threshold.csv").read_bytes()
+            assert want is None or got == want, (cpus, workers)
+            want = got
+            _no_child_left()
+
+    def test_killed_worker_changes_nothing(self, tmp_path, monkeypatch):
+        # the child that evaluates point 1 dies by SIGKILL: the caller
+        # evaluates it, and the CSV is that of one worker
+        spec = _r_threshold_spec()
+        assert _run(tmp_path / "one", spec)[0] == EXIT_OK
+        caller, real = os.getpid(), cli._eval_r_threshold
+
+        def killed(spec, index, point):
+            if index == 1 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(spec, index, point)
+
+        monkeypatch.setitem(cli._EVALUATORS, "r_threshold", killed)
+        _cpus(monkeypatch, 2)
+        log = _fork_log(monkeypatch)
+        code, manifest = _run(tmp_path / "two", spec, "--workers", "2")
+        assert code == EXIT_OK, manifest["error"]
+        assert len(log) == 1
+        assert (tmp_path / "two" / "r-threshold.csv").read_bytes() \
+            == (tmp_path / "one" / "r-threshold.csv").read_bytes()
+        _no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_point_names_the_error(self, tmp_path,
+                                                 monkeypatch, workers):
+        # points 1 and 2 raise different errors; at two workers point 1
+        # falls to the child and point 2 to the caller, which fails first
+        caller, real, calls = os.getpid(), cli._eval_r_threshold, []
+
+        def failing(spec, index, point):
+            if os.getpid() == caller:
+                calls.append(index)
+            if index == 1:
+                raise NumericalError("point 1")
+            if index == 2:
+                raise StabilityError("point 2")
+            return real(spec, index, point)
+
+        monkeypatch.setitem(cli._EVALUATORS, "r_threshold", failing)
+        _cpus(monkeypatch, 2)
+        code, manifest = _run(tmp_path, _r_threshold_spec(), "--workers",
+                              str(workers))
+        assert code == EXIT_NUMERICAL
+        assert manifest["error"] == {"type": "NumericalError",
+                                     "message": "point 1"}
+        if workers == 1:
+            assert calls == [0, 1]
+        _no_child_left()
+
+
 class TestMain:
     def test_usage_error(self, capsys):
         assert cli.main(["run"]) == EXIT_USAGE
@@ -806,19 +882,21 @@ def _env_with_this_src() -> dict:
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
-def test_import_leaves_out_unused_packages():
+def test_import_leaves_out_unused_packages(tmp_path):
     # scipy.optimize and scipy.integrate cost about 0.3 s of import and
-    # the closed forms do not use them; the process pool is imported only
-    # when a run asks for more than one worker, and a spatial drop forks
-    # its children without any pool
+    # the closed forms do not use them; no run imports a process pool:
+    # a spatial drop and a --workers 2 run fork their children themselves
     env = _env_with_this_src()
     probe = ("import sys, cfedge.cli; print(cfedge.cli.__file__); "
              "from cfedge import sim; net = cfedge.cli.NetworkConfig("
              "lambda_b=400.0, lambda_d=100.0); sim.simulate_uplink_outage("
              "net, sim.SpatialScenario.for_network(net, 300, 1)); "
+             "cfedge.cli.run_experiment(cfedge.cli.ExperimentSpec."
+             "from_mapping(cfedge.cli._merge_spec(None, 'secp-surface', "
+             f"None, None)), {str(tmp_path)!r}, workers=2); "
              "print(*sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
-             "'concurrent.futures.process', 'concurrent.futures.thread') "
-             "if m in sys.modules))")
+             "'concurrent.futures.process', 'concurrent.futures.thread', "
+             "'multiprocessing') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split("\n")
     assert Path(out[0]).resolve() == Path(cli.__file__).resolve()
@@ -1024,7 +1102,15 @@ class TestInputContract:
         ("energy-sweep", {"enrgy": {"p_tx_user": 0.5}},
          "unknown key in spec: enrgy; expected one of kind, label, network, "
          "compute, energy, sweep, sim"),
-    ], ids=["sim", "top-level"])
+        ("secp-surface", {"sweep": {"theta_grd": [0.5]}},
+         "unknown key in sweep: theta_grd; expected one of radii_km, "
+         "theta_grid"),
+        ("r-threshold", {"sweep": {"rows": [
+            {"antennas_per_ap": 4, "lambda_b": 400.0,
+             "target_latency": 0.012, "network_areaa": 5.0}]}},
+         "unknown key in sweep.rows entry: network_areaa; expected one of "
+         "antennas_per_ap, lambda_b, target_latency"),
+    ], ids=["sim", "top-level", "sweep", "row"])
     def test_unknown_key_over_a_preset_is_exit_2(self, tmp_path, preset,
                                                  overrides, message):
         # a misspelt key would otherwise leave the preset's or the default
@@ -1077,3 +1163,14 @@ class TestInputContract:
         assert code == EXIT_USAGE
         assert "f_cs_hz" in manifest["error"]["message"]
         assert evaluated == []
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_a_usage_error(self, tmp_path, capsys,
+                                                workers):
+        # argparse's exit, as for --workers x: nothing runs or is written
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["run", "--preset", "secp-surface", "--out",
+                      str(tmp_path), "--workers", workers])
+        assert stop.value.code == EXIT_USAGE
+        assert "--workers: must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -360,6 +360,23 @@ class TestBlocks:
         assert len(forks) == 1
         _no_child_left()
 
+    def test_failing_first_block_kills_children(self, monkeypatch):
+        # block 0 raises in the caller: no child block comes before it, so
+        # the call raises at once while the child drawing block 1 sleeps
+        def draw(rng, n):
+            if int(rng.bit_generator.state["state"]["counter"][3]) == 1:
+                time.sleep(60.0)
+            raise ValueError("block 0")
+
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+        sc = SpatialScenario(half_width=1.0, guard=0.0, replications=4,
+                             seed=1)
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="block 0"):
+            sim._replicate(sc, 2, sim._BLOCK_ELEMENTS / 2, draw)
+        assert time.monotonic() - t0 < 30.0
+        _no_child_left()
+
     @pytest.mark.parametrize("kind", sorted(_SIMULATORS))
     def test_killed_child_is_drawn_again(self, fig_net, monkeypatch, kind):
         # the child drawing block 1 dies by SIGKILL: the caller draws its
