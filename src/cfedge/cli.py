@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy
 
 from . import __version__, comm, offload, sim
 from . import energy as energy_mod
@@ -632,8 +631,7 @@ def _write_manifest(out_dir: str, label: str, kind, spec: dict,
         "started_utc": started.isoformat(),
         "wall_time_s": 0.0,
         "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__,
-                     "cfedge": __version__},
+                     "numpy": np.__version__, "cfedge": __version__},
         "output_csv": None,
         "rows_written": 0,
         **fields,

@@ -18,11 +18,10 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.special as sp
 
 from .errors import NumericalError
 from .model import NetworkConfig, mean_connected_aps, pathloss
-from .specfun import gamma_expectation, hyp2f1
+from .specfun import _laguerre_rule, gamma_expectation, gammaincc, hyp2f1
 
 _CLAMP_WARN = 1e-6
 
@@ -32,9 +31,10 @@ _CLAMP_WARN = 1e-6
 
 
 # The uplink closed forms below take s (or r) as a float or as an array of
-# them, with the same bits per element: +, -, *, /, np.exp and scipy's
-# hyp2f1 give an element of an array the bits they give a float, and every
-# power of an array is a repeated product or goes through _float_pow.
+# them, with the same bits per element: +, -, *, /, np.exp and
+# specfun.hyp2f1 give an element of an array the bits they give a float,
+# and every power of an array is a repeated product or goes through
+# _float_pow.
 
 
 def _float_pow(x, p: float):
@@ -81,14 +81,16 @@ def uplink_log_coeffs(s, order: int, net: NetworkConfig) -> list:
     sc = s * net.d0 ** (-a)
     y = sc / (1.0 + sc)
     area = math.pi * net.lambda_d * net.d0 ** 2
+    # the lead's 2F1 (row 0) and the far field's (row j) in one call
+    b = np.maximum(np.arange(order + 1), 1) - 2.0 / a
+    f = hyp2f1(np.arange(1.0, order + 2.0), b, b + 1.0, -sc)
     lead = -(2.0 * math.pi * net.lambda_d / a) * s * net.d0 ** (2.0 - a) \
-        / (1.0 - 2.0 / a) * hyp2f1(1.0, 1.0 - 2.0 / a, 2.0 - 2.0 / a, -sc)
+        / (1.0 - 2.0 / a) * f[0]
     out = [-area * y + lead]
     near, far = area * (1.0 - y), 2.0 * area / a
     for j in range(1, order + 1):
         near, far = near * y, far * sc
-        b = j - 2.0 / a
-        out.append(near + far / b * hyp2f1(j + 1, b, b + 1.0, -sc))
+        out.append(near + far / b[j] * f[j])
     return out
 
 
@@ -223,16 +225,28 @@ def _interferer_rule():
 
 def _power_disc(radius: np.ndarray, orders: int, net: NetworkConfig) -> list:
     # For j < orders, int_0^radius k_j(gamma rho^(-alpha)) 2 pi rho drho in
-    # closed form, with k_0(z) = -z / (1 + z) and k_j(z) = z^j / (1 + z)^(j+1)
+    # closed form, with k_0(z) = -z / (1 + z) and k_j(z) = z^j / (1 + z)^(j+1).
+    # Orders 0 and 1 take their 2F1s from one call. From order 2 on, with
+    # u = radius^alpha / gamma, e = 1 + 2/alpha and
+    # F_j = 2F1(j + 1, e; e + 1; -u), the forward recurrence
+    # F_j = (1 - e/j) F_(j-1) + e (1 + u)^-j / j adds two positive terms
+    # (e < 2), so it keeps the relative accuracy of F_1
     a = net.alpha
     g = net.sir_threshold_ul
     x = -radius ** a / g
-    out = [-math.pi * radius ** 2 * hyp2f1(1.0, 2.0 / a, 1.0 + 2.0 / a, x)]
-    if orders > 1:
-        lead = (2.0 * math.pi / g) * radius ** (a + 2.0) / (a + 2.0)
-        e = 1.0 + 2.0 / a
-        out += [lead * hyp2f1(j + 1.0, e, 1.0 + e, x)
-                for j in range(1, orders)]
+    e = 1.0 + 2.0 / a
+    if orders == 1:
+        return [-math.pi * radius ** 2 * hyp2f1(1.0, 2.0 / a, e, x)]
+    f = hyp2f1([1.0, 2.0], [2.0 / a, e], [e, 1.0 + e], x)
+    out = [-math.pi * radius ** 2 * f[0]]
+    lead = (2.0 * math.pi / g) * radius ** (a + 2.0) / (a + 2.0)
+    step = 1.0 / (1.0 - x)
+    power, f = step, f[1]
+    out.append(lead * f)
+    for j in range(2, orders):
+        power = power * step
+        f = (1.0 - e / j) * f + e * power / j
+        out.append(lead * f)
     return out
 
 
@@ -255,8 +269,9 @@ def _disc_log_terms(r: np.ndarray, d1: np.ndarray, orders: int,
     edge = np.minimum(core, flat)
     beyond = core > flat
     rows = np.nonzero(beyond)[0]                 # the row of each beyond entry
-    starts = _power_disc(flat, orders, net)
-    ends = _power_disc(core[beyond], orders, net)
+    # the power-law disc up to the plateau edge of each row, then up to each
+    # beyond entry's core, in one pass
+    discs = _power_disc(np.concatenate([flat[:, 0], core[beyond]]), orders, net)
     # arcs, |beta - 1| < rho < beta + 1: rho = mid - half cos(theta)
     th, tw = _half_turn_rule(_ARC_NODES)
     mid = np.maximum(beta, 1.0)[..., None]
@@ -270,7 +285,7 @@ def _disc_log_terms(r: np.ndarray, d1: np.ndarray, orders: int,
     out = []
     for j in range(orders):
         term = (kern * arc).sum(axis=-1) + math.pi * edge ** 2 * kern_flat
-        term[beyond] += ends[j] - starts[j][rows, 0]
+        term[beyond] += discs[j][len(r):] - discs[j][rows]
         out.append(term)
         if j == 0:
             kern, kern_flat = y * (1.0 - y), y_flat * (1.0 - y_flat)
@@ -455,21 +470,34 @@ def signal_log_coeffs(s: float, order: int, net: NetworkConfig) -> list:
         if R <= d0:
             return 0.0
         return gamma_expectation(
-            lambda g: g ** two_a * (sp.gammaincc(arg, s * g * cr)
-                                    - sp.gammaincc(arg, s * g * cd)) * factor, M)
+            lambda g: g ** two_a * (gammaincc(arg, s * g * cr)
+                                    - _plateau_edge_q(arg, s, cd, M, len(g)))
+            * factor, M)
 
     rho = 0.5 * R ** 2 * (1.0 - (1.0 + s * cr) ** (-M)) \
-        + 0.5 * s ** two_a * annulus(1.0 - two_a, sp.gamma(1.0 - two_a))
+        + 0.5 * s ** two_a * annulus(1.0 - two_a, math.gamma(1.0 - two_a))
     amp = 2.0 * math.pi * net.lambda_b
     y = s * cd / (1.0 + s * cd)
     plateau = 0.5 * min(R, d0) ** 2 * (1.0 - y) ** M
-    ratio = sp.gamma(-two_a)                    # Gamma(m - 2/a) / m! at m = 0
+    ratio = math.gamma(-two_a)                  # Gamma(m - 2/a) / m! at m = 0
     out = [-amp * rho]
     for m in range(1, order + 1):
         plateau *= (M + m - 1) / m * y
         ratio *= (m - 1 - two_a) / m
         out.append(amp * (plateau + s ** two_a / a * annulus(m - two_a, ratio)))
     return out
+
+
+@lru_cache(maxsize=64)
+def _plateau_edge_q(arg: float, s: float, cd: float, m: int,
+                    nodes: int) -> np.ndarray:
+    # Q(arg, s g d0^-alpha) at the nodes g of gamma_expectation's rule of
+    # that many nodes: the plateau-edge term of signal_log_coeffs' annulus,
+    # which no radius changes. Read-only.
+    g, _ = _laguerre_rule(nodes, int(m))
+    q = gammaincc(arg, s * g * cd)
+    q.flags.writeable = False
+    return q
 
 
 @dataclass(frozen=True)

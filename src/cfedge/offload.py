@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.special as sp
 
 from . import comm
 from .errors import NumericalError, StabilityError
@@ -365,7 +364,8 @@ def poisson_weights(nu: float):
     if nu >= _POISSON_RECURSION_MAX:
         # in log space, up to a cutoff 20 standard deviations past the mean
         n = np.arange(int(nu + 20.0 * math.sqrt(nu)))
-        weights = np.exp(sp.xlogy(n, nu) - sp.gammaln(n + 1) - nu)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(len(n))])
+        weights = np.exp(n * math.log(nu) - log_fact - nu)
         done = np.flatnonzero(1.0 - np.cumsum(weights) <= _POISSON_TAIL)
         if len(done) == 0:
             raise NumericalError("Poisson truncation failed to terminate")

@@ -269,8 +269,7 @@ class TestRunExperiment:
         assert manifest["exit_code"] == 0
         assert manifest["rows_written"] == 2
         assert manifest["output_csv"] == "tiny.csv"
-        for lib in ("python", "numpy", "scipy", "cfedge"):
-            assert lib in manifest["versions"]
+        assert sorted(manifest["versions"]) == ["cfedge", "numpy", "python"]
 
     def test_reruns_byte_identical(self, tmp_path):
         # reruns read the process-wide caches (latency CDFs, Euler nodes,
@@ -903,10 +902,10 @@ def test_import_leaves_out_unused_packages(tmp_path):
     assert out[1] == ""
 
 
-def test_run_path_imports_only_scipy_special(tmp_path):
+def test_run_path_imports_no_scipy(tmp_path):
     # a surface run and a short validate run, the queue oracle and the
-    # Gauss-Laguerre rules included, in a fresh interpreter: scipy.linalg,
-    # scipy.optimize and scipy.integrate stay unloaded
+    # Gauss-Laguerre rules included, in a fresh interpreter: no scipy
+    # module is loaded
     env = _env_with_this_src()
     probe = textwrap.dedent("""
         import sys
@@ -920,14 +919,13 @@ def test_run_path_imports_only_scipy_special(tmp_path):
                 sweep["queue_cs"] = {"duration_s": 5.0}
             spec = cli.ExperimentSpec.from_mapping(data)
             print(cli.run_experiment(spec, out_dir=sys.argv[1]))
-        print(*sorted(m for m in ("scipy.special", "scipy.linalg",
-                                  "scipy.optimize", "scipy.integrate")
-                      if m in sys.modules))
+        print(*sorted(m for m in sys.modules
+                      if m == "scipy" or m.startswith("scipy.")))
         """)
     out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
                          env=env, check=True, capture_output=True,
                          text=True).stdout.split("\n")
-    assert out[:3] == [str(EXIT_OK), str(EXIT_OK), "scipy.special"]
+    assert out[:3] == [str(EXIT_OK), str(EXIT_OK), ""]
 
 
 def test_format_cell_types():
@@ -1049,8 +1047,8 @@ class TestInputContract:
 
     def test_numeric_failure_is_exit_4_with_manifest(self, tmp_path,
                                                      capsys):
-        # at M = 200 the uplink closed form raises NumericalError: scipy's
-        # 2F1 is not finite at some of the orders it needs
+        # at M = 200 the uplink closed form raises NumericalError: its
+        # far-field coefficients (sc)^j leave the float range
         spec = _tiny("secp-surface")
         spec["network"]["antennas_per_ap"] = 200
         code, manifest = _run(tmp_path, spec)

@@ -299,11 +299,24 @@ def test_large_antenna_counts_evaluate_or_raise_numerical_error(M):
         assert 0.0 <= value <= 1.0, name
 
 
+def test_uplink_outage_evaluates_to_43_antennas():
+    # the preset network at R = 100 m: the mixture evaluates up to M = 43
+    # (scipy's 2F1 of the disc terms was not finite from M = 39); from
+    # M = 44, (sc)^j of the far-field coefficients leaves the float range
+    outage = [comm.uplink_outage(make_net(antennas_per_ap=m,
+                                          coverage_radius=0.1))
+              for m in (38, 39, 43)]
+    assert all(0.0 < b < a < 1.0 for a, b in zip(outage, outage[1:]))
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match="uplink_outage produced a non-finite value"):
+        comm.uplink_outage(make_net(antennas_per_ap=44, coverage_radius=0.1))
+
+
 def test_non_finite_radial_integral_names_its_cause():
     # the preset network at R = 100 m: from M = 42 the uplink coefficients
     # overflow and the radial integral is not finite; M = 41 keeps its value
     net = make_net(antennas_per_ap=41, coverage_radius=0.1)
-    want = 0.7368515457974368
+    want = 0.7368515457974358
     assert comm.per_ap_success(net) == (
         want if _build() in PINNED else pytest.approx(want, rel=1e-12))
     with np.errstate(all="ignore"), pytest.raises(
