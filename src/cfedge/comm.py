@@ -8,6 +8,11 @@ the rest of the field averaged per AP (uplink_mixture). per_ap_success is
 the single-AP success with no such conditioning. Downlink: moment-matched
 Gamma model for the beam interference, outage bracketed by integer-shape
 truncations.
+
+The special functions come from specfun, in numpy: the disc integrals'
+2F1 terms from hyp2f1, all orders of one argument array in one call or,
+in _power_disc, orders 2 and up by a forward recurrence; the downlink
+series' upper incomplete gamma terms from gammaincc.
 """
 
 from __future__ import annotations
@@ -271,7 +276,8 @@ def _disc_log_terms(r: np.ndarray, d1: np.ndarray, orders: int,
     rows = np.nonzero(beyond)[0]                 # the row of each beyond entry
     # the power-law disc up to the plateau edge of each row, then up to each
     # beyond entry's core, in one pass
-    discs = _power_disc(np.concatenate([flat[:, 0], core[beyond]]), orders, net)
+    discs = _power_disc(np.concatenate([flat[:, 0], core[beyond]]), orders,
+                        net)
     # arcs, |beta - 1| < rho < beta + 1: rho = mid - half cos(theta)
     th, tw = _half_turn_rule(_ARC_NODES)
     mid = np.maximum(beta, 1.0)[..., None]

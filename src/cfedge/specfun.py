@@ -56,10 +56,14 @@ def _series_length(a: float, c: float, step: int) -> int:
 
 @lru_cache(maxsize=256)
 def _series_coefficients(params: tuple, n: int) -> np.ndarray:
-    # (a)_k / (c)_k for k <= n, one column per (a, c) of params
+    # (a)_k / (c)_k for k <= n, one column per (a, c) of params. At large a
+    # a column may overflow: one no element reads does no harm, and one an
+    # element reads makes that element inf or NaN, which hyp2f1 reports
     a, c = np.array(params).T
     k = np.arange(n, dtype=float)[:, None]
-    return np.cumprod(np.vstack([np.ones_like(a), (a + k) / (c + k)]), axis=0)
+    with np.errstate(over="ignore"):
+        return np.cumprod(np.vstack([np.ones_like(a), (a + k) / (c + k)]),
+                          axis=0)
 
 
 def _sum_terms(terms: np.ndarray) -> np.ndarray:
@@ -150,15 +154,16 @@ def _hyp2f1_rows(a: tuple, b: tuple, c: tuple):
     whole = tuple(int(bi) for bi in b)
     column = lambda v: np.array(v)[:, None]     # noqa: E731
     return (column(cut), params, tuple(int(ai) for ai in a), column(scale),
-            column(ratio), whole, column([bi - wi for bi, wi in zip(b, whole)]))
+            column(ratio), whole,
+            column([bi - wi for bi, wi in zip(b, whole)]))
 
 
 def hyp2f1(a, b, c, z):
     """Gauss hypergeometric 2F1(a, b; c; z) for c = b + 1 and z <= 0, the
     one family the disc integrals of the closed forms evaluate, with a
-    a positive integer and b > 0. a, b and c are floats, or 1-D arrays of one
-    length for several orders in one call; z is a float or an array. The
-    result is a float, or an array of shape (orders,) + z.shape, each
+    a positive integer and b > 0. a, b and c are floats, or 1-D arrays of
+    one length for several orders in one call; z is a float or an array.
+    The result is a float, or an array of shape (orders,) + z.shape, each
     element with the bits it has alone. NumericalError where it is not
     finite.
 
@@ -205,7 +210,8 @@ def hyp2f1(a, b, c, z):
 @lru_cache(maxsize=64)
 def _rising_logs(a: float, n: int) -> np.ndarray:
     # log((a + 1) ... (a + k)) for k <= n, as a column
-    return np.concatenate([[0.0], np.cumsum(np.log(a + np.arange(1.0, n + 1.0)))])[:, None]
+    logs = np.cumsum(np.log(a + np.arange(1.0, n + 1.0)))
+    return np.concatenate([[0.0], logs])[:, None]
 
 
 def gammaincc(a: float, x):
