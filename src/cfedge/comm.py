@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .model import NetworkConfig, mean_connected_aps, pathloss
-from .specfun import _laguerre_rule, gamma_expectation, gammaincc, hyp2f1
+from .specfun import gamma_expectation, gammaincc, hyp2f1
 
 _CLAMP_WARN = 1e-6
 
@@ -59,12 +59,16 @@ def series_sum(coeffs: list):
     The success is sum_{m<K} e_m, where e_m = (-s)^m / m! L^(m)(s) are the
     coefficients of exp(sum_j c_j t^j): e_0 = exp(c_0) and
     e_m = (1/m) sum_{i<m} (m-i) c_(m-i) e_i (Knuth, TAOCP vol. 2, sec. 4.7).
-    The entries may be floats or arrays of one shape.
+    The entries may be floats or arrays of one shape. A coefficient that
+    is not finite gives a sum that is not finite, without numpy's
+    warnings: the callers check their sums.
     """
-    e = [np.exp(coeffs[0])]
-    for m in range(1, len(coeffs)):
-        e.append(sum((m - i) * coeffs[m - i] * e[i] for i in range(m)) / m)
-    return sum(e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = [np.exp(coeffs[0])]
+        for m in range(1, len(coeffs)):
+            e.append(sum((m - i) * coeffs[m - i] * e[i] for i in range(m))
+                     / m)
+        return sum(e)
 
 
 def uplink_log_coeffs(s, order: int, net: NetworkConfig) -> list:
@@ -93,9 +97,12 @@ def uplink_log_coeffs(s, order: int, net: NetworkConfig) -> list:
         / (1.0 - 2.0 / a) * f[0]
     out = [-area * y + lead]
     near, far = area * (1.0 - y), 2.0 * area / a
-    for j in range(1, order + 1):
-        near, far = near * y, far * sc
-        out.append(near + far / b[j] * f[j])
+    # (sc)^j may leave the float range, and then c_j is inf or NaN; the
+    # callers report it as not finite, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, order + 1):
+            near, far = near * y, far * sc
+            out.append(near + far / b[j] * f[j])
     return out
 
 
@@ -317,7 +324,11 @@ def _conditional_success_chunk(r: np.ndarray, d1: np.ndarray,
     # the field less the disc, plus the nearest interferer at angle psi
     logs = [(full[j][:, None] - area * disc[j])[:, :, None]
             + (-np.log1p(zy) if j == 0 else ratio ** j / j) for j in range(M)]
-    return np.clip(series_sum(logs), 0.0, 1.0) @ pw
+    # a coefficient that is not finite makes its success NaN, never a value
+    # clipped into [0, 1]
+    success = series_sum(logs)
+    return np.where(np.isfinite(success), np.clip(success, 0.0, 1.0),
+                    np.nan) @ pw
 
 
 class _RadialTable:
@@ -471,14 +482,20 @@ def signal_log_coeffs(s: float, order: int, net: NetworkConfig) -> list:
     cr = max(R, d0) ** (-a)
     two_a = 2.0 / a
 
+    edge = _plateau_edge_q(s, cd, M)
+
     def annulus(arg, factor):
         # the part d0 < r < R, none when the disc sits on the plateau
         if R <= d0:
             return 0.0
-        return gamma_expectation(
-            lambda g: g ** two_a * (gammaincc(arg, s * g * cr)
-                                    - _plateau_edge_q(arg, s, cd, M, len(g)))
-            * factor, M)
+
+        def integrand(g):
+            key = (arg, len(g))
+            if key not in edge:
+                edge[key] = gammaincc(arg, s * g * cd)
+            return g ** two_a * (gammaincc(arg, s * g * cr) - edge[key]) \
+                * factor
+        return gamma_expectation(integrand, M)
 
     rho = 0.5 * R ** 2 * (1.0 - (1.0 + s * cr) ** (-M)) \
         + 0.5 * s ** two_a * annulus(1.0 - two_a, math.gamma(1.0 - two_a))
@@ -494,16 +511,14 @@ def signal_log_coeffs(s: float, order: int, net: NetworkConfig) -> list:
     return out
 
 
-@lru_cache(maxsize=64)
-def _plateau_edge_q(arg: float, s: float, cd: float, m: int,
-                    nodes: int) -> np.ndarray:
-    # Q(arg, s g d0^-alpha) at the nodes g of gamma_expectation's rule of
-    # that many nodes: the plateau-edge term of signal_log_coeffs' annulus,
-    # which no radius changes. Read-only.
-    g, _ = _laguerre_rule(nodes, int(m))
-    q = gammaincc(arg, s * g * cd)
-    q.flags.writeable = False
-    return q
+@lru_cache(maxsize=8)
+def _plateau_edge_q(s: float, cd: float, m: int) -> dict:
+    # Q(arg, s g d0^-alpha) at the nodes g of a gamma_expectation rule for
+    # Gamma(m, 1), keyed by (arg, node count) and filled by
+    # signal_log_coeffs: the plateau-edge term of its annulus, which no
+    # radius changes. One table holds every order, so a radius at a larger
+    # interference shape only adds its new orders.
+    return {}
 
 
 @dataclass(frozen=True)

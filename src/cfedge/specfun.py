@@ -33,7 +33,6 @@ from .errors import NumericalError
 # later and smaller term, leaves the sum's bits as they are
 _SUM_ULP = 2.0 ** -56
 _SERIES_TERMS = 10000
-_TIER_MIN = 128
 _EXPONENTS = np.arange(_SERIES_TERMS + 1.0)[:, None]
 _LOG_FLOOR = -690.0        # exp of it is a normal float, and of 0 exactly 1
 
@@ -83,38 +82,33 @@ def _ratio_series(params: tuple, group: np.ndarray, y: np.ndarray):
     The terms rise to one peak and then fall. Past the count that takes
     them below 2^-56 (_series_length), a term adds nothing to the sum,
     which is at least 1; so an element summed over more terms than it
-    needs has the bits it has alone. Above _TIER_MIN elements they go in
-    two tiers, y up to 1/16 and the rest. In each tier the terms
-    (a)_k / (c)_k exp(k log y) form one (terms, elements) array, which
-    _sum_terms sums in term order along its first axis."""
-    if len(y) > _TIER_MIN:
-        small = y <= 0.0625
-        tiers = (small, ~small)
-        out = np.empty_like(y)
-    else:
-        tiers = (slice(None),)
-    for part in tiers:
-        ys, gs = y[part], group[part]
-        if not len(ys):
-            continue
-        top = float(np.fmax.reduce(ys))
-        if top >= 1.0:
-            raise NumericalError("series at y = 1 does not converge")
+    needs has the bits it has alone. Each group counts its terms at its
+    own largest y, and every element is summed over the largest count:
+    the terms (a)_k / (c)_k exp(k log y) form one (terms, elements) array,
+    which _sum_terms sums in term order along its first axis."""
+    if not len(y):
+        return np.empty_like(y)
+    tops = np.zeros(len(params))
+    np.fmax.at(tops, group, y)
+    if tops.max() >= 1.0:
+        raise NumericalError("series at y = 1 does not converge")
+    n = 0
+    for i in np.flatnonzero(np.bincount(group, minlength=len(params))):
+        top = tops[i].item()
         # y = 0, below 2^-1000 or NaN: the least y the lengths resolve
         step = max(math.ceil(8.0 * math.log2(top / (1.0 - top))), -8000) \
             if top > 0.0 else -8000
-        used = np.flatnonzero(np.bincount(gs, minlength=len(params)))
-        n = max(_series_length(*params[i], step) for i in used.tolist())
-        # k log y, floored: a term there is far below 2^-56 as well
-        terms = _EXPONENTS[:n + 1] * np.log(np.maximum(ys, 1e-300))
-        np.maximum(terms, _LOG_FLOOR, out=terms)
-        np.exp(terms, out=terms)
-        terms *= _series_coefficients(params, n)[:, gs]
-        sums = _sum_terms(terms)
-        if len(tiers) == 1:
-            return sums
-        out[part] = sums
-    return out
+        n = max(n, _series_length(*params[i], step))
+    # k log y; below _LOG_FLOOR a term is 0, whatever its coefficient: one
+    # up to 1e283 leaves it below 2^-56 there, and past an element's own
+    # count a coefficient may have left the float range
+    terms = _EXPONENTS[:n + 1] * np.log(np.maximum(y, 1e-300))
+    low = terms < _LOG_FLOOR
+    np.maximum(terms, _LOG_FLOOR, out=terms)
+    np.exp(terms, out=terms)
+    terms *= _series_coefficients(params, n)[:, group]
+    terms[low] = 0.0
+    return _sum_terms(terms)
 
 
 def _int_powers(base: np.ndarray, exps: tuple) -> np.ndarray:
@@ -190,13 +184,15 @@ def hyp2f1(a, b, c, z):
     upper = w > cut
     group = upper + np.arange(0, 2 * len(a), 2)[:, None]
     sums = _ratio_series(params, group.ravel(), np.where(upper, x, w).ravel())
-    out = _int_powers(x, powers) * sums.reshape(upper.shape)
-    if upper.any():
-        safe = np.where(upper.any(axis=0), u, 1.0)     # u > 0 there
-        u_b = np.exp(-frac * np.log(safe))
-        if max(whole):
-            u_b *= _int_powers(1.0 / safe, whole)
-        out = np.where(upper, scale * u_b - ratio * out, out)
+    # a value out of the float range is reported below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _int_powers(x, powers) * sums.reshape(upper.shape)
+        if upper.any():
+            safe = np.where(upper.any(axis=0), u, 1.0)     # u > 0 there
+            u_b = np.exp(-frac * np.log(safe))
+            if max(whole):
+                u_b *= _int_powers(1.0 / safe, whole)
+            out = np.where(upper, scale * u_b - ratio * out, out)
     if not np.isfinite(out).all():
         row, col = np.argwhere(~np.isfinite(out))[0]
         raise NumericalError(f"hyp2f1({a[row]}, {b[row]}, {c[row]}, "
@@ -229,8 +225,9 @@ def gammaincc(a: float, x):
     xs = x[low]
     if len(xs):
         # P = x^a e^-x / Gamma(a + 1) sum_n x^n / ((a + 1) ... (a + n)), the
-        # terms as exp(n log x - log((a + 1) ... (a + n))), floored as in
-        # _ratio_series
+        # terms as exp(n log x - log((a + 1) ... (a + n))), floored at
+        # _LOG_FLOOR: the coefficient is inside the exponent, so a floored
+        # term is e^-690
         top = float(xs.max())
         term, n = 1.0, 0
         while term >= _SUM_ULP:

@@ -1046,12 +1046,14 @@ class TestInputContract:
                 == (tmp_path / "float" / "secp-surface.csv").read_bytes())
 
     def test_numeric_failure_is_exit_4_with_manifest(self, tmp_path,
-                                                     capsys):
+                                                     capsys, recwarn):
         # at M = 200 the uplink closed form raises NumericalError: its
-        # far-field coefficients (sc)^j leave the float range
+        # far-field coefficients (sc)^j leave the float range. The error
+        # alone reaches the user, with no numpy warning before it
         spec = _tiny("secp-surface")
         spec["network"]["antennas_per_ap"] = 200
         code, manifest = _run(tmp_path, spec)
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
         assert code == EXIT_NUMERICAL
         assert manifest["error"]["type"] == "NumericalError"
         assert manifest["output_csv"] is None

@@ -299,17 +299,22 @@ def test_large_antenna_counts_evaluate_or_raise_numerical_error(M):
         assert 0.0 <= value <= 1.0, name
 
 
-def test_uplink_outage_evaluates_to_43_antennas():
-    # the preset network at R = 100 m: the mixture evaluates up to M = 43
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_uplink_outage_evaluates_to_41_antennas():
+    # the preset network at R = 100 m: the mixture evaluates up to M = 41
     # (scipy's 2F1 of the disc terms was not finite from M = 39); from
-    # M = 44, (sc)^j of the far-field coefficients leaves the float range
+    # M = 42, (sc)^j of the far-field coefficients leaves the float range
+    # at radial nodes below R. Such a node's success is NaN, not a value
+    # clipped into [0, 1], and numpy warns of nothing
     outage = [comm.uplink_outage(make_net(antennas_per_ap=m,
                                           coverage_radius=0.1))
-              for m in (38, 39, 43)]
+              for m in (38, 39, 41)]
     assert all(0.0 < b < a < 1.0 for a, b in zip(outage, outage[1:]))
-    with np.errstate(all="ignore"), pytest.raises(
-            NumericalError, match="uplink_outage produced a non-finite value"):
-        comm.uplink_outage(make_net(antennas_per_ap=44, coverage_radius=0.1))
+    # M = 41 overflows from the node at 110 m, and M = 42 below 100 m
+    for m, R in ((41, 0.11), (42, 0.1)):
+        with pytest.raises(NumericalError,
+                           match="uplink_outage produced a non-finite value"):
+            comm.uplink_outage(make_net(antennas_per_ap=m, coverage_radius=R))
 
 
 def test_non_finite_radial_integral_names_its_cause():
@@ -463,6 +468,23 @@ class TestDownlinkOutage:
             comm._truncated_outage_sum(int(zeta), fig_net, params), "test")
         out = comm.downlink_outage(fig_net)
         assert (out.lower, out.upper, out.point) == (want, want, want)
+
+    def test_plateau_edge_terms_serve_every_radius(self, monkeypatch):
+        # the plateau-edge Q arrays depend on no radius: once a radius at
+        # shape 68 has filled them, every gammaincc call at a smaller radius
+        # is an R term, two per annulus (the 64- and 128-node rules)
+        calls = []
+        real = comm.gammaincc
+        monkeypatch.setattr(comm, "gammaincc",
+                            lambda a, x: calls.append(a) or real(a, x))
+        dense = dict(lambda_b=6400.0, d0=0.01)
+        comm.downlink_outage(make_net(coverage_radius=0.25, **dense))
+        for R in (0.2, 0.22):
+            net = make_net(coverage_radius=R, **dense)
+            zeta = comm.gamma_interference_params(net).zeta
+            calls.clear()
+            comm.downlink_outage(net)
+            assert len(calls) == 2 * (math.floor(zeta) + math.ceil(zeta))
 
     def test_truncation_increasing_in_shape(self, fig_net):
         params = comm.gamma_interference_params(fig_net)

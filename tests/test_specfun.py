@@ -47,6 +47,26 @@ def test_hyp2f1_array_is_per_float():
     got = hyp2f1(3.0, 2.459, 3.459, z)
     want = np.array([hyp2f1(3.0, 2.459, 3.459, v) for v in z.tolist()])
     assert got.tobytes() == want.tobytes()
+    # and no entries, none
+    assert hyp2f1(3.0, 2.459, 3.459, np.array([])).shape == (0,)
+    orders = np.array([1.0, 3.0])
+    assert hyp2f1(orders, orders - 0.541, orders + 0.459,
+                  np.array([])).shape == (2, 0)
+
+
+def test_orders_past_the_float_range_keep_their_bits():
+    # orders 1..200 over one argument array, as the uplink far field asks
+    # at M = 200: the series coefficients of the high orders leave the
+    # float range within the terms the array sums, past the count that
+    # elements of other orders need; those elements still have the bits
+    # of their own calls
+    a = np.arange(1.0, 201.0)
+    b = np.maximum(np.arange(200.0), 1.0) - 2.0 / 3.7
+    z = -np.geomspace(64.0, 201.0, 8)
+    got = hyp2f1(a, b, b + 1.0, z)
+    want = [[hyp2f1(ai, bi, bi + 1.0, zi) for zi in z.tolist()]
+            for ai, bi in zip(a.tolist(), b.tolist())]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 # The family the closed forms evaluate, 2F1(a, b; b + 1; -z): b = 1 + 2/alpha
