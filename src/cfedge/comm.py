@@ -117,14 +117,6 @@ def _single_ap_success_at(r, net: NetworkConfig):
     return series_sum(uplink_log_coeffs(s, net.antennas_per_ap - 1, net))
 
 
-@lru_cache(maxsize=4)
-def _legendre_rule(nodes: int):
-    # Gauss-Legendre nodes and weights on [-1, 1], read-only
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def per_ap_success(net: NetworkConfig) -> float:
     """Success probability of a single AP at uniform distance in the disc.
 
@@ -140,7 +132,7 @@ def per_ap_success(net: NetworkConfig) -> float:
     if R <= net.d0:
         return _clamp_probability(plateau, "per_ap_success")
     inner = plateau * net.d0 ** 2 / 2.0
-    x, w = _legendre_rule(12)
+    x, w = np.polynomial.legendre.leggauss(12)
 
     def radial(panels):
         # int_d0^R r q(r) dr, the rule on each of `panels` equal-ratio panels
@@ -220,7 +212,7 @@ class UplinkMixture:
 @lru_cache(maxsize=4)
 def _half_turn_rule(nodes: int):
     # Gauss-Legendre on [0, pi], weights summing to 1
-    x, w = _legendre_rule(nodes)
+    x, w = np.polynomial.legendre.leggauss(nodes)
     return 0.5 * math.pi * (x + 1.0), 0.5 * w
 
 
@@ -388,12 +380,11 @@ def _radial_weights(R: float, d0: float) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=64)
 def uplink_mixture(net: NetworkConfig) -> UplinkMixture:
     """Uplink outage and success given n APs on one shared interferer field.
 
-    Cached per network: the outage, the arrival-rate thinning and the per-n
-    uplink term of secp all read the same object at a given radius.
+    Not cached: the split scorers read it once per network through
+    offload.radius_terms, and the radial table behind it is cached.
     """
     nu = mean_connected_aps(net)
     _, weights = _interferer_rule()
@@ -409,7 +400,6 @@ def uplink_mixture(net: NetworkConfig) -> UplinkMixture:
         load = 2.0 * math.pi * net.lambda_b * (w_r @ table)   # nu q_k
         success = load / nu
     outage = _clamp_probability(float(weights @ np.exp(-load)), "uplink_outage")
-    success.flags.writeable = False
     return UplinkMixture(success=success, weights=weights, outage=outage)
 
 

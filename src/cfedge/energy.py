@@ -2,9 +2,11 @@
 
 Computation energy depends only on the offload split (it is affine in it);
 communication energy depends only on the radius and antenna count and grows
-with both. Minimizing total energy subject to a joint-success floor
-therefore reduces to the smallest feasible radius, then the best feasible
-split at that radius.
+with both. minimize_energy takes the smallest radius whose best split meets
+a joint-success floor, then the cheapest split there that meets it. That is
+not the least total energy under the floor when computation energy
+dominates: a slightly larger radius can let a cheaper split meet the floor
+at a fraction of the cost. ROADMAP.md tracks this gap.
 """
 
 from __future__ import annotations
@@ -167,11 +169,11 @@ def energy_breakdown(net: NetworkConfig, comp: ComputeConfig,
 def minimize_energy(net: NetworkConfig, comp: ComputeConfig, cfg: EnergyConfig,
                     xi: float,
                     r_bounds: tuple = (0.005, 0.3)):
-    """Minimize per-task energy subject to joint success probability >= xi.
+    """Per-task energy at the smallest radius whose best split meets the
+    joint success floor xi, and the cheapest split there that meets it.
 
-    Communication energy is increasing in R and computation energy is affine
-    in the split, so the solution is the smallest radius whose best split
-    meets the floor, then the cheapest feasible split there. Returns
+    Not the least energy under the floor where a larger radius lets a
+    cheaper split meet it (see the module docstring). Returns
     (radius, split, EnergyBreakdown). Raises an infeasibility error naming
     the best achievable success level when the floor cannot be met.
     """

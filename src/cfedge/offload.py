@@ -10,8 +10,8 @@ from numerical transform inversion.
 
 One pass, rate_cdfs, scores a row of offload splits from the arrival rates
 and central loads its callers compute once per split: split_cdfs (for
-scp_splits, from one per-network cache, radius_terms) and
-secp.secp_splits. scp_mec mixes an edge CDF row over the server count.
+scp_splits) and secp.secp_splits, each from one uncached radius_terms call
+per row. scp_mec mixes an edge CDF row over the server count's weights.
 """
 
 from __future__ import annotations
@@ -390,15 +390,12 @@ def running_sum(terms: np.ndarray) -> float:
     return reduce(operator.add, terms.tolist(), 0.0)
 
 
-@lru_cache(maxsize=64)
 def radius_terms(net: NetworkConfig) -> tuple:
-    """(uplink success, min_dispatch_prob, Poisson weights) at net's radius:
-    the terms every split there shares, computed once per network. The
-    weights, of n = 0..n_max connected servers, are read-only."""
+    """(comm.uplink_mixture, min_dispatch_prob, Poisson weights over n =
+    0..n_max connected servers) at net's radius: the terms every split
+    there shares. Not cached; a row of splits asks once."""
     nu = mean_connected_aps(net)
-    weights = poisson_weights(nu)
-    weights.setflags(write=False)
-    return 1.0 - comm.uplink_outage(net), min_dispatch_prob(nu), weights
+    return comm.uplink_mixture(net), min_dispatch_prob(nu), poisson_weights(nu)
 
 
 def rate_cdfs(comp: ComputeConfig, rates, n_max: int) -> list:
@@ -427,25 +424,26 @@ def rate_cdfs(comp: ComputeConfig, rates, n_max: int) -> list:
             for c, m in zip(cs, mec)]
 
 
-def split_cdfs(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
-    """rate_cdfs at each offload split of thetas, at one radius: every path
-    is scored, one the split never takes at arrival rate 0."""
-    success, dispatch, weights = radius_terms(net)
+def split_cdfs(net: NetworkConfig, comp: ComputeConfig, thetas) -> tuple:
+    """(Poisson weights, rate_cdfs at each offload split of thetas) at one
+    radius, from one radius_terms call: every path is scored, one the split
+    never takes at arrival rate 0."""
+    uplink, dispatch, weights = radius_terms(net)
     rates = []
     for theta in thetas:
-        lam_c, lam_m = split_rates(net, theta, success, dispatch)
+        lam_c, lam_m = split_rates(net, theta, 1.0 - uplink.outage, dispatch)
         try:
             rates.append((lam_c, central_load(comp, lam_c), lam_m))
         except StabilityError as exc:
             rates.append((lam_c, exc, lam_m))
-    return rate_cdfs(comp, rates, len(weights) - 1)
+    return weights, rate_cdfs(comp, rates, len(weights) - 1)
 
 
-def scp_mec(net: NetworkConfig, cdf: np.ndarray) -> float:
+def scp_mec(weights: np.ndarray, cdf: np.ndarray) -> float:
     """Unconditional P[edge sojourn <= target latency] from an edge CDF row
-    of split_cdfs at net's radius: the row mixed over the Poisson number of
-    connected servers, whose no-server term is zero."""
-    return min(1.0, max(0.0, running_sum(radius_terms(net)[2] * cdf)))
+    of split_cdfs and the Poisson weights it came with: the row mixed over
+    the number of connected servers, whose no-server term is zero."""
+    return min(1.0, max(0.0, running_sum(weights * cdf)))
 
 
 # ----------------------------------------------------------------------------
@@ -456,18 +454,16 @@ def scp_mec(net: NetworkConfig, cdf: np.ndarray) -> float:
 def scp_splits(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
     """(scp_cs, scp_mec, scp) at each offload split of thetas, at one radius,
     from split_cdfs. A path whose queue the split overloads is its
-    StabilityError, in its own place and in scp's where the split takes it,
-    the central one first."""
+    StabilityError, in its own place and in scp's, the central one first;
+    one the split never takes runs at rate 0 and adds +0.0 to scp."""
+    weights, rows = split_cdfs(net, comp, thetas)
     points = []
-    for theta, (cs, mec) in zip(thetas, split_cdfs(net, comp, thetas)):
+    for theta, (cs, mec) in zip(thetas, rows):
         if not isinstance(mec, StabilityError):
-            mec = scp_mec(net, mec)
-        # the paths the split takes; one it never takes adds nothing
-        taken = [(w, part) for w, part in zip((theta, 1.0 - theta), (cs, mec))
-                 if w > 0.0]
-        failed = [part for _, part in taken
+            mec = scp_mec(weights, mec)
+        failed = [part for part in (cs, mec)
                   if isinstance(part, StabilityError)]
         points.append((cs, mec, failed[0] if failed else
-                       sum(w * part for w, part in taken)))
+                       theta * cs + (1.0 - theta) * mec))
     return points
 

@@ -7,13 +7,14 @@ count. The uplink terms come from comm.uplink_mixture, which evaluates all
 APs on one shared interferer field: P[some AP decodes | n APs] and the
 outage that thins the task arrivals are both taken from it, so at a relaxed
 latency target the joint probability reduces to scmp_vs_R's scmp. The threshold
-search finds the smallest-latency-feasible radius maximizing that joint
-probability over the offload split.
+search finds the radius and offload split that maximize that joint
+probability.
 
 secp_splits computes each split's rates once and sends only its stable
 splits to offload.rate_cdfs, the one pass that scores split rows, so the
 searches never walk the edge queues of splits that overload the central
-server. A row reads its network from one cache here, _coupling.
+server. A row reads its network from _coupling, the one per-network cache
+of the split path, built from one offload.radius_terms call.
 """
 
 from __future__ import annotations
@@ -53,17 +54,17 @@ class SecpPoint:
 
 @lru_cache(maxsize=64)
 def _coupling(net: NetworkConfig) -> tuple:
-    """(success, dispatch, w_pos, ul_n, ul_term, dl_success) of net: w_pos
-    and ul_n list the Poisson weights and P[some AP decodes | n APs] over
-    n = 1..n_max (comm.uplink_mixture), ul_term is their weighted sum;
-    cached here so that every comm.downlink_outage call is real."""
-    success, dispatch, weights = radius_terms(net)
-    uplink = comm.uplink_mixture(net)
+    """(success, dispatch, w_pos, ul_n, ul_term, dl_success) of net from one
+    radius_terms call: success is 1 - the uplink outage, w_pos and ul_n list
+    the Poisson weights and P[some AP decodes | n APs] over n = 1..n_max,
+    ul_term is their weighted sum. The split path's one per-network cache:
+    every comm.uplink_mixture and downlink_outage call is real."""
+    uplink, dispatch, weights = radius_terms(net)
     # P[some AP decodes | n APs] = 1 - sum_k w_k (1 - q_k)^n
     ul_given_n = (1.0 - uplink.weights @ (1.0 - uplink.success[:, None])
                   ** np.arange(len(weights)))[1:]
-    return (success, dispatch, weights[1:].tolist(), ul_given_n.tolist(),
-            running_sum(weights[1:] * ul_given_n),
+    return (1.0 - uplink.outage, dispatch, weights[1:].tolist(),
+            ul_given_n.tolist(), running_sum(weights[1:] * ul_given_n),
             1.0 - comm.downlink_outage(net).point)
 
 

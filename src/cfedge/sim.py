@@ -112,17 +112,18 @@ def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
 
 
 def forked(fn, count: int, n: int) -> list:
-    """[fn(i) for i in range(count)]. Item i falls to share i % k, k being n
-    or the usable CPUs if fewer, and 1 without os.fork or while a second
-    thread is alive. A forked child computes each share but 0 and pipes its
-    items back, or nothing if it raises or dies; the caller computes share
-    0 up to its first failing item, then, in item order, each item before
-    that one which no child delivered. So an Exception raised is that of
-    the first failing item, and with k = 1 no item is computed twice. Each
-    write end is closed before the next fork; every child is reaped."""
+    """[fn(i) for i in range(count)]. Item i falls to share i % k, k being
+    the least of n, count and the usable CPUs, so no share is empty, and 1
+    without os.fork or while a second thread is alive. A forked child
+    computes each share but 0 and pipes its items back, or nothing if it
+    raises or dies; the caller computes share 0 up to its first failing
+    item, then, in item order, each item before that one which no child
+    delivered. So an Exception raised is that of the first failing item,
+    and with k = 1 no item is computed twice. Each write end is closed
+    before the next fork; every child is reaped."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    k = (min(n, cpus) if hasattr(os, "fork")
+    k = (min(n, count, cpus) if hasattr(os, "fork") and count > 1
          and threading.active_count() == 1 else 1)
     children = {}
     try:

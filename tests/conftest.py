@@ -70,11 +70,17 @@ def walk_reference(spectrum, n_max, cache):
     return np.minimum(total, 1.0, out=total)
 
 
+def server_weights(net):
+    """The Poisson weights of the connected-server count at net's radius,
+    which offload.scp_mec mixes an edge row over."""
+    return offload.poisson_weights(mean_connected_aps(net))
+
+
 def edge_row_reference(net, comp):
     """Reference for an edge row of offload.split_cdfs: walk_reference of
     the edge queue of comp's split alone at net's radius, over the counts
     of its Poisson weights. StabilityError if the split overloads it."""
     rates = offload.arrival_rates(net, comp, comm.uplink_outage(net))
-    n_max = len(offload.poisson_weights(mean_connected_aps(net))) - 1
+    n_max = len(server_weights(net)) - 1
     return walk_reference(offload.queue_spectrum(comp, rates.lambda_m),
                           n_max, offload.mec_cache(comp))

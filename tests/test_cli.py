@@ -27,7 +27,7 @@ from cfedge.model import mean_connected_aps
 from cfedge.presets import COMPUTE_MIX, COMPUTE_SINGLE
 from cfedge.secp import secp as secp_point
 
-from conftest import MU_C, MU_M, edge_row_reference
+from conftest import MU_C, MU_M, edge_row_reference, server_weights
 from test_sim import _no_child_left
 
 
@@ -378,7 +378,8 @@ class TestRunExperiment:
                 (_, _, scp), = offload.scp_splits(net, comp,
                                                   [comp.offload_prob])
                 want = [_or_nan(offload.scp_cs, comp, rates.lambda_c),
-                        cdf if cdf is math.nan else offload.scp_mec(net, cdf),
+                        cdf if cdf is math.nan else offload.scp_mec(
+                            server_weights(net), cdf),
                         math.nan if isinstance(scp, StabilityError) else scp]
             else:
                 point = _or_nan(secp_point, net, comp)

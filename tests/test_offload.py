@@ -23,7 +23,7 @@ from cfedge.presets import COMPUTE_MIX
 from cfedge.secp import THETA_GRID
 
 from conftest import (MU_C, MU_M, SLOW_COMP, edge_row_reference, make_net,
-                      walk_reference)
+                      server_weights, walk_reference)
 
 mp.mp.dps = 40
 
@@ -555,7 +555,8 @@ def test_scp_mixes_paths(fig_net, mix_comp):
     rates = offload.arrival_rates(fig_net, mix_comp,
                                   comm.uplink_outage(fig_net))
     cs = offload.scp_cs(mix_comp, rates.lambda_c)
-    mec = offload.scp_mec(fig_net, edge_row_reference(fig_net, mix_comp))
+    mec = offload.scp_mec(server_weights(fig_net),
+                          edge_row_reference(fig_net, mix_comp))
     assert 0.0 < cs < 1.0 and 0.0 < mec < 1.0
     assert _scp(fig_net, mix_comp) == 0.5 * cs + 0.5 * mec
 
@@ -567,16 +568,16 @@ def test_scp_pure_paths(fig_net, mix_comp):
     assert _scp(fig_net, all_cs) == offload.scp_cs(all_cs, rates.lambda_c)
     all_mec = replace(mix_comp, offload_prob=0.0)
     assert _scp(fig_net, all_mec) == offload.scp_mec(
-        fig_net, edge_row_reference(fig_net, all_mec))
+        server_weights(fig_net), edge_row_reference(fig_net, all_mec))
 
 
 def test_scp_mec_no_servers(mix_comp):
     # no server within reach: the one count is n = 0, which adds nothing
     net = make_net(coverage_radius=0.0)
     for theta in (0.0, 0.5):
-        (_, row), = offload.split_cdfs(net, mix_comp, [theta])
+        weights, ((_, row),) = offload.split_cdfs(net, mix_comp, [theta])
         assert row.tolist() == [0.0]
-        assert offload.scp_mec(net, row) == 0.0
+        assert offload.scp_mec(weights, row) == 0.0
         assert offload.scp_splits(net, mix_comp, [theta])[0][1] == 0.0
 
 
@@ -612,7 +613,8 @@ class TestSplitCdfs:
         comp = {"single": single_comp, "two-type": mix_comp,
                 "slow": SLOW_COMP}[mix]
         net = make_net(coverage_radius=radius)
-        got = offload.split_cdfs(net, comp, _THETAS)
+        weights, got = offload.split_cdfs(net, comp, _THETAS)
+        assert weights.tolist() == server_weights(net).tolist()
         assert len(got) == len(_THETAS)
         overloaded = set()
         for theta, (cs, row) in zip(_THETAS, got):
@@ -630,7 +632,7 @@ class TestSplitCdfs:
 
     def test_untaken_path_is_scored_at_rate_zero(self, fig_net, mix_comp):
         # the SCP surface reports both paths, also the one a split never takes
-        got = offload.split_cdfs(fig_net, mix_comp, [0.0, 1.0])
+        weights, got = offload.split_cdfs(fig_net, mix_comp, [0.0, 1.0])
         assert got[0][0] == offload.scp_cs(mix_comp, 0.0)
         zero = offload.queue_spectrum(mix_comp, 0.0)
         n_max = len(got[1][1]) - 1
@@ -639,7 +641,7 @@ class TestSplitCdfs:
         (cs0, mec0, scp0), (cs1, mec1, scp1) = offload.scp_splits(
             fig_net, mix_comp, [0.0, 1.0])
         assert (cs0, mec1) == (got[0][0],
-                               offload.scp_mec(fig_net, got[1][1]))
+                               offload.scp_mec(weights, got[1][1]))
         assert (scp0, scp1) == (mec0, cs1)
 
     def test_one_inversion_and_one_walk_per_row(self, monkeypatch, fig_net,
@@ -659,8 +661,18 @@ class TestSplitCdfs:
         offload.split_cdfs(fig_net, mix_comp, _THETAS)
         assert sorted(calls) == ["invert_laplace_cdf", "mec_conditional_cdf"]
 
+    def test_one_radius_terms_call_per_row(self, monkeypatch, fig_net,
+                                           mix_comp):
+        # scp_splits mixes each edge row with the weights split_cdfs
+        # returned, so the row asks for its radius's terms once
+        asked, real = [], offload.radius_terms
+        monkeypatch.setattr(offload, "radius_terms",
+                            lambda net: asked.append(net) or real(net))
+        offload.scp_splits(fig_net, mix_comp, _THETAS)
+        assert asked == [fig_net]
+
     def test_no_splits(self, fig_net, mix_comp):
-        assert offload.split_cdfs(fig_net, mix_comp, []) == []
+        assert offload.split_cdfs(fig_net, mix_comp, [])[1] == []
 
 
 def test_one_root_tail_equals_the_generic_sum(single_comp):

@@ -11,7 +11,8 @@ from cfedge import comm, offload
 from cfedge.errors import InfeasibilityError, StabilityError
 from cfedge.model import ComputeConfig, mean_connected_aps
 from cfedge.presets import COMPUTE_SINGLE
-from cfedge.secp import THETA_GRID, _split_scorer, find_r_threshold, secp
+from cfedge.secp import (THETA_GRID, _coupling, _split_scorer,
+                         find_r_threshold, secp)
 
 from conftest import MU_C, MU_M, SLOW_COMP, make_net, walk_reference
 
@@ -205,6 +206,17 @@ class TestRadiusThreshold:
         best = secp(replace(net, coverage_radius=r_star),
                     replace(mix_comp, offload_prob=th_star))
         assert val == pytest.approx(best.secp, abs=1e-9)
+
+    def test_one_uplink_mixture_per_network(self, monkeypatch, mix_comp):
+        # _coupling is the split path's one per-network cache: below it, a
+        # search asks for each network's uplink mixture once
+        _coupling.cache_clear()
+        asked, real = [], comm.uplink_mixture
+        monkeypatch.setattr(comm, "uplink_mixture",
+                            lambda net: asked.append(net) or real(net))
+        find_r_threshold(make_net(), mix_comp, (0.02, 0.12),
+                         theta_grid=np.linspace(0.0, 1.0, 5))
+        assert len(asked) == len(set(asked)) == _coupling.cache_info().misses
 
     def test_bounds_validation(self, mix_comp):
         with pytest.raises(ValueError):

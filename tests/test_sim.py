@@ -414,6 +414,19 @@ class TestBlocks:
         assert forks
         _no_child_left()
 
+    @pytest.mark.parametrize("count, n, forks", [(0, 2, 0), (1, 2, 0),
+                                                 (3, 8, 1)])
+    def test_no_child_gets_an_empty_share(self, monkeypatch, count, n,
+                                          forks):
+        # at 2 CPUs: no item or one item takes no child, whose share
+        # would be empty; three items on 8 processes take one child
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+        calls = _forks(monkeypatch)
+        assert sim.forked(lambda i: i * i, count, n) == [
+            i * i for i in range(count)]
+        assert len(calls) == forks
+        _no_child_left()
+
     def test_no_fork_while_a_second_thread_runs(self, fig_net, monkeypatch):
         # forking a process that runs threads is unsafe: a caller with a
         # second thread alive draws every block itself, to the same bits
