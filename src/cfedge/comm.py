@@ -35,22 +35,6 @@ _CLAMP_WARN = 1e-6
 # ----------------------------------------------------------------------------
 
 
-# The uplink closed forms below take s (or r) as a float or as an array of
-# them, with the same bits per element: +, -, *, /, np.exp and
-# specfun.hyp2f1 give an element of an array the bits they give a float,
-# and every power of an array is a repeated product or goes through
-# _float_pow.
-
-
-def _float_pow(x, p: float):
-    """x ** p by Python's float power, which is libm's pow: per element for
-    an array, a float for a scalar. numpy's array power may differ from it
-    in the last bit."""
-    if isinstance(x, np.ndarray):
-        return np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
-    return float(x) ** p
-
-
 def series_sum(coeffs: list):
     """P[G > s X] for G ~ Gamma(K, 1) independent of X >= 0, X with Laplace
     transform L, from the K scaled log coefficients
@@ -111,9 +95,7 @@ def _single_ap_success_at(r, net: NetworkConfig):
     # diversity-order expansion of the Gamma CDF, in which term m carries
     # (threshold / pathloss)**m, not pathloss**-m alone. The Monte Carlo
     # suite pins this form.
-    # the pathloss per element: model.pathloss takes numpy's array power
-    ell = _float_pow(np.maximum(r, net.d0), -net.alpha)
-    s = net.sir_threshold_ul / ell
+    s = net.sir_threshold_ul / pathloss(r, net)
     return series_sum(uplink_log_coeffs(s, net.antennas_per_ap - 1, net))
 
 

@@ -12,6 +12,8 @@ so the queueing side and the energy side cannot drift apart.
 
 from __future__ import annotations
 
+import copy
+
 from .energy import EnergyConfig, service_rates
 
 # Linear SIR threshold for an information rate of 1.5 bps/Hz. The dB
@@ -176,13 +178,9 @@ PRESETS: dict[str, dict] = {
 
 
 def get_preset(name: str) -> dict:
-    """Deep-ish copy of a preset (top level and one nested level)."""
+    """A deep copy of a preset: the caller may change any part of it."""
     try:
-        raw = PRESETS[name]
+        return copy.deepcopy(PRESETS[name])
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise KeyError(f"unknown preset {name!r}; known presets: {known}") from None
-    out = {}
-    for key, val in raw.items():
-        out[key] = dict(val) if isinstance(val, dict) else val
-    return out

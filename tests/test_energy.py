@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from cfedge import energy
+from cfedge.cli import ExperimentSpec
 from cfedge.energy import (EnergyConfig, communication_energy,
                            computation_energy, energy_breakdown,
                            minimize_energy, service_rates, theta_energy_slope)
 from cfedge.errors import InfeasibilityError
 from cfedge.model import ComputeConfig
-from cfedge.secp import secp
+from cfedge.presets import get_preset
+from cfedge.secp import secp, secp_splits
 
 from conftest import MU_C, MU_M, make_net
 
@@ -159,3 +161,42 @@ def test_cheapest_split_walks_then_bisects():
     assert theta == pytest.approx(0.6 - math.sqrt(0.05), abs=1e-5)
     assert 1.0 - (theta - 0.6) ** 2 >= 0.95
     assert all(len(thetas) == 1 for thetas in calls)
+
+
+@pytest.fixture(scope="module")
+def energy_sweep():
+    # the energy-sweep preset's network, compute and energy configs and
+    # its radius bounds
+    spec = ExperimentSpec.from_mapping(get_preset("energy-sweep"))
+    net, comp, cfg = spec.configs[0]
+    return net, comp, cfg, tuple(spec.sweep["r_bounds_km"])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_energy_does_not_fall_as_the_floor_rises(energy_sweep):
+    # a tighter success floor cannot have a cheaper minimum; today's answer
+    # falls from 5.48 J at 0.38 to 4.61 J at 0.48
+    net, comp, cfg, bounds = energy_sweep
+    energies = [minimize_energy(net, comp, cfg, xi, r_bounds=bounds)[2]
+                .e_total for xi in (0.28, 0.33, 0.38, 0.43, 0.48)]
+    assert all(b >= a for a, b in zip(energies, energies[1:])), energies
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_no_grid_point_beats_the_minimum(energy_sweep):
+    # no point of an (R, theta) grid that meets the floor costs less than
+    # the answer, beyond 0.01 J for the answer's own search stops; today's
+    # answer is 5.41 J and the grid's best 0.504 J
+    net, comp, cfg, bounds = energy_sweep
+    xi = 0.28
+    *_, answer = minimize_energy(net, comp, cfg, xi, r_bounds=bounds)
+    thetas = [k / 10 for k in range(11)]
+    feasible = []
+    for radius in np.arange(10, 61, 2) / 1000.0:
+        net_r = replace(net, coverage_radius=float(radius))
+        for theta, point in zip(thetas, secp_splits(net_r, comp, thetas)):
+            if isinstance(point, tuple) and point[0] >= xi:
+                feasible.append(energy_breakdown(
+                    net_r, replace(comp, offload_prob=theta), cfg).e_total)
+    assert feasible
+    assert min(feasible) >= answer.e_total - 0.01
