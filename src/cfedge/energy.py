@@ -3,10 +3,13 @@
 Computation energy depends only on the offload split (it is affine in it);
 communication energy depends only on the radius and antenna count and grows
 with both. minimize_energy takes the smallest radius whose best split meets
-a joint-success floor, then the cheapest split there that meets it. That is
-not the least total energy under the floor when computation energy
-dominates: a slightly larger radius can let a cheaper split meet the floor
-at a fraction of the cost. ROADMAP.md tracks this gap.
+a joint-success floor, then the cheapest split there that meets it. Whether
+some split meets the floor at a radius is asked of a split search that
+stops at the first split reaching it (search.maximize's stop), which gives
+the full search's answer. That is not the least total energy under the
+floor when computation energy dominates: a slightly larger radius can let
+a cheaper split meet the floor at a fraction of the cost. ROADMAP.md
+tracks this gap.
 """
 
 from __future__ import annotations
@@ -172,24 +175,26 @@ def minimize_energy(net: NetworkConfig, comp: ComputeConfig, cfg: EnergyConfig,
     """Per-task energy at the smallest radius whose best split meets the
     joint success floor xi, and the cheapest split there that meets it.
 
-    Not the least energy under the floor where a larger radius lets a
-    cheaper split meet it (see the module docstring). Returns
-    (radius, split, EnergyBreakdown). Raises an infeasibility error naming
-    the best achievable success level when the floor cannot be met.
+    Scans 16 radii across r_bounds for the first where some split meets
+    xi, then bisects down to it. Each radius runs the split search with
+    xi as its stop, so it ends at the first split that meets the floor;
+    one full split search at the radius found gives the best split, from
+    which the cheapest feasible one is walked to. Not the least energy
+    under the floor where a larger radius lets a cheaper split meet it
+    (see the module docstring). Returns (radius, split, EnergyBreakdown).
+    Raises an infeasibility error naming the best achievable success level
+    when the floor cannot be met.
     """
     if not 0.0 < xi < 1.0:
         raise ValueError("xi must lie strictly between 0 and 1")
     r_lo, r_hi = float(r_bounds[0]), float(r_bounds[1])
     if not 0.0 < r_lo < r_hi:
         raise ValueError("need 0 < r_lo < r_hi")
-    splits = {}
 
     def meets_floor(R: float) -> bool:
-        best = _secp_best_theta(net, comp, R, THETA_GRID)
-        if best is None or best[1] < xi:
-            return False
-        splits[R] = best[0]
-        return True
+        # exact: the split search stops early only once a split meets xi
+        best = _secp_best_theta(net, comp, R, THETA_GRID, stop=xi)
+        return best is not None and best[1] >= xi
 
     scan = [float(R) for R in np.linspace(r_lo, r_hi, 16)]
     first = next((i for i, R in enumerate(scan) if meets_floor(R)), None)
@@ -207,8 +212,9 @@ def minimize_energy(net: NetworkConfig, comp: ComputeConfig, cfg: EnergyConfig,
         r_star = search.bisect(meets_floor, r_star, scan[first - 1], 1e-9)
 
     net_star = replace(net, coverage_radius=r_star)
+    theta_peak, _ = _secp_best_theta(net, comp, r_star, THETA_GRID)
     theta_star = _cheapest_feasible_theta(
-        _split_scorer(net_star, comp), xi, splits[r_star],
+        _split_scorer(net_star, comp), xi, theta_peak,
         theta_energy_slope(comp, cfg))
     comp_star = replace(comp, offload_prob=theta_star)
     return r_star, theta_star, energy_breakdown(net_star, comp_star, cfg)

@@ -9,7 +9,7 @@ _GOLDEN_STEPS = 30
 _BISECT_STEPS = 60
 
 
-def maximize(f, grid):
+def maximize(f, grid, stop=None):
     """(argmax, max) of a function over the span of grid, or None if it is
     None (infeasible) at every grid point.
 
@@ -18,6 +18,12 @@ def maximize(f, grid):
     golden-section pair in one call, then one point per step. The best grid
     point, the first on ties, is refined by golden-section search between
     its grid neighbours; None loses every comparison.
+
+    With a stop value, the search returns the best point seen as soon as a
+    value reaches stop, before the next call. Golden-section search keeps
+    the better of its pair, so the best value seen is always the grid's or
+    the pair's: result[1] >= stop exactly when the full search's is, after
+    a prefix of its calls, and below stop the two results are the same.
     """
     xs = [float(x) for x in grid]
     values = f(xs)
@@ -30,12 +36,18 @@ def maximize(f, grid):
     def score(v):
         return -math.inf if v is None else v
 
+    def reached(*vals):
+        return stop is not None and max(map(score, vals)) >= stop
+
+    if reached(best_val):
+        return best_x, best_val
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = xs[max(best - 1, 0)], xs[min(best + 1, len(xs) - 1)]
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f([c, d])
     for _ in range(_GOLDEN_STEPS):
-        if b - a < _GOLDEN_TOL:
+        if b - a < _GOLDEN_TOL or reached(fc, fd):
             break
         if score(fc) >= score(fd):
             b, d, fd = d, c, fc

@@ -127,12 +127,13 @@ def _split_scorer(net: NetworkConfig, comp: ComputeConfig):
 
 
 def _best_theta(net: NetworkConfig, comp: ComputeConfig, radius: float,
-                theta_grid):
+                theta_grid, stop=None):
     """(split, secp) maximizing secp at the given coverage radius, or None
-    when every split on the grid overloads a queue."""
+    when every split on the grid overloads a queue. With stop, it returns
+    as soon as a split's secp reaches stop (search.maximize)."""
     return search.maximize(
         _split_scorer(replace(net, coverage_radius=float(radius)), comp),
-        theta_grid)
+        theta_grid, stop)
 
 
 def find_r_threshold(net: NetworkConfig, comp: ComputeConfig,

@@ -1,6 +1,7 @@
 """Per-task energy model and the success-constrained minimization."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from cfedge.energy import (EnergyConfig, communication_energy,
 from cfedge.errors import InfeasibilityError
 from cfedge.model import ComputeConfig
 from cfedge.presets import get_preset
-from cfedge.secp import secp, secp_splits
+from cfedge.secp import THETA_GRID, _best_theta, secp, secp_splits
 
 from conftest import MU_C, MU_M, make_net
 
@@ -170,6 +171,37 @@ def energy_sweep():
     spec = ExperimentSpec.from_mapping(get_preset("energy-sweep"))
     net, comp, cfg = spec.configs[0]
     return net, comp, cfg, tuple(spec.sweep["r_bounds_km"])
+
+
+@pytest.mark.parametrize("xi", [0.28, 0.83])
+def test_stopped_split_search_keeps_the_floor_verdict(energy_sweep, xi):
+    # at minimize_energy's 16 scan radii, the split search that stops at
+    # the floor says whether the best split meets it as the full one does
+    net, comp, _, (r_lo, r_hi) = energy_sweep
+    verdicts = []
+    for radius in np.linspace(r_lo, r_hi, 16):
+        full = _best_theta(net, comp, radius, THETA_GRID)
+        stopped = _best_theta(net, comp, radius, THETA_GRID, stop=xi)
+        verdicts.append(full[1] >= xi)
+        assert (stopped[1] >= xi) == verdicts[-1], radius
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_floor_search_stops_at_the_first_split_that_meets_it(monkeypatch,
+                                                             energy_sweep):
+    # the full split search at every radius asks secp_splits 406 times
+    # at this floor
+    module = sys.modules["cfedge.secp"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return secp_splits(*args)
+
+    monkeypatch.setattr(module, "secp_splits", counted)
+    net, comp, cfg, bounds = energy_sweep
+    minimize_energy(net, comp, cfg, 0.28, r_bounds=bounds)
+    assert 0 < len(calls) < 340
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
