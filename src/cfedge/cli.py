@@ -411,11 +411,13 @@ def _queue_setup(spec: ExperimentSpec, check: str) -> tuple:
     """(network, compute, duration, edge server count) of a queue check.
 
     The central check offloads every task to the central server, at rate
-    lambda_c over a 1 km^2 network. The edge checks offload none. The
-    single-server run uses a heavier load than the server-group run:
-    with one queue the arrival process is exactly Poisson, so the
-    spectrum math can be checked at substantial utilisation, while the
-    group run must stay light for the independent-queue approximation of
+    lambda_c over a 1 km^2 network. The edge checks offload none, at
+    synthetic user densities (_QUEUE_DEFAULTS) chosen so that the
+    per-server load means something. The single-server run uses a heavier
+    load, rho ~ 0.59, than the server-group run: with one queue the
+    arrival process is exactly Poisson, so the spectrum math can be
+    checked at substantial utilisation, while the group run must stay
+    light, rho ~ 0.1, for the independent-queue approximation of
     minimum-load dispatch to hold.
     """
     if check == "scp_cs_vs_des":

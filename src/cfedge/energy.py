@@ -67,6 +67,11 @@ class EnergyConfig:
         if any(v <= 0 for v in positives):
             raise ValueError("bandwidth, task sizes, transmit powers, cycle "
                              "and energy constants must be positive")
+        for name in ("p_rf_ap", "p_rf_user", "p_oscillator",
+                     "p_coding_w_per_gbps", "p_decoding_w_per_gbps",
+                     "p_fixed_user", "p_fixed_ap", "energy_per_op"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative")
         if any(f <= 0 for f in self.f_cs_hz + self.f_mec_hz):
             raise ValueError("clock frequencies must be positive")
         if not 0.0 < self.pa_efficiency <= 1.0:

@@ -8,10 +8,11 @@ geometric terms, with roots bracketed between the poles of a rational
 function and weights from residues in closed form. The latency CDFs come
 from numerical transform inversion.
 
-One pass, rate_cdfs, scores a row of offload splits from the arrival rates
-and central loads its callers compute once per split: split_cdfs (for
-scp_splits) and secp.secp_splits, each from one uncached radius_terms call
-per row. scp_mec mixes an edge CDF row over the server count's weights.
+One pass, rate_cdfs, scores a row of offload splits from their
+(lambda_c, lambda_m) pairs and makes each path's overload verdict itself.
+Its callers, scp_splits and secp.secp_splits, compute the pairs once per
+split from one uncached radius_terms call per row. scp_mec mixes an edge
+CDF row over the server count's weights.
 """
 
 from __future__ import annotations
@@ -400,16 +401,16 @@ def radius_terms(net: NetworkConfig) -> tuple:
 
 def rate_cdfs(comp: ComputeConfig, rates, n_max: int) -> list:
     """(scp_cs, mec_conditional_cdf row over n = 0..n_max) at each split's
-    (lambda_c, rho_c, lambda_m) of rates, rho_c being central_load or its
-    StabilityError, as is a path the split overloads. One inversion and
+    (lambda_c, lambda_m) of rates; a path the split overloads is the
+    StabilityError of central_load or queue_spectrum. One inversion and
     one walk serve every stable path, with the bits of one-split calls."""
     cs, mec, live, spectra = [], [], [], []
-    for lam_c, rho_c, lam_m in rates:
-        if isinstance(rho_c, StabilityError):
-            cs.append(rho_c)
-        else:
+    for lam_c, lam_m in rates:
+        try:
+            live.append((lam_c, central_load(comp, lam_c)))
             cs.append(None)
-            live.append((lam_c, rho_c))
+        except StabilityError as exc:
+            cs.append(exc)
         try:
             spectra.append(queue_spectrum(comp, lam_m))
             mec.append(None)
@@ -424,24 +425,9 @@ def rate_cdfs(comp: ComputeConfig, rates, n_max: int) -> list:
             for c, m in zip(cs, mec)]
 
 
-def split_cdfs(net: NetworkConfig, comp: ComputeConfig, thetas) -> tuple:
-    """(Poisson weights, rate_cdfs at each offload split of thetas) at one
-    radius, from one radius_terms call: every path is scored, one the split
-    never takes at arrival rate 0."""
-    uplink, dispatch, weights = radius_terms(net)
-    rates = []
-    for theta in thetas:
-        lam_c, lam_m = split_rates(net, theta, 1.0 - uplink.outage, dispatch)
-        try:
-            rates.append((lam_c, central_load(comp, lam_c), lam_m))
-        except StabilityError as exc:
-            rates.append((lam_c, exc, lam_m))
-    return weights, rate_cdfs(comp, rates, len(weights) - 1)
-
-
 def scp_mec(weights: np.ndarray, cdf: np.ndarray) -> float:
     """Unconditional P[edge sojourn <= target latency] from an edge CDF row
-    of split_cdfs and the Poisson weights it came with: the row mixed over
+    of rate_cdfs and the Poisson weights of its radius: the row mixed over
     the number of connected servers, whose no-server term is zero."""
     return min(1.0, max(0.0, running_sum(weights * cdf)))
 
@@ -453,10 +439,14 @@ def scp_mec(weights: np.ndarray, cdf: np.ndarray) -> float:
 
 def scp_splits(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
     """(scp_cs, scp_mec, scp) at each offload split of thetas, at one radius,
-    from split_cdfs. A path whose queue the split overloads is its
-    StabilityError, in its own place and in scp's, the central one first;
-    one the split never takes runs at rate 0 and adds +0.0 to scp."""
-    weights, rows = split_cdfs(net, comp, thetas)
+    from one radius_terms call and one rate_cdfs pass over every split's
+    rates. A path whose queue the split overloads is its StabilityError, in
+    its own place and in scp's, the central one first; one the split never
+    takes runs at rate 0 and adds +0.0 to scp."""
+    uplink, dispatch, weights = radius_terms(net)
+    rows = rate_cdfs(comp, [split_rates(net, theta, 1.0 - uplink.outage,
+                                        dispatch) for theta in thetas],
+                     len(weights) - 1)
     points = []
     for theta, (cs, mec) in zip(thetas, rows):
         if not isinstance(mec, StabilityError):

@@ -158,19 +158,6 @@ PRESETS: dict[str, dict] = {
         "compute": COMPUTE_MIX,
         "sweep": {
             "radii_km": [0.04, 0.08],
-            # Queue checks run at synthetic user densities chosen so the
-            # per-server load is meaningful: the single-server run
-            # exercises the spectrum math at rho ~ 0.59; the group run
-            # stays at rho ~ 0.1 where the independent-queue reading of
-            # minimum-load dispatch is accurate.
-            "queue": {
-                "r_km": 0.1,
-                "n_mec": 4,
-                "lambda_d_n1": 16000.0,
-                "duration_n1_s": 2900.0,
-                "lambda_d": 2700.0,
-                "duration_s": 4200.0,
-            },
         },
         "sim": {"replications": 20000, "seed": 20260823},
     },

@@ -10,11 +10,12 @@ latency target the joint probability reduces to scmp_vs_R's scmp. The threshold
 search finds the radius and offload split that maximize that joint
 probability.
 
-secp_splits computes each split's rates once and sends only its stable
-splits to offload.rate_cdfs, the one pass that scores split rows, so the
-searches never walk the edge queues of splits that overload the central
-server. A row reads its network from _coupling, the one per-network cache
-of the split path, built from one offload.radius_terms call.
+secp_splits computes each split's (lambda_c, lambda_m) pair once and sends
+only the pairs of its stable splits to offload.rate_cdfs, the one pass that
+scores split rows, so the searches never walk the edge queues of splits
+that overload the central server. A row reads its network from _coupling,
+the one per-network cache of the split path, built from one
+offload.radius_terms call.
 """
 
 from __future__ import annotations
@@ -72,16 +73,17 @@ def secp_splits(net: NetworkConfig, comp: ComputeConfig, thetas) -> list:
     """(secp, comp_term, ul_term, dl_term) at each offload split of thetas,
     or the StabilityError of a split that overloads a queue it takes (one
     it never takes has arrival rate 0), the central one first. Only the
-    stable splits go to offload.rate_cdfs; each one's sums over n are
-    added left to right, in a loop over n = 1..n_max."""
+    (lambda_c, lambda_m) pairs of the stable splits go to
+    offload.rate_cdfs; each one's sums over n are added left to right, in
+    a loop over n = 1..n_max."""
     success, dispatch, w_pos, ul_n, ul_term, dl_success = _coupling(net)
     points, rates = [], []
     for theta in thetas:
         lam_c, lam_m = split_rates(net, theta, success, dispatch)
         try:
-            load = lam_c, central_load(comp, lam_c), lam_m
+            central_load(comp, lam_c)
             edge_load(comp, lam_m)
-            rates.append(load)
+            rates.append((lam_c, lam_m))
             points.append(theta)
         except StabilityError as exc:
             points.append(exc)

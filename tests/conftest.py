@@ -77,7 +77,7 @@ def server_weights(net):
 
 
 def edge_row_reference(net, comp):
-    """Reference for an edge row of offload.split_cdfs: walk_reference of
+    """Reference for an edge row of offload.rate_cdfs: walk_reference of
     the edge queue of comp's split alone at net's radius, over the counts
     of its Poisson weights. StabilityError if the split overloads it."""
     rates = offload.arrival_rates(net, comp, comm.uplink_outage(net))

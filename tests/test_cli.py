@@ -191,6 +191,25 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="sweep.queue"):
             ExperimentSpec.from_mapping(spec)
 
+    def test_validate_queue_values_come_from_the_defaults(self):
+        # the validate preset has no queue table of its own: a spec that
+        # gives only the group run's duration gets every other queue value
+        # from _QUEUE_DEFAULTS
+        spec = _merge_spec(None, "validate", None, None)
+        assert "queue" not in spec["sweep"]
+        spec["sweep"]["queue"] = {"duration_s": 30.0}
+        parsed = ExperimentSpec.from_mapping(spec)
+        q = cli._QUEUE_DEFAULTS["queue"]
+        for check, lambda_d, duration, n_mec in (
+                ("queue_pmf_tv_n1", q["lambda_d_n1"], q["duration_n1_s"], 1),
+                ("queue_pmf_tv_n4", q["lambda_d"], 30.0, q["n_mec"]),
+                ("scp_mec_vs_des", q["lambda_d"], 30.0, q["n_mec"])):
+            net, comp, got_duration, got_n_mec = cli._queue_setup(parsed,
+                                                                  check)
+            assert (net.coverage_radius, net.lambda_d, got_duration,
+                    got_n_mec) == (q["r_km"], lambda_d, duration, n_mec)
+            assert comp.offload_prob == 0.0
+
     def test_r_threshold_base_fields_may_be_left_to_rows(self):
         # the rows give lambda_b, antennas_per_ap and target_latency, and
         # areas_km2 the network area, so the base sections may leave them out
@@ -472,6 +491,11 @@ class TestRunExperiment:
         ("r-threshold", {"network": {"network_area": -1.0}}, "network_area"),
         ("r-threshold", {"compute": {"target_latency": "x"}},
          "target_latency"),
+        # a negative fixed power would report negative energy
+        ("energy-sweep", {"energy": {"p_fixed_ap": -100.0},
+                          "sweep": {"xi_grid": [0.5],
+                                    "r_bounds_km": [0.01, 0.25]}},
+         "p_fixed_ap"),
     ])
     def test_bad_section_value_is_exit_2(self, tmp_path, preset, overrides,
                                          needle):
@@ -915,8 +939,7 @@ def test_run_path_imports_no_scipy(tmp_path):
             data = cli._merge_spec(None, preset, None, reps)
             if preset == "validate":
                 sweep = data["sweep"]
-                sweep["queue"] = {**sweep["queue"], "duration_n1_s": 5.0,
-                                  "duration_s": 5.0}
+                sweep["queue"] = {"duration_n1_s": 5.0, "duration_s": 5.0}
                 sweep["queue_cs"] = {"duration_s": 5.0}
             spec = cli.ExperimentSpec.from_mapping(data)
             print(cli.run_experiment(spec, out_dir=sys.argv[1]))

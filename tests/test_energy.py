@@ -103,6 +103,17 @@ def test_config_validation():
         EnergyConfig(f_mec_hz=(1e9, float("inf")))
 
 
+@pytest.mark.parametrize("name", [
+    "p_rf_ap", "p_rf_user", "p_oscillator", "p_coding_w_per_gbps",
+    "p_decoding_w_per_gbps", "p_fixed_user", "p_fixed_ap", "energy_per_op"])
+def test_negative_energy_constant_rejected(name):
+    # a negative power or energy per operation would report negative
+    # energy; zero leaves a term out
+    with pytest.raises(ValueError, match=f"{name} cannot be negative"):
+        EnergyConfig(**{name: -1e-3})
+    assert getattr(EnergyConfig(**{name: 0.0}), name) == 0.0
+
+
 class TestMinimizeEnergy:
     def test_solution_meets_floor_with_slack(self, fig_net, single_comp,
                                              single_energy):

@@ -150,7 +150,7 @@ def test_split_scorer_equals_per_split_code(fig_net, mix_comp):
 def test_only_stable_splits_reach_the_shared_pass(monkeypatch, fig_net):
     # a split that overloads either queue is the queue's error before the
     # shared pass, which then walks no edge queue of a central overload;
-    # a stable split reaches it as its rates and central load
+    # a stable split reaches it as its (lambda_c, lambda_m) pair
     module = sys.modules["cfedge.secp"]
     sent = []
 
@@ -168,8 +168,7 @@ def test_only_stable_splits_reach_the_shared_pass(monkeypatch, fig_net):
                                   comm.uplink_outage(fig_net))
             for theta, p in zip(THETA_GRID, points)
             if not isinstance(p, StabilityError)]
-    assert sent == [(r.lambda_c, offload.central_load(SLOW_COMP, r.lambda_c),
-                     r.lambda_m) for r in want]
+    assert sent == [(r.lambda_c, r.lambda_m) for r in want]
     assert sent
 
 
