@@ -28,6 +28,7 @@ import platform
 import sys
 import time
 import traceback
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -49,25 +50,27 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-COLUMNS = {
-    "scmp_vs_R": ["R_km", "p_oul", "p_odl_lo", "p_odl_hi", "p_odl_point",
-                  "scmp", "sim_p_oul", "sim_p_oul_se", "sim_p_odl",
-                  "sim_p_odl_se", "sim_i_mean", "sim_i_var"],
-    "scp_surface": ["R_km", "theta", "scp_cs", "scp_mec", "scp"],
-    "secp_surface": ["R_km", "theta", "secp", "comp_term", "ul_term",
-                     "dl_term"],
-    "r_threshold": ["M", "lambda_b", "t_s", "area_km2", "R_th_m", "theta",
-                    "secp_max"],
-    "energy_vs_xi": ["xi", "R_star_km", "theta_star", "E_comp_J", "E_comm_J",
-                     "E_total_J", "secp_achieved"],
-    "validate": ["check", "value_analytic", "value_oracle", "delta", "tol",
-                 "status"],
-}
-KINDS = tuple(COLUMNS)
-
 
 class SpecError(ValueError):
     """The experiment description does not validate (exit code 2)."""
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What the runner knows of one experiment kind (see KINDS)."""
+    columns: tuple          # of its CSV
+    grids: tuple            # the non-empty sweep grids it needs
+    points: Callable        # sweep -> grid points, values as the spec gives
+    configs: Callable       # (spec, point, nets) -> the configs it runs on
+    evaluate: Callable      # (spec, task: [(index, point), ...]) -> rows
+    sweep_keys: tuple = ()      # the other sweep keys it takes
+    sweep_checks: tuple = ()    # sweep -> None, after the grids' check
+    needs_compute: bool = True
+    base_check: Callable = lambda spec: None    # after the points' configs
+    # (spec, [(index, point), ...], workers) -> (its tasks, processes)
+    units: Callable = lambda spec, indexed, workers: ([[i] for i in indexed],
+                                                      workers)
+    manifest: Callable = lambda rows: {}    # rows -> extra manifest fields
 
 
 @dataclass
@@ -89,14 +92,22 @@ class ExperimentSpec:
             raise SpecError("spec must be a JSON object")
         _check_keys("spec", data, ("kind", "label", *_CONFIGS, "sweep", "sim"))
         kind = data.get("kind")
-        if kind not in KINDS:
+        if not isinstance(kind, str) or kind not in KINDS:
             raise SpecError(f"unknown kind {kind!r}; expected one of "
                             + ", ".join(KINDS))
+        record = KINDS[kind]
         for section in ("sweep", "network", "compute", "energy", "sim"):
             if not isinstance(data.get(section, {}), dict):
                 raise SpecError(f"'{section}' must be an object")
-        _check_sweep(kind, data.get("sweep", {}))
-        if kind != "scmp_vs_R" and not data.get("compute"):
+        # the sweep's keys and shape, and the values that no config takes
+        sweep = data.get("sweep", {})
+        _check_keys("sweep", sweep, record.grids + record.sweep_keys)
+        for key in record.grids:
+            if not isinstance(sweep.get(key), (list, tuple)) or not sweep[key]:
+                raise SpecError(f"kind {kind} needs a non-empty sweep.{key}")
+        for check in record.sweep_checks:
+            check(sweep)
+        if record.needs_compute and not data.get("compute"):
             raise SpecError(f"kind {kind} needs a 'compute' section")
         sim_section = data.get("sim", {})
         _check_keys("sim", sim_section, ("replications", "seed"))
@@ -106,6 +117,8 @@ class ExperimentSpec:
                 or replications < 1:
             raise SpecError("sim.replications must be an integer of at least "
                             "1 and sim.seed an integer")
+        if not 0 <= seed < 2 ** 63:     # the streams key on 64 bits
+            raise SpecError("sim.seed must lie in [0, 2**63)")
         spec = cls(kind, _safe_label(data), *(
             dict(data.get(section, {}))
             for section in ("network", "compute", "energy", "sweep")),
@@ -113,46 +126,26 @@ class ExperimentSpec:
         # the configs own the field rules: a value none of them takes fails
         # here, before any point is evaluated
         configs, nets = [], {}
-        for point in _points(spec):
+        for point in record.points(spec.sweep):
             try:
-                configs.append(_configs(spec, point, nets))
+                configs.append(record.configs(spec, point, nets))
             except SpecError as exc:
                 where = " and ".join(
                     f"sweep.{_SWEEP_KEYS[key]} entry {value!r}"
                     for key, value in point.items() if key in _SWEEP_KEYS)
                 raise SpecError(f"{exc} at {where}" if where else exc) \
                     from None
-        if kind == "r_threshold":
-            # the rows and areas override these base fields, which must pass
-            # all the same; the first row and area fill those not given
-            row = {**spec.sweep["rows"][0], "network_area": spec.sweep[
-                "areas_km2"][0], **spec.network, **spec.compute}
-            _configs(spec, {"row": row, "area": row["network_area"]}, {})
+        record.base_check(spec)
         spec.configs = tuple(configs)
         return spec
 
     def resolved(self) -> dict:
         """Canonical mapping; round-trips through from_mapping."""
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "network": self.network,
-            "compute": self.compute,
-            "energy": self.energy,
-            "sweep": self.sweep,
-            "sim": {"replications": self.replications, "seed": self.seed},
-        }
+        return {**{key: getattr(self, key) for key in (
+            "kind", "label", "network", "compute", "energy", "sweep")},
+            "sim": {"replications": self.replications, "seed": self.seed}}
 
 
-# Non-empty sweep grids each kind needs; the searches also need bounds.
-_SWEEP_GRIDS = {
-    "scmp_vs_R": ("radii_km",),
-    "scp_surface": ("radii_km", "theta_grid"),
-    "secp_surface": ("radii_km", "theta_grid"),
-    "r_threshold": ("rows", "areas_km2"),
-    "energy_vs_xi": ("xi_grid",),
-    "validate": ("radii_km",),
-}
 _CONFIGS = {"network": NetworkConfig, "compute": ComputeConfig,
             "energy": energy_mod.EnergyConfig}
 _ROW_KEYS = ("antennas_per_ap", "lambda_b", "target_latency")
@@ -187,44 +180,39 @@ def _check_keys(where: str, section: dict, expected) -> None:
                         + ", ".join(expected))
 
 
-def _check_sweep(kind: str, sweep: dict) -> None:
-    """The sweep's keys and shape, and the values that no config takes."""
-    _check_keys("sweep", sweep, _SWEEP_GRIDS[kind] + (
-        ("r_bounds_km",) if kind in ("r_threshold", "energy_vs_xi") else
-        tuple(_QUEUE_DEFAULTS) if kind == "validate" else ()))
-    for key in _SWEEP_GRIDS[kind]:
-        grid = sweep.get(key)
-        if not isinstance(grid, (list, tuple)) or len(grid) == 0:
-            raise SpecError(f"kind {kind} needs a non-empty sweep.{key}")
-    if kind == "energy_vs_xi" and not all(
-            is_real(xi) and 0 < xi < 1 for xi in sweep["xi_grid"]):
+def _check_xi_grid(sweep: dict) -> None:
+    if not all(is_real(xi) and 0 < xi < 1 for xi in sweep["xi_grid"]):
         raise SpecError("sweep.xi_grid entries must be numbers strictly "
                         "between 0 and 1")
-    if kind == "r_threshold":
-        for row in sweep["rows"]:
-            if not isinstance(row, dict) or not {*_ROW_KEYS} <= row.keys():
-                raise SpecError("sweep.rows entries must be objects with "
-                                + ", ".join(_ROW_KEYS))
-            _check_keys("sweep.rows entry", row, _ROW_KEYS)
-    if kind == "validate":
-        for key, defaults in _QUEUE_DEFAULTS.items():
-            section = sweep.get(key, {})
-            if not isinstance(section, dict) or not all(
-                    is_real(value) and value > 0
-                    for value in section.values()):
-                raise SpecError(f"sweep.{key} must be an object of "
-                                "positive numbers")
-            _check_keys(f"sweep.{key}", section, defaults)
-        n_mec = {**_QUEUE_DEFAULTS["queue"], **sweep.get("queue", {})}["n_mec"]
-        if n_mec != int(n_mec):
-            raise SpecError("sweep.queue.n_mec must be a positive integer")
-    if kind in ("r_threshold", "energy_vs_xi"):
-        bounds = sweep.get("r_bounds_km")
-        if (not isinstance(bounds, (list, tuple)) or len(bounds) != 2
-                or not all(map(is_real, bounds))
-                or not 0 < bounds[0] < bounds[1]):
-            raise SpecError("sweep.r_bounds_km must be [lo, hi] with "
-                            "0 < lo < hi")
+
+
+def _check_rows(sweep: dict) -> None:
+    for row in sweep["rows"]:
+        if not isinstance(row, dict) or not {*_ROW_KEYS} <= row.keys():
+            raise SpecError("sweep.rows entries must be objects with "
+                            + ", ".join(_ROW_KEYS))
+        _check_keys("sweep.rows entry", row, _ROW_KEYS)
+
+
+def _check_queues(sweep: dict) -> None:
+    for key, defaults in _QUEUE_DEFAULTS.items():
+        section = sweep.get(key, {})
+        if not isinstance(section, dict) or not all(
+                is_real(value) and value > 0 for value in section.values()):
+            raise SpecError(f"sweep.{key} must be an object of positive "
+                            "numbers")
+        _check_keys(f"sweep.{key}", section, defaults)
+    n_mec = {**_QUEUE_DEFAULTS["queue"], **sweep.get("queue", {})}["n_mec"]
+    if n_mec != int(n_mec):
+        raise SpecError("sweep.queue.n_mec must be a positive integer")
+
+
+def _check_bounds(sweep: dict) -> None:
+    bounds = sweep.get("r_bounds_km")
+    if (not isinstance(bounds, (list, tuple)) or len(bounds) != 2
+            or not all(map(is_real, bounds))
+            or not 0 < bounds[0] < bounds[1]):
+        raise SpecError("sweep.r_bounds_km must be [lo, hi] with 0 < lo < hi")
 
 
 def _config(spec: ExperimentSpec, section: str, merged=None, **overrides):
@@ -255,25 +243,9 @@ def _network_for(spec: ExperimentSpec, **overrides) -> NetworkConfig:
     return _config(spec, "network", merged, **overrides)
 
 
-def _configs(spec: ExperimentSpec, point: dict, nets: dict) -> tuple:
-    """The configs point is evaluated on: its network, its compute mix where
-    the evaluator reads one, the energy config for energy_vs_xi, and a
-    queue check's duration and server count. nets maps a radius entry's id
-    to its network: a surface row builds one."""
-    if point.get("check") in _QUEUE_CHECKS:
-        return _queue_setup(spec, point["check"])
-    if spec.kind == "r_threshold":
-        row = point["row"]
-        return (_network_for(spec, antennas_per_ap=row["antennas_per_ap"],
-                             lambda_b=row["lambda_b"],
-                             network_area=point["area"]),
-                _config(spec, "compute", target_latency=row["target_latency"]))
-    if spec.kind == "energy_vs_xi":
-        comp, cfg = _config(spec, "compute"), _config(spec, "energy")
-        if len(cfg.f_cs_hz) != comp.num_types:
-            raise SpecError("bad energy section: f_cs_hz and f_mec_hz need "
-                            "one clock per compute task type")
-        return _network_for(spec), comp, cfg
+def _radius_configs(spec: ExperimentSpec, point: dict, nets: dict) -> tuple:
+    """A radius point's network, one per radius entry (nets maps its id to
+    it), and its compute mix at the point's split if it has one."""
     if id(point["R"]) not in nets:
         nets[id(point["R"])] = _network_for(spec, coverage_radius=point["R"])
     net = nets[id(point["R"])]
@@ -282,37 +254,38 @@ def _configs(spec: ExperimentSpec, point: dict, nets: dict) -> tuple:
     return (net,)
 
 
-# ---------------------------------------------------------------------------
-# Grid construction and per-point evaluation
+def _row_configs(spec: ExperimentSpec, point: dict, nets: dict) -> tuple:
+    """An r_threshold point's network and compute mix: its row and area
+    override the base sections."""
+    row = point["row"]
+    return (_network_for(spec, antennas_per_ap=row["antennas_per_ap"],
+                         lambda_b=row["lambda_b"],
+                         network_area=point["area"]),
+            _config(spec, "compute", target_latency=row["target_latency"]))
 
 
-def _points(spec: ExperimentSpec) -> list:
-    """The grid points, their values as the spec gives them: the configs
-    they build check and convert them."""
-    sweep = spec.sweep
-    if spec.kind == "scmp_vs_R":
-        return [{"R": r} for r in sweep["radii_km"]]
-    if spec.kind in ("scp_surface", "secp_surface"):
-        return [{"R": r, "theta": th}
-                for r in sweep["radii_km"] for th in sweep["theta_grid"]]
-    if spec.kind == "r_threshold":
-        return [{"row": row, "area": area}
-                for row in sweep["rows"] for area in sweep["areas_km2"]]
-    if spec.kind == "energy_vs_xi":
-        return [{"xi": float(x)} for x in sweep["xi_grid"]]
-    # validate
-    pts = [{"check": "uplink_outage", "R": r} for r in sweep["radii_km"]]
-    pts += [{"check": "downlink_outage", "R": r} for r in sweep["radii_km"]]
-    r0 = sweep["radii_km"][-1]
-    return pts + [{"check": "interference_mean", "R": r0},
-                  {"check": "interference_var", "R": r0},
+def _energy_configs(spec: ExperimentSpec, point: dict, nets: dict) -> tuple:
+    comp, cfg = _config(spec, "compute"), _config(spec, "energy")
+    if len(cfg.f_cs_hz) != comp.num_types:
+        raise SpecError("bad energy section: f_cs_hz and f_mec_hz need one "
+                        "clock per compute task type")
+    return _network_for(spec), comp, cfg
+
+
+def _validate_points(sweep: dict) -> list:
+    radii = sweep["radii_km"]
+    pts = [{"check": "uplink_outage", "R": r} for r in radii]
+    pts += [{"check": "downlink_outage", "R": r} for r in radii]
+    return pts + [{"check": "interference_mean", "R": radii[-1]},
+                  {"check": "interference_var", "R": radii[-1]},
                   *({"check": check} for check in _QUEUE_CHECKS),
-                  {"check": "uplink_outage_independent", "R": r0}]
+                  {"check": "uplink_outage_independent", "R": radii[-1]}]
 
 
-def _nan_row(kind: str, **known) -> dict:
-    """A row of kind with NaN in every column but the known ones."""
-    return {**dict.fromkeys(COLUMNS[kind], float("nan")), **known}
+def _row(spec: ExperimentSpec, values: list) -> dict:
+    """A row of spec's kind: values in column order, NaN past them."""
+    columns = KINDS[spec.kind].columns
+    return dict(zip(columns, [*values] + [math.nan] * len(columns)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -341,53 +314,47 @@ def _eval_scmp(spec: ExperimentSpec, index: int, point: dict) -> dict:
     R = net.coverage_radius
     p_oul = comm.uplink_outage(net)
     dl = comm.downlink_outage(net)
-    ul_sample = _sample(spec, "uplink", R)
-    dl_sample = _sample(spec, "per_user", R)
-    return {
-        "R_km": R,
-        "p_oul": p_oul,
-        "p_odl_lo": dl.lower,
-        "p_odl_hi": dl.upper,
-        "p_odl_point": dl.point,
-        "scmp": (1.0 - p_oul) * (1.0 - dl.point),
-        "sim_p_oul": ul_sample.estimate,
-        "sim_p_oul_se": ul_sample.stderr,
-        "sim_p_odl": dl_sample.outage,
-        "sim_p_odl_se": dl_sample.outage_se,
-        "sim_i_mean": dl_sample.i_mean,
-        "sim_i_var": dl_sample.i_var,
-    }
+    ul_sim, dl_sim = _sample(spec, "uplink", R), _sample(spec, "per_user", R)
+    return _row(spec, [R, p_oul, dl.lower, dl.upper, dl.point,
+                       (1.0 - p_oul) * (1.0 - dl.point), ul_sim.estimate,
+                       ul_sim.stderr, dl_sim.outage, dl_sim.outage_se,
+                       dl_sim.i_mean, dl_sim.i_var])
 
 
-def _eval_surface(spec: ExperimentSpec, indices: list) -> list:
-    """The rows of a surface's radius row, its points' indices given. An
+def _eval_surface(spec: ExperimentSpec, task: list, scorer) -> list:
+    """The rows of a surface's radius row, its splits scored together. An
     overloaded path, or split of secp_surface, is NaN in its columns: a
     corner of the grid is data, not a run failure."""
-    net, comp = spec.configs[indices[0]]
-    thetas = [spec.configs[i][1].offload_prob for i in indices]
-    scorer = offload.scp_splits if spec.kind == "scp_surface" else secp_splits
+    net, comp = spec.configs[task[0][0]]
+    thetas = [spec.configs[i][1].offload_prob for i, _ in task]
     rows = []
     for theta, values in zip(thetas, scorer(net, comp, thetas)):
         if isinstance(values, StabilityError):
-            values = (values,) * (len(COLUMNS[spec.kind]) - 2)
-        rows.append(dict(zip(COLUMNS[spec.kind], [
-            net.coverage_radius, theta, *(math.nan if isinstance(
-                v, StabilityError) else v for v in values)])))
+            values = ()
+        rows.append(_row(spec, [net.coverage_radius, theta, *(
+            math.nan if isinstance(v, StabilityError) else v
+            for v in values)]))
     return rows
+
+
+def _surface_rows(spec: ExperimentSpec, indexed: list, workers: int) -> tuple:
+    """A surface's radius rows (its points are radius-major) as units of
+    work, up to `workers` processes sharing them."""
+    width = len(spec.sweep["theta_grid"])
+    return [indexed[i:i + width]
+            for i in range(0, len(indexed), width)], workers
 
 
 def _eval_r_threshold(spec: ExperimentSpec, index: int, point: dict) -> dict:
     net, comp = spec.configs[index]
     bounds = tuple(spec.sweep["r_bounds_km"])
-    row = {"M": net.antennas_per_ap, "lambda_b": net.lambda_b,
-           "t_s": comp.target_latency, "area_km2": net.network_area}
+    known = [net.antennas_per_ap, net.lambda_b, comp.target_latency,
+             net.network_area]
     try:
         best_r, best_theta, best_val = _find_r_threshold(net, comp, bounds)
     except InfeasibilityError:
-        return _nan_row("r_threshold", **row, _infeasible=True)
-    row.update({"R_th_m": best_r * 1000.0, "theta": best_theta,
-                "secp_max": best_val})
-    return row
+        return {**_row(spec, known), "_infeasible": True}
+    return _row(spec, [*known, best_r * 1000.0, best_theta, best_val])
 
 
 def _eval_energy(spec: ExperimentSpec, index: int, point: dict) -> dict:
@@ -398,13 +365,12 @@ def _eval_energy(spec: ExperimentSpec, index: int, point: dict) -> dict:
         r_star, theta_star, breakdown = energy_mod.minimize_energy(
             net, comp, cfg, xi, r_bounds=bounds)
     except InfeasibilityError:
-        return _nan_row("energy_vs_xi", xi=xi, _infeasible=True)
+        return {**_row(spec, [xi]), "_infeasible": True}
     net_star = _network_for(spec, coverage_radius=r_star)
     comp_star = _config(spec, "compute", offload_prob=theta_star)
-    achieved = _secp_point(net_star, comp_star).secp
-    return {"xi": xi, "R_star_km": r_star, "theta_star": theta_star,
-            "E_comp_J": breakdown.e_comp, "E_comm_J": breakdown.e_comm,
-            "E_total_J": breakdown.e_total, "secp_achieved": achieved}
+    return _row(spec, [xi, r_star, theta_star, breakdown.e_comp,
+                       breakdown.e_comm, breakdown.e_total,
+                       _secp_point(net_star, comp_star).secp])
 
 
 def _queue_setup(spec: ExperimentSpec, check: str) -> tuple:
@@ -512,46 +478,92 @@ def _eval_validate(spec: ExperimentSpec, index: int, point: dict) -> dict:
     return _vrow(check, 0.0, tv, tv, 0.02)
 
 
-# the surfaces are scored one radius row at a time, by _eval_surface
-_EVALUATORS = {
-    "scmp_vs_R": _eval_scmp,
-    "r_threshold": _eval_r_threshold,
-    "energy_vs_xi": _eval_energy,
-    "validate": _eval_validate,
+def _validate_units(spec: ExperimentSpec, indexed: list, _) -> tuple:
+    """validate's three units of work, in two processes: the rows before the
+    queue checks (the drops), the queue checks but the last, and the rest,
+    which start with the shortest queue run, the one row that reaches
+    offload.scp_cs: a profile of this process sees it."""
+    q = [k for k, point in indexed if point["check"] in _QUEUE_CHECKS]
+    return [indexed[:q[0]], indexed[q[0]:q[-1]], indexed[q[-1]:]], 2
+
+
+# the two surfaces differ in their columns and split scorer only
+_SURFACE = dict(grids=("radii_km", "theta_grid"), configs=_radius_configs,
+                units=_surface_rows, points=lambda sweep: [
+                    {"R": r, "theta": th} for r in sweep["radii_km"]
+                    for th in sweep["theta_grid"]])
+# The experiment kinds, in the order an unknown kind's error names them. A
+# point is a unit of work unless its kind groups them.
+KINDS = {
+    "scmp_vs_R": Kind(
+        columns=("R_km", "p_oul", "p_odl_lo", "p_odl_hi", "p_odl_point",
+                 "scmp", "sim_p_oul", "sim_p_oul_se", "sim_p_odl",
+                 "sim_p_odl_se", "sim_i_mean", "sim_i_var"),
+        grids=("radii_km",), needs_compute=False,
+        points=lambda sweep: [{"R": r} for r in sweep["radii_km"]],
+        configs=_radius_configs,
+        evaluate=lambda spec, task: [_eval_scmp(spec, *item)
+                                     for item in task],
+        # the rows share the drops: one unit, in this process
+        units=lambda spec, indexed, workers: ([indexed], 1)),
+    "scp_surface": Kind(
+        columns=("R_km", "theta", "scp_cs", "scp_mec", "scp"),
+        evaluate=lambda spec, task: _eval_surface(spec, task,
+                                                  offload.scp_splits),
+        **_SURFACE),
+    "secp_surface": Kind(
+        columns=("R_km", "theta", "secp", "comp_term", "ul_term", "dl_term"),
+        evaluate=lambda spec, task: _eval_surface(spec, task, secp_splits),
+        **_SURFACE),
+    "r_threshold": Kind(
+        columns=("M", "lambda_b", "t_s", "area_km2", "R_th_m", "theta",
+                 "secp_max"),
+        grids=("rows", "areas_km2"), sweep_keys=("r_bounds_km",),
+        sweep_checks=(_check_rows, _check_bounds),
+        points=lambda sweep: [{"row": row, "area": area}
+                              for row in sweep["rows"]
+                              for area in sweep["areas_km2"]],
+        configs=_row_configs,
+        # the rows and areas override these base fields, which must pass all
+        # the same; the first row and area fill those not given
+        base_check=lambda spec: _row_configs(spec, {
+            "row": {**spec.sweep["rows"][0], **spec.network, **spec.compute},
+            "area": spec.network.get("network_area",
+                                     spec.sweep["areas_km2"][0])}, {}),
+        evaluate=lambda spec, task: [_eval_r_threshold(spec, *item)
+                                     for item in task]),
+    "energy_vs_xi": Kind(
+        columns=("xi", "R_star_km", "theta_star", "E_comp_J", "E_comm_J",
+                 "E_total_J", "secp_achieved"),
+        grids=("xi_grid",), sweep_keys=("r_bounds_km",),
+        sweep_checks=(_check_xi_grid, _check_bounds),
+        points=lambda sweep: [{"xi": float(x)} for x in sweep["xi_grid"]],
+        configs=_energy_configs,
+        evaluate=lambda spec, task: [_eval_energy(spec, *item)
+                                     for item in task]),
+    "validate": Kind(
+        columns=("check", "value_analytic", "value_oracle", "delta", "tol",
+                 "status"),
+        grids=("radii_km",), sweep_keys=tuple(_QUEUE_DEFAULTS),
+        sweep_checks=(_check_queues,), points=_validate_points,
+        configs=lambda spec, point, nets: (
+            _queue_setup(spec, point["check"]) if point["check"]
+            in _QUEUE_CHECKS else _radius_configs(spec, point, nets)),
+        evaluate=lambda spec, task: [_eval_validate(spec, *item)
+                                     for item in task],
+        units=_validate_units,
+        manifest=lambda rows: {"checks_failed": sum(
+            row["status"] == "fail" for row in rows)}),
 }
 
 
-def _eval_task(spec: ExperimentSpec, task: list) -> list:
-    """The rows of a unit of work, [(index, point), ...]."""
-    if spec.kind not in _EVALUATORS:
-        return _eval_surface(spec, [i for i, _ in task])
-    return [_EVALUATORS[spec.kind](spec, i, point) for i, point in task]
-
-
 def _evaluate(spec: ExperimentSpec, points: list, workers: int) -> list:
-    """The rows of points, in order, mapped over units of work by one
-    sim.forked call. A surface's radius row (its points are radius-major)
-    or another point is a unit, up to `workers` processes sharing them.
-    scmp_vs_R, whose rows share the drops, is one unit. validate has three
-    in two processes: the rows before the queue checks (the drops), the
-    queue checks but the last, and the rest, which start with the shortest
-    queue run, the one row that reaches offload.scp_cs: a profile of this
-    process sees it. An error is that of the first failing point."""
-    indexed = list(enumerate(points))
-    width = 1 if spec.kind in _EVALUATORS else len(spec.sweep["theta_grid"])
-    units, n = [indexed[i:i + width]
-                for i in range(0, len(indexed), width)], workers
-    if spec.kind == "scmp_vs_R":
-        units, n = [indexed], 1
-    elif spec.kind == "validate":
-        q = [k for k, point in indexed if point.get("check") in _QUEUE_CHECKS]
-        units, n = [indexed[:q[0]], indexed[q[0]:q[-1]], indexed[q[-1]:]], 2
-    return [row for rows in sim.forked(lambda u: _eval_task(spec, units[u]),
+    """The rows of points, in order, mapped over their kind's units of work
+    by one sim.forked call. An error is that of the first failing point."""
+    kind = KINDS[spec.kind]
+    units, n = kind.units(spec, list(enumerate(points)), workers)
+    return [row for rows in sim.forked(lambda u: kind.evaluate(spec, units[u]),
                                        len(units), n) for row in rows]
-
-
-# ---------------------------------------------------------------------------
-# Run orchestration
 
 
 def _format_cell(value) -> str:
@@ -580,9 +592,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = ".",
     t0 = time.monotonic()
     rows, error, code = None, None, EXIT_OK
     try:
-        evaluated = _evaluate(spec, _points(spec), workers)
+        kind = KINDS[spec.kind]
+        evaluated = _evaluate(spec, kind.points(spec.sweep), workers)
         flags = [row.pop("_infeasible", False) for row in evaluated]
-        write_csv_rows(os.path.join(out_dir, csv_name), COLUMNS[spec.kind],
+        write_csv_rows(os.path.join(out_dir, csv_name), kind.columns,
                        evaluated)
         rows = evaluated
         if all(flags):
@@ -592,9 +605,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = ".",
         code, error = _failure(exc)
 
     fields = {} if rows is None else {"output_csv": csv_name,
-                                      "rows_written": len(rows)}
-    if spec.kind == "validate" and rows is not None:
-        fields["checks_failed"] = sum(r["status"] == "fail" for r in rows)
+                                      "rows_written": len(rows),
+                                      **kind.manifest(rows)}
     _write_manifest(out_dir, spec.label, spec.kind, spec.resolved(), started,
                     code, error, seed=spec.seed,
                     replications=spec.replications,
@@ -620,24 +632,15 @@ def _write_manifest(out_dir: str, label: str, kind, spec: dict,
     error being None or (type name, message), and the fields the run got
     to. A run that wrote no CSV leaves no earlier CSV of its label."""
     manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "label": label,
+        "schema_version": SCHEMA_VERSION, "kind": kind, "label": label,
         "status": "ok" if error is None else "failed",
         "error": None if error is None else {"type": error[0],
                                              "message": error[1]},
-        "exit_code": code,
-        "spec": spec,
-        "seed": None,
-        "replications": None,
-        "started_utc": started.isoformat(),
-        "wall_time_s": 0.0,
+        "exit_code": code, "spec": spec, "seed": None, "replications": None,
+        "started_utc": started.isoformat(), "wall_time_s": 0.0,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "cfedge": __version__},
-        "output_csv": None,
-        "rows_written": 0,
-        **fields,
-    }
+        "output_csv": None, "rows_written": 0, **fields}
     os.makedirs(out_dir, exist_ok=True)
     if manifest["output_csv"] is None:
         with contextlib.suppress(FileNotFoundError):
@@ -669,10 +672,8 @@ def _merge_spec(path: str | None, preset: str | None,
         if not isinstance(overrides, dict):
             raise SpecError("spec file must contain a JSON object")
         for key, val in overrides.items():
-            if isinstance(val, dict) and isinstance(merged.get(key), dict):
-                merged[key] = {**merged[key], **val}
-            else:
-                merged[key] = val
+            merged[key] = {**merged[key], **val} if isinstance(val, dict) \
+                and isinstance(merged.get(key), dict) else val
     if not merged:
         raise SpecError("give a spec file, --preset, or both")
     if isinstance(merged.get("sim", {}), dict):
@@ -690,14 +691,12 @@ def main(argv: list | None = None) -> int:
                     "and energy minimization.")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="evaluate one experiment spec")
-    run.add_argument("spec_file", nargs="?", default=None,
+    run.add_argument("spec_file", nargs="?",
                      help="JSON experiment description")
-    run.add_argument("--preset", default=None,
-                     help="named preset; a spec file overrides it key "
-                          "by key")
-    run.add_argument("--seed", type=int, default=None,
-                     help="override the simulation seed")
-    run.add_argument("--reps", type=int, default=None,
+    run.add_argument("--preset",
+                     help="named preset; a spec file overrides it key by key")
+    run.add_argument("--seed", type=int, help="override the simulation seed")
+    run.add_argument("--reps", type=int,
                      help="override the replication budget")
     run.add_argument("--out", default=".", help="output directory")
     run.add_argument("--workers", type=int, default=1,

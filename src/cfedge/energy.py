@@ -61,12 +61,11 @@ class EnergyConfig:
         check_numbers(self, ("f_cs_hz", "f_mec_hz"))
         if len(self.f_cs_hz) != len(self.f_mec_hz):
             raise ValueError("f_cs_hz and f_mec_hz must have equal length")
-        positives = (self.bandwidth_hz, self.task_bits_ul, self.task_bits_dl,
-                     self.p_tx_user, self.p_tx_ap, self.cycles_per_bit,
-                     self.kappa_c, self.kappa_m, self.delta)
-        if any(v <= 0 for v in positives):
-            raise ValueError("bandwidth, task sizes, transmit powers, cycle "
-                             "and energy constants must be positive")
+        for name in ("bandwidth_hz", "task_bits_ul", "task_bits_dl",
+                     "p_tx_user", "p_tx_ap", "cycles_per_bit", "kappa_c",
+                     "kappa_m", "delta"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         for name in ("p_rf_ap", "p_rf_user", "p_oscillator",
                      "p_coding_w_per_gbps", "p_decoding_w_per_gbps",
                      "p_fixed_user", "p_fixed_ap", "energy_per_op"):

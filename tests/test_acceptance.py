@@ -187,7 +187,7 @@ def test_criterion_6_radius_threshold_table():
     windows = {(4, 0.012): (71.0, 91.0), (1, 0.004): (47.0, 67.0)}
     tspec = ExperimentSpec.from_mapping(mapping)
     rows = [cli._eval_r_threshold(tspec, i, p)
-            for i, p in enumerate(cli._points(tspec))]
+            for i, p in enumerate(cli.KINDS[tspec.kind].points(tspec.sweep))]
 
     print("criterion 6 threshold table:")
     hits = {}

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -19,9 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfedge import cli, comm, offload, sim
-from cfedge.cli import (COLUMNS, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK,
-                        EXIT_USAGE, ExperimentSpec, SpecError, _merge_spec,
-                        _network_for, _points, run_experiment)
+from cfedge.cli import (EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
+                        ExperimentSpec, SpecError, _merge_spec, _network_for,
+                        run_experiment)
 from cfedge.errors import NumericalError, StabilityError
 from cfedge.model import mean_connected_aps
 from cfedge.presets import COMPUTE_MIX, COMPUTE_SINGLE
@@ -29,6 +30,19 @@ from cfedge.secp import secp as secp_point
 
 from conftest import MU_C, MU_M, edge_row_reference, server_weights
 from test_sim import _no_child_left
+
+
+def _points(spec):
+    """The spec's grid points, as its kind's record lists them."""
+    return cli.KINDS[spec.kind].points(spec.sweep)
+
+
+def _evaluate_with(monkeypatch, kind, evaluate):
+    """Evaluate kind's points one by one with evaluate(spec, index, point)
+    for the rest of the test."""
+    monkeypatch.setitem(cli.KINDS, kind, dataclasses.replace(
+        cli.KINDS[kind], evaluate=lambda spec, task: [
+            evaluate(spec, *item) for item in task]))
 
 
 def _scmp_spec(**extra):
@@ -279,7 +293,7 @@ class TestRunExperiment:
         raw = (tmp_path / "tiny.csv").read_bytes()
         assert b"\r\n" in raw
         lines = raw.decode("utf-8").strip().split("\r\n")
-        assert lines[0].split(",") == COLUMNS["scmp_vs_R"]
+        assert tuple(lines[0].split(",")) == cli.KINDS["scmp_vs_R"].columns
         assert len(lines) == 3
         manifest = json.loads((tmp_path / "tiny.manifest.json").read_text())
         assert manifest["schema_version"] == 1
@@ -408,7 +422,8 @@ class TestRunExperiment:
             # repr tells NaN apart from numbers and -0.0 from 0.0
             assert list(map(repr, row.values())) == list(map(repr, [
                 net.coverage_radius, comp.offload_prob, *want]))
-        overloaded = [math.isnan(row[COLUMNS[kind][-1]]) for row in rows]
+        overloaded = [math.isnan(row[cli.KINDS[kind].columns[-1]])
+                      for row in rows]
         assert any(overloaded) == (mix == "slow")
 
     @pytest.mark.parametrize("kind", ["scp_surface", "secp_surface"])
@@ -424,8 +439,8 @@ class TestRunExperiment:
         assert [row["theta"] for row in rows] == [0.0, 0.35, 1.0]
         for (_, comp), row in zip(spec.configs, rows):
             if kind == "secp_surface":
-                assert [row[c] for c in COLUMNS[kind][2:]] == [0.0, 0.0, 0.0,
-                                                               1.0]
+                assert [row[c] for c in cli.KINDS[kind].columns[2:]] == [
+                    0.0, 0.0, 0.0, 1.0]
             else:
                 assert row["scp_cs"] == offload.scp_cs(comp, 0.0)
                 assert row["scp_mec"] == 0.0
@@ -496,6 +511,7 @@ class TestRunExperiment:
                           "sweep": {"xi_grid": [0.5],
                                     "r_bounds_km": [0.01, 0.25]}},
          "p_fixed_ap"),
+        ("energy-sweep", {"energy": {"p_tx_ap": -1}}, "p_tx_ap"),
     ])
     def test_bad_section_value_is_exit_2(self, tmp_path, preset, overrides,
                                          needle):
@@ -538,7 +554,7 @@ class TestRunExperiment:
         def boom(spec, index, point):
             raise NumericalError("synthetic blowup")
 
-        monkeypatch.setitem(cli._EVALUATORS, "scmp_vs_R", boom)
+        _evaluate_with(monkeypatch, "scmp_vs_R", boom)
         spec = ExperimentSpec.from_mapping(_scmp_spec())
         code = run_experiment(spec, out_dir=str(tmp_path))
         assert code == EXIT_NUMERICAL
@@ -553,7 +569,7 @@ class TestRunExperiment:
                     "value_oracle": 1.0, "delta": 1.0, "tol": 0.5,
                     "status": "fail"}
 
-        monkeypatch.setitem(cli._EVALUATORS, "validate", stub)
+        _evaluate_with(monkeypatch, "validate", stub)
         spec = ExperimentSpec.from_mapping({
             "kind": "validate",
             "network": {"lambda_b": 400.0, "lambda_d": 100.0},
@@ -666,7 +682,7 @@ class TestQueueChild:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(spec, index, point)
 
-        monkeypatch.setitem(cli._EVALUATORS, "validate", killed)
+        _evaluate_with(monkeypatch, "validate", killed)
         _cpus(monkeypatch, 2)
         log = _fork_log(monkeypatch)
         assert _run(tmp_path / "two", spec)[0] == EXIT_OK
@@ -752,7 +768,7 @@ class TestWorkers:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(spec, index, point)
 
-        monkeypatch.setitem(cli._EVALUATORS, "r_threshold", killed)
+        _evaluate_with(monkeypatch, "r_threshold", killed)
         _cpus(monkeypatch, 2)
         log = _fork_log(monkeypatch)
         code, manifest = _run(tmp_path / "two", spec, "--workers", "2")
@@ -778,7 +794,7 @@ class TestWorkers:
                 raise StabilityError("point 2")
             return real(spec, index, point)
 
-        monkeypatch.setitem(cli._EVALUATORS, "r_threshold", failing)
+        _evaluate_with(monkeypatch, "r_threshold", failing)
         _cpus(monkeypatch, 2)
         code, manifest = _run(tmp_path, _r_threshold_spec(), "--workers",
                               str(workers))
@@ -1145,6 +1161,25 @@ class TestInputContract:
         assert manifest["error"] == {"type": "SpecError", "message": message}
         assert not (tmp_path / f"{preset}.csv").exists()
 
+    @pytest.mark.parametrize("seed, flag, code", [
+        (-1, False, EXIT_USAGE), (2 ** 64, False, EXIT_USAGE),
+        (-1, True, EXIT_USAGE), (2 ** 64, True, EXIT_USAGE),
+        (2 ** 63 - 1, False, EXIT_OK)])
+    def test_seed_outside_the_stream_key_is_exit_2(self, tmp_path, seed, flag,
+                                                   code):
+        # the random streams key on the seed's low 64 bits, and the queue
+        # checks add their point index: 2**64 would rerun seed 0's draws
+        spec = _tiny("validate")
+        extra = ("--seed", str(seed)) if flag else ()
+        if not flag:
+            spec["sim"]["seed"] = seed
+        got, manifest = _run(tmp_path, spec, *extra)
+        assert got == manifest["exit_code"] == code
+        if code == EXIT_USAGE:
+            assert manifest["error"] == {"type": "SpecError", "message":
+                                         "sim.seed must lie in [0, 2**63)"}
+            assert not (tmp_path / "validate.csv").exists()
+
     def test_integral_float_seed_is_accepted(self):
         spec = _tiny("scmp-sweep")
         spec["sim"] = {"replications": 5000.0, "seed": 7.0}
@@ -1176,11 +1211,92 @@ class TestInputContract:
         with pytest.raises(SpecError, match="sweep.rows"):
             ExperimentSpec.from_mapping(spec)
 
+    @pytest.mark.parametrize("preset, edits, message", [
+        ("scmp-sweep", {("sweep", "radii_km"): _DROP},
+         "kind scmp_vs_R needs a non-empty sweep.radii_km"),
+        ("secp-surface", {("sweep", "theta_grid"): []},
+         "kind secp_surface needs a non-empty sweep.theta_grid"),
+        ("validate", {("sweep", "queues"): {}},
+         "unknown key in sweep: queues; expected one of radii_km, queue, "
+         "queue_cs"),
+        ("r-threshold", {("sweep", "xi_grid"): [0.5]},
+         "unknown key in sweep: xi_grid; expected one of rows, areas_km2, "
+         "r_bounds_km"),
+        ("r-threshold", {("sweep", "r_bounds_km"): [0.2, 0.1]},
+         "sweep.r_bounds_km must be [lo, hi] with 0 < lo < hi"),
+        ("energy-sweep", {("sweep", "r_bounds_km"): _DROP},
+         "sweep.r_bounds_km must be [lo, hi] with 0 < lo < hi"),
+        ("energy-sweep", {("sweep", "xi_grid"): [0.5, 1.0]},
+         "sweep.xi_grid entries must be numbers strictly between 0 and 1"),
+        ("r-threshold", {("sweep", "rows", 0): {"lambda_b": 400.0,
+                                                "target_latency": 0.012}},
+         "sweep.rows entries must be objects with antennas_per_ap, "
+         "lambda_b, target_latency"),
+        ("validate", {("sweep", "queue", "r_km"): -1},
+         "sweep.queue must be an object of positive numbers"),
+        ("validate", {("sweep", "queue_cs"): 3},
+         "sweep.queue_cs must be an object of positive numbers"),
+        ("validate", {("sweep", "queue_cs", "duration"): 5.0},
+         "unknown key in sweep.queue_cs: duration; expected one of "
+         "lambda_c, duration_s"),
+        ("validate", {("sweep", "queue", "n_mec"): 2.5},
+         "sweep.queue.n_mec must be a positive integer"),
+        ("secp-surface", {("compute",): _DROP},
+         "kind secp_surface needs a 'compute' section"),
+        ("r-threshold", {("network", "lambda_b"): -1.0},
+         "bad network section: densities must be non-negative"),
+        ("r-threshold", {("compute", "target_latency"): 0},
+         "bad compute section: target_latency must be positive"),
+        ("secp-surface", {("sweep", "radii_km"): [0.04, -0.01]},
+         "bad network section: coverage_radius must be non-negative at "
+         "sweep.radii_km entry -0.01 and sweep.theta_grid entry 0.5"),
+        ("scp-surface-mix", {("sweep", "theta_grid"): [0.0, 1.5]},
+         "bad compute section: offload_prob must lie in [0, 1] at "
+         "sweep.radii_km entry 0.04 and sweep.theta_grid entry 1.5"),
+        ("validate", {("sweep", "radii_km"): [0.04, "0.04"]},
+         "bad network section: coverage_radius must be a finite number at "
+         "sweep.radii_km entry '0.04'"),
+        ("r-threshold", {("sweep", "areas_km2"): [1.0, 0.0]},
+         "bad network section: network_area must be positive at sweep.rows "
+         "entry {'antennas_per_ap': 4, 'lambda_b': 400.0, "
+         "'target_latency': 0.012} and sweep.areas_km2 entry 0.0"),
+        # two faults: the one checked first is reported
+        ("r-threshold", {("sweep", "r_bounds_km"): [0.2, 0.1],
+                         ("sweep", "rows", 0): 5},
+         "sweep.rows entries must be objects with antennas_per_ap, "
+         "lambda_b, target_latency"),
+        ("energy-sweep", {("sweep", "xi_grid"): [0.0],
+                          ("sweep", "r_bounds_km"): [1]},
+         "sweep.xi_grid entries must be numbers strictly between 0 and 1"),
+        ("validate", {("compute",): _DROP,
+                      ("sweep", "queue", "n_mec"): 2.5},
+         "sweep.queue.n_mec must be a positive integer"),
+        ("scp-surface-mix", {("sweep", "bounds"): 1,
+                             ("sweep", "theta_grid"): []},
+         "unknown key in sweep: bounds; expected one of radii_km, "
+         "theta_grid"),
+        ("r-threshold", {("network", "lambda_b"): -1.0,
+                         ("sweep", "areas_km2"): [1.0, 0.0]},
+         "bad network section: network_area must be positive at sweep.rows "
+         "entry {'antennas_per_ap': 4, 'lambda_b': 400.0, "
+         "'target_latency': 0.012} and sweep.areas_km2 entry 0.0"),
+    ])
+    def test_kind_rule_message_is_exact(self, tmp_path, preset, edits,
+                                        message):
+        # each kind's sweep, compute and grid-entry rules, word for word
+        spec = _tiny(preset)
+        for path, value in edits.items():
+            spec = _mutated(spec, path, value)
+        code, manifest = _run(tmp_path, spec)
+        assert code == manifest["exit_code"] == EXIT_USAGE
+        assert manifest["error"] == {"type": "SpecError", "message": message}
+        assert not (tmp_path / f"{cli._safe_label(spec)}.csv").exists()
+
     def test_clock_type_mismatch_is_exit_2_before_any_point(
             self, tmp_path, monkeypatch):
         evaluated = []
-        monkeypatch.setitem(cli._EVALUATORS, "energy_vs_xi",
-                            lambda spec, index, point: evaluated.append(point))
+        _evaluate_with(monkeypatch, "energy_vs_xi",
+                       lambda spec, index, point: evaluated.append(point))
         spec = _tiny("energy-sweep")
         spec["energy"] = {"f_cs_hz": [4e9, 5e9], "f_mec_hz": [1e9, 3.4e9]}
         code, manifest = _run(tmp_path, spec)

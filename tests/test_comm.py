@@ -512,7 +512,7 @@ def test_scmp_composition(fig_net):
                     "antennas_per_ap": 4},
         "sweep": {"radii_km": [0.05]}, "sim": {"replications": 200}})
     assert spec.configs == ((fig_net,),)
-    (row,) = cli._evaluate(spec, cli._points(spec), 1)
+    (row,) = cli._evaluate(spec, cli.KINDS[spec.kind].points(spec.sweep), 1)
     assert row["scmp"] == pytest.approx(_scmp(fig_net), rel=1e-12)
 
 

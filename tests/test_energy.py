@@ -103,6 +103,15 @@ def test_config_validation():
         EnergyConfig(f_mec_hz=(1e9, float("inf")))
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("name", [
+    "bandwidth_hz", "task_bits_ul", "task_bits_dl", "p_tx_user", "p_tx_ap",
+    "cycles_per_bit", "kappa_c", "kappa_m", "delta"])
+def test_non_positive_constant_names_its_field(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+        EnergyConfig(**{name: value})
+
+
 @pytest.mark.parametrize("name", [
     "p_rf_ap", "p_rf_user", "p_oscillator", "p_coding_w_per_gbps",
     "p_decoding_w_per_gbps", "p_fixed_user", "p_fixed_ap", "energy_per_op"])
